@@ -12,15 +12,16 @@ from fractions import Fraction
 REF_S = 1.0e-3      # nominal time of one calibration sample
 TICK_S = 0.1        # interval of the samples taken while measured work runs
 _CAL = tuple(Fraction(i, i + 2) for i in range(1, 25))
-perf = time.perf_counter
 
 
 def calibrate() -> float:
-    """Time a fixed piece of Fraction arithmetic, the kind of work the
-    package does, without calling the package."""
-    t0 = perf()
+    """CPU time of this thread for a fixed piece of Fraction arithmetic,
+    the kind of work the package does, without calling the package.  CPU
+    time, so that a sample taken while a child process shares the CPU
+    times the CPU, not the sharing."""
+    t0 = time.thread_time()
     for _ in range(12):
         acc = Fraction(0)
         for a in _CAL:
             acc = acc + a * a
-    return perf() - t0
+    return time.thread_time() - t0

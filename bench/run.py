@@ -20,16 +20,18 @@ import signal
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-from calib import REF_S, TICK_S, calibrate, perf
+from calib import REF_S, TICK_S, calibrate
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 15
 WINDOW = 10         # calibration samples that make one speed estimate
+perf, cpu = time.perf_counter, time.process_time
 
 # Layers whose traced names each workload must reach; every traced name of
 # any other layer must read 0 calls.  NOT_REACHED lists names of a used
@@ -49,46 +51,56 @@ NOT_REACHED = {
 }
 
 
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    return env
+def _children_cpu() -> float:
+    r = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return r.ru_utime + r.ru_stime
 
 
-def _timed_run(cmd, **kwargs):
-    """Run a fresh process; return (result, raw wall time, the time scaled
-    to the reference speed measured just before and after it, or during
-    it if the process reports calibration samples of its own)."""
+def _child_run(cmd, timeout):
+    """Run a fresh process to its end, with calibration samples taken on
+    the same CPU before, during (every TICK_S) and after it.  Returns its
+    return code, standard output, CPU seconds, and the CPU seconds scaled
+    to the reference speed of those samples."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     refs = [calibrate() for _ in range(3)]
-    t0 = perf()
-    r = subprocess.run(cmd, env=_env(), cwd=ROOT, **kwargs)
-    dt = perf() - t0
+    c0, deadline = _children_cpu(), perf() + timeout
+    with subprocess.Popen(cmd, env=env, cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True) as proc:
+        while True:
+            try:
+                out, _ = proc.communicate(timeout=TICK_S)
+                break
+            except subprocess.TimeoutExpired:
+                if perf() > deadline:
+                    proc.kill()
+                    proc.communicate()
+                    raise
+                refs.append(calibrate())
+    cpu_s = _children_cpu() - c0
     refs += [calibrate() for _ in range(3)]
-    if kwargs.get("capture_output"):
-        inner = json.loads(r.stderr.strip().splitlines()[-1])
-        if len(inner["calibration"]) >= 3:
-            refs = inner["calibration"]
-        return r, dt, (dt - inner["spent_s"]) * REF_S / statistics.median(refs)
-    return r, dt, dt * REF_S / statistics.median(refs)
+    return proc.returncode, out, cpu_s, cpu_s * REF_S / statistics.median(refs)
 
 
 def setup_sample():
-    """Wall time for a fresh interpreter to import the CLI."""
-    _, raw, scaled = _timed_run([sys.executable, "-c", "import operadlab.cli"],
-                                check=True, stdout=subprocess.DEVNULL)
-    return raw, scaled
+    """Time of a fresh interpreter that imports the CLI: (CPU, scaled)."""
+    code, _, cpu_s, scaled = _child_run(
+        [sys.executable, "-c", "import operadlab.cli"], timeout=60)
+    if code != 0:
+        raise RuntimeError(f"importing operadlab.cli exited with code {code}")
+    return cpu_s, scaled
 
 
 def cold_sample(wl):
-    """Wall time of a fresh CLI process (bench/cold.py) for the workload's
-    command, and whether its JSON output is correct."""
-    cmd = [sys.executable, str(HERE / "cold.py"), *wl.cold_command(OUT)]
-    r, raw, scaled = _timed_run(cmd, capture_output=True, text=True, timeout=150)
+    """Time of a fresh `python -m operadlab.cli` process that runs the
+    workload's command, (CPU, scaled), and whether its JSON output is
+    correct."""
+    cmd = [sys.executable, "-m", "operadlab.cli", *wl.cold_command(OUT)]
+    code, out, cpu_s, scaled = _child_run(cmd, timeout=150)
     try:
-        ok = r.returncode == 0 and wl.check_cold(json.loads(r.stdout))
+        ok = code == 0 and wl.check_cold(json.loads(out))
     except (ValueError, KeyError):
         ok = False
-    return raw, scaled, ok
+    return cpu_s, scaled, ok
 
 
 def git_sha():
@@ -101,10 +113,11 @@ def git_sha():
 
 def measure(wl, log, seconds):
     """Untraced run: rounds of (set-up sample, cold sample, pass), at least
-    two, and more while the next pass fits before the deadline.  A round takes a cold sample only
-    while cold samples stay within 40 % of the budget and the pass
-    after it still fits.  Returns the op index range of every pass and the
-    (raw, scaled) set-up and cold samples."""
+    two, and more while the next pass fits before the deadline.  A round
+    takes a cold sample only while cold samples stay within 40 % of the
+    budget and the pass after it still fits.  Set-up samples are topped up
+    to SETUP_SAMPLES at the end.  Returns the op index range and wall time
+    of every pass, and the (CPU, scaled) set-up and cold samples."""
     deadline = perf() + seconds
     bounds, walls, setups, colds = [], [], [], []
     cold_bad = 0
@@ -113,8 +126,8 @@ def measure(wl, log, seconds):
         spent = sum(c[0] for c in colds)
         if not colds or (spent + colds[-1][0] <= 0.4 * seconds
                          and perf() + colds[-1][0] + walls[-1] <= deadline):
-            raw, scaled, ok = cold_sample(wl)
-            colds.append((raw, scaled))
+            cpu_s, scaled, ok = cold_sample(wl)
+            colds.append((cpu_s, scaled))
             cold_bad += not ok
         log.outputs = []
         first = len(log.lat_ms)
@@ -124,13 +137,13 @@ def measure(wl, log, seconds):
         bounds.append((first, len(log.lat_ms)))
     while len(setups) < SETUP_SAMPLES:
         setups.append(setup_sample())
-    return bounds, setups, colds, cold_bad
+    return bounds, walls, setups, colds, cold_bad
 
 
 def scaled_op_ms(log):
     """Each op's latency at the reference speed.  The speed is the median of
     the calibration samples taken during the op if it ran long enough to
-    get three, else of the WINDOW samples centred on it: those taken just
+    get three, else of the WINDOW samples around it: those taken just
     before it and just after it (before the ops that follow)."""
     refs, half, out = log.refs, WINDOW // 2, []
     for i, (ms, (a, b)) in enumerate(zip(log.lat_ms, log.inner_at)):
@@ -150,30 +163,44 @@ def run_pass(wl, log):
         signal.setitimer(signal.ITIMER_REAL, 0)
 
 
+def per_op_median(lat_ms, bounds):
+    """Each op's latency: the median over the passes of the run.  Every
+    pass runs the same op list, so the percentiles of these values are
+    taken at the same op whatever the number of passes; those of the raw
+    latencies are not, and multimap's p90 falls on the step between its
+    seven heaviest trials and the rest."""
+    n = min(b - a for a, b in bounds)   # a failed op cuts its pass short
+    return [statistics.median(lat_ms[a + i] for a, _ in bounds) for i in range(n)]
+
+
 def measure_traced(wl, log, tracer, seconds):
-    """Traced run: rounds of (untraced pass, traced pass).
-    Returns both pass times and whether every traced pass gave the same
-    outputs as the untraced pass before it."""
+    """Traced run: rounds of (untraced pass, traced pass), while the next
+    round fits before the deadline.  Returns both passes' CPU times and
+    whether every traced pass gave the same outputs as the untraced pass
+    before it."""
     deadline = perf() + seconds
     plain, traced = [], []
     same = True
-    while not plain or perf() + plain[-1] + traced[-1] <= deadline:
+    round_s = 0.0
+    while not plain or perf() + round_s <= deadline:
+        t_round = perf()
         log.outputs = []
-        t0 = perf()
+        t0 = cpu()
         wl.run_pass(log)
-        plain.append(perf() - t0)
+        plain.append(cpu() - t0)
         untraced_out = log.outputs
         log.outputs = []
         log.tracer = tracer
         tracer.install()
-        t0 = perf()
+        t0 = cpu()
         try:
             wl.run_pass(log)
         finally:
-            traced.append(perf() - t0)
+            traced.append(cpu() - t0)
             tracer.uninstall()
             log.tracer = None
         same = same and log.outputs == untraced_out
+        round_s = perf() - t_round
     return plain, traced, same
 
 
@@ -214,16 +241,16 @@ def main(argv=None) -> int:
     OUT.mkdir(exist_ok=True)
     # One CPU for this process and the processes it starts, so that the
     # calibration samples time the CPU the measured work runs on.
-    cpu = min(os.sched_getaffinity(0))
+    cpu_id = min(os.sched_getaffinity(0))
     try:
-        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, {cpu_id})
     except OSError:
-        cpu = None
+        cpu_id = None
     wl = WORKLOADS[args.workload](args.seed)
     meta = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "git_sha": git_sha(),
-        "python": platform.python_version(), "nproc": os.cpu_count(), "cpu": cpu,
+        "python": platform.python_version(), "nproc": os.cpu_count(), "cpu": cpu_id,
         "inputs_sha": wl.inputs_sha,
     }
     correct = True
@@ -245,9 +272,10 @@ def main(argv=None) -> int:
                     selftest_failures=bad, spans_file=str(spans_file.relative_to(ROOT)))
     else:
         log = OpLog(calibrate)
-        bounds, setups, colds, cold_bad = measure(wl, log, args.seconds)
-        op_ms = scaled_op_ms(log)
-        passes = [sum(op_ms[a:b]) / 1e3 for a, b in bounds]
+        bounds, walls, setups, colds, cold_bad = measure(wl, log, args.seconds)
+        scaled = scaled_op_ms(log)
+        passes = [sum(scaled[a:b]) / 1e3 for a, b in bounds]
+        op_ms = per_op_median(scaled, bounds)
         deciles = statistics.quantiles(op_ms, n=10)
         metrics = {
             "pass_s": {"value": statistics.median(passes), "unit": "s"},
@@ -262,13 +290,15 @@ def main(argv=None) -> int:
         log.failed += cold_bad
         if cold_bad:
             log.errors.append(f"{cold_bad} cold CLI run(s) gave a wrong output")
-        raw = log.lat_ms
+        raw = per_op_median(log.lat_ms, bounds)
         meta.update(
             passes=len(bounds), ops_per_pass=bounds[0][1] - bounds[0][0],
-            op_samples=len(op_ms), pass_s=passes,
-            raw_pass_s=[sum(raw[a:b]) / 1e3 for a, b in bounds],
+            op_samples=len(log.lat_ms), pass_s=passes, pass_wall_s=walls,
+            raw_pass_s=[sum(log.lat_ms[a:b]) / 1e3 for a, b in bounds],
             raw_op_ms_p50=statistics.median(raw),
             raw_op_ms_p90=statistics.quantiles(raw, n=10)[8],
+            raw_cold_s=statistics.median(c[0] for c in colds),
+            raw_setup_s=statistics.median(s[0] for s in setups),
             setup_s=setups, cold_s=colds,
             calibration_s=[statistics.median(log.refs[a:b]) for a, b in bounds])
     meta.update(error_rate=log.failed / log.attempted, errors=log.errors)

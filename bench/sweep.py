@@ -1,9 +1,10 @@
 """Run every workload over several seeds and summarise each metric.
 
-    python3 bench/sweep.py --seeds 10 [--first-seed 1] [--workloads a,b] [--trace 1]
+    python3 bench/sweep.py --seeds 10 [--first-seed 1] [--trace 1]
 
-Runs are interleaved (seed by seed, every workload in turn) so that drift
-in the machine's speed hits all workloads alike.  For each workload and
+Runs every workload in BENCHMARK.json, interleaved (seed by seed, every
+workload in turn) so that drift in the machine's speed hits all workloads
+alike.  For each workload and
 metric it prints the median, the quartiles and the spread (interquartile
 distance over the median) next to the bound in BENCHMARK.json, and marks
 a spread above a third of its bound with `!`.  Raw results go to
@@ -29,10 +30,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
-    names = args.workloads.split(",")
+    names = [w["name"] for w in spec["workloads"]]
     bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
 
     results = {w: [] for w in names}
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
             q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else (med,) * 3
             spread = (q3 - q1) / med if med else 0.0
             bound = bounds.get(key)
-            flag = "!" if bound is not None and key != "setup_s" and spread > bound / 3 else " "
+            flag = "!" if bound is not None and spread > bound / 3 else " "
             print(f"{w:14} {key:40} {med:12.6g} {q1:12.6g} {q3:12.6g} "
                   f"{spread:7.3f} {bound if bound is not None else '':>6}{flag} {unit}")
         bad = [r["meta"]["seed"] for r in runs if not r["correct"]]
