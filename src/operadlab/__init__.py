@@ -18,10 +18,10 @@ Q(q)(sqrt 2, sqrt q):
 * signed insertion compositions of multilinear maps.
 """
 
-from .scalar import Scalar, RatFunc, TruncSeries, ScalarError, SpecializationError, scalar_arith
+from .scalar import Scalar, RatFunc, ScalarError, SpecializationError
 from .free3 import (EShape, Subspace, GroupElement, ActionMatrix, SlotMap,
                     GAMMA3, TAU12, TAU23, TAU13, CYC123, SIGMA3, SIGMA3_PLUS,
-                    basis_vector, right_action, cyclic_action, left_lambda,
+                    LAMBDA, basis_vector, right_action, left_lambda,
                     span_closure, sigma3_closure, gamma_plus_split,
                     polarize_map, depolarize_map, polarized_shape)
 from .presentation import (Presentation, GeneratorDecl, RelationExpr, Var, App,

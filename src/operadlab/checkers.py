@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalar import Scalar, as_scalar, SC0, SC1, ScalarError
+from .scalar import Scalar, RatFunc, as_scalar, SC0, SC1, pmul, _rational_sqrt
 from . import free3
-from .free3 import (EShape, Subspace, ActionMatrix, GAMMA3, SlotMap,
-                    gamma_plus_split, left_lambda)
+from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
+                    left_lambda)
 from .presentation import (Presentation, RelationExpr, relation_vector,
                            App, Var, PresentationError)
 
@@ -40,7 +40,7 @@ class InternalInconsistencyError(AssertionError):
 
 def check_cyclic(p: Presentation) -> bool:
     """R preserved by the generator of the cyclic extension."""
-    return p.R.is_invariant(ActionMatrix(p.shape, GAMMA3))
+    return p.R.is_invariant(p.shape.action(GAMMA3))
 
 
 def check_dihedral(p: Presentation) -> bool:
@@ -277,7 +277,7 @@ def coassoc_family(d: DiagonalCandidate) -> str | None:
 # ---------------------------------------------------------------------------
 
 class HopfResult(NamedTuple):
-    verdict: str                 # none | unique | one_parameter_family | all
+    verdict: str                 # none | unique | all
     witness: object = None       # Scalar (type 3), dict (type 1), or None
     diagnostic: str | None = None
 
@@ -314,66 +314,23 @@ def hopf_analyze(p: Presentation) -> HopfResult:
     raise CheckerError("unsupported multi-generator presentation")
 
 
+_COMM_TABLE = {0: ((1, (0, 0)),)}    # Delta(c) = c (x) c
+
+
 def _hopf_comm(p: Presentation) -> HopfResult:
     """Case of a commutative generator: the counit forces Delta(c) = c (x) c;
     it remains to test that the relations are preserved."""
-    shape = p.shape
-    n = shape.basis_size
-    quotient = p.R.reduce
-    for r in p.R.rows:
-        img = {}
-        for w, cw in enumerate(r):
-            if not cw:
-                continue
-            img[(w, w)] = img.get((w, w), SC0) + cw
-        if not _tensor_reduces_to_zero_numeric(img, quotient, n):
-            return HopfResult("none", None,
-                              f"relation image survives in the quotient: "
-                              f"{_render_row(shape, r)}")
+    constraints = _hopf_constraints(p.shape, p.R, _COMM_TABLE)
+    if constraints:
+        return HopfResult("none", None,
+                          f"relation image survives in the quotient: "
+                          f"{_render_row(p.shape, constraints[0][1])}")
     return HopfResult("unique", {"A": 1}, None)
 
 
-def _tensor_reduces_to_zero_numeric(entries, reduce_fn, n):
-    cols = {}
-    for (i, j), c in entries.items():
-        cols.setdefault(j, [SC0] * n)[i] = c
-    half = {}
-    for j, vec in cols.items():
-        red = reduce_fn(vec)
-        for i, c in enumerate(red):
-            if c:
-                half.setdefault(i, [SC0] * n)[j] = c
-    for i, vec in half.items():
-        if any(reduce_fn(vec)):
-            return False
-    return True
-
-
 def _hopf_type3(shape: EShape, R: Subspace) -> HopfResult:
-    d = DiagonalCandidate.normalized_family()
-    tbl = _delta2_table(d)
-    n = shape.basis_size
-    constraints = []   # (BPoly, source row)
-    for r in R.rows:
-        entries = {}
-        for w, cw in enumerate(r):
-            if not cw:
-                continue
-            for c, (i, j) in _delta3(shape, tbl, w):
-                key = (i, j)
-                entries[key] = entries.get(key, _BP0) + c * cw
-        # reduce modulo R in both tensor factors
-        cols = {}
-        for (i, j), c in entries.items():
-            cols.setdefault(j, {})[i] = c
-        half = {}
-        for j, col in cols.items():
-            for i, c in _reduce_bpoly(col, R):
-                half.setdefault(i, {})[j] = c
-        for i, row in half.items():
-            for _, c in _reduce_bpoly(row, R):
-                if c:
-                    constraints.append((c, r))
+    tbl = _delta2_table(DiagonalCandidate.normalized_family())
+    constraints = _hopf_constraints(shape, R, tbl)
     if not constraints:
         return HopfResult("all", "any B", None)
     roots = _solve_constraints(constraints)
@@ -394,6 +351,34 @@ def _hopf_type3(shape: EShape, R: Subspace) -> HopfResult:
     raise CheckerError(
         "several isolated diagonals found; not reachable for the supported "
         f"presentations (roots: {[r.render() for r in roots]})")
+
+
+def _hopf_constraints(shape: EShape, R: Subspace, tbl):
+    """Push each relation through the arity-3 map induced by the slot
+    table `tbl` and reduce the image modulo R in both tensor factors.
+    Returns the surviving coefficients as (BPoly, source row) pairs, in
+    row order; the relations are preserved iff the list is empty."""
+    constraints = []
+    for r in R.rows:
+        entries = {}
+        for w, cw in enumerate(r):
+            if not cw:
+                continue
+            for c, (i, j) in _delta3(shape, tbl, w):
+                key = (i, j)
+                entries[key] = entries.get(key, _BP0) + c * cw
+        cols = {}
+        for (i, j), c in entries.items():
+            cols.setdefault(j, {})[i] = c
+        half = {}
+        for j, col in cols.items():
+            for i, c in _reduce_bpoly(col, R):
+                half.setdefault(i, {})[j] = c
+        for i, row in half.items():
+            for _, c in _reduce_bpoly(row, R):
+                if c:
+                    constraints.append((c, r))
+    return constraints
 
 
 def _reduce_bpoly(sparse_vec, R: Subspace):
@@ -446,8 +431,6 @@ def _scalar_sqrt(s: Scalar):
     if not (c[1].is_zero() and c[2].is_zero() and c[3].is_zero()):
         return None
     r = c[0]
-    from .scalar import RatFunc
-
     q = RatFunc.q()
     for divisor, unit in ((RatFunc.const(1), SC1),
                           (RatFunc.const(2), Scalar.u()),
@@ -460,7 +443,6 @@ def _scalar_sqrt(s: Scalar):
 
 
 def _ratfunc_sqrt(r):
-    from .scalar import RatFunc, pdivmod, pmul
     num = _poly_sqrt(r.num)
     den = _poly_sqrt(r.den)
     if num is None or den is None:
@@ -470,14 +452,13 @@ def _ratfunc_sqrt(r):
 
 def _poly_sqrt(p):
     """Exact square root of a polynomial over Q, or None."""
-    from .scalar import pmul, PONE
     if not p:
         return ()
     if (len(p) - 1) % 2:
         return None
     deg = (len(p) - 1) // 2
     lead = p[-1]
-    root_lead = _fraction_sqrt(lead)
+    root_lead = _rational_sqrt(lead)
     if root_lead is None:
         return None
     out = [Fraction(0)] * (deg + 1)
@@ -492,11 +473,6 @@ def _poly_sqrt(p):
                 acc += out[i] * out[j]
         out[k] = (p[k + deg] - acc) / (2 * root_lead)
     return tuple(out) if pmul(tuple(out), tuple(out)) == p else None
-
-
-def _fraction_sqrt(x: Fraction):
-    from .scalar import _rational_sqrt
-    return _rational_sqrt(x)
 
 
 def _render_row(shape, row):

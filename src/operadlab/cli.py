@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 parse error in a presentation or map,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -147,8 +146,7 @@ def cmd_decompose(args) -> int:
     lines = [f"presentation {p.name}: ambient dim {p.shape.basis_size}",
              f"  even part  ({gp.dim:2d}): {rep.render_decomposition(dp)}",
              f"  odd part   ({gm.dim:2d}): {rep.render_decomposition(dm)}"]
-    gamma = free3.ActionMatrix(p.shape, free3.GAMMA3)
-    if p.R.dim and p.R.is_invariant(gamma):
+    if p.R.dim and check_cyclic(p):
         dr = rep.decompose_subspace(p.R)
         payload["relations"] = {"dim": p.R.dim,
                                 "decomposition": rep.render_decomposition(dr)}

@@ -19,19 +19,17 @@ labels pick up a transposition action whenever the re-rooting reverses
 the cyclic order of their three flags.  In the canonical basis every
 group element therefore acts as a signed slot permutation.
 
-The left involution ``lam`` flips every vertex label by the
+The left involution ``LAMBDA`` flips every vertex label by the
 transposition; its +1/-1 eigenspaces are the even/odd parts of the
-bracket-parity splitting.
+bracket-parity splitting.  A group element and ``LAMBDA`` are both
+signed slot permutations, realised by `EShape.action`.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .scalar import Scalar, as_scalar, SC0, SC1
-
-_HALF_U = Scalar.u() * Fraction(1, 2)  # 1/sqrt(2)
+from .scalar import as_scalar, SC0, SC1, INV_SQRT2
 
 VARS = ("x", "y", "z")
 
@@ -65,6 +63,7 @@ class EShape:
         self.dim = len(slots)
         self._slot_of = {sl: i for i, sl in enumerate(slots)}
         self._by_name = {n: gi for gi, (n, _) in enumerate(gens)}
+        self._actions = {}
 
     def __eq__(self, other):
         return isinstance(other, EShape) and self.gens == other.gens
@@ -74,9 +73,6 @@ class EShape:
 
     def __repr__(self):
         return f"EShape({list(self.gens)})"
-
-    def gen_symmetry(self, name: str) -> str:
-        return self.gens[self._by_name[name]][1]
 
     def slot(self, name: str, version: int = 0) -> int:
         gi = self._by_name[name]
@@ -92,10 +88,13 @@ class EShape:
             return self._slot_of[(gi, 1 - ver)], 1
         return slot, (1 if sym == "comm" else -1)
 
-    def slot_label(self, slot: int) -> str:
-        gi, ver = self.slots[slot]
-        name = self.gens[gi][0]
-        return name if ver == 0 else name + "~"
+    def action(self, element) -> "ActionMatrix":
+        """The signed slot permutation of a group element, or of LAMBDA,
+        built once per instance (equal shapes do not share matrices)."""
+        m = self._actions.get(element)
+        if m is None:
+            m = self._actions[element] = ActionMatrix(self, element)
+        return m
 
     # -- canonical basis -----------------------------------------------------
 
@@ -128,10 +127,6 @@ class EShape:
         if ver:
             s, t = t, s
         return f"{name}({s},{t})"
-
-
-def zero_vector(shape: EShape):
-    return tuple([SC0] * shape.basis_size)
 
 
 def basis_vector(shape: EShape, idx: int):
@@ -223,7 +218,6 @@ class GroupElement:
         return f"GroupElement{self.images}"
 
 
-E4 = GroupElement((0, 1, 2, 3))
 GAMMA3 = GroupElement((1, 2, 3, 0))        # the cycle (0 1 2 3)
 TAU12 = GroupElement.sigma3((2, 1, 3))
 TAU23 = GroupElement.sigma3((1, 3, 2))
@@ -234,13 +228,6 @@ SIGMA3 = tuple(GroupElement.sigma3((a + 1, b + 1, c + 1))
                for a, b, c in itertools.permutations(range(3)))
 
 SIGMA3_PLUS = tuple(GroupElement(p) for p in itertools.permutations(range(4)))
-
-
-def sigma3_sign(g: GroupElement) -> int:
-    """Signature of an inner permutation (legs 1..3)."""
-    im = g.images
-    inv = sum(1 for i in range(1, 4) for j in range(i + 1, 4) if im[i] > im[j])
-    return -1 if inv % 2 else 1
 
 
 def apply_perm_to_basis(shape: EShape, idx: int, g: GroupElement):
@@ -284,6 +271,16 @@ def apply_perm_to_basis(shape: EShape, idx: int, g: GroupElement):
     return s * sign, i2
 
 
+class _Lambda:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "LAMBDA"
+
+
+LAMBDA = _Lambda()   # the left involution, as an argument of EShape.action
+
+
 def lambda_basis(shape: EShape, idx: int):
     """The left involution: flip every vertex label by the transposition."""
     f, g, l = shape.basis_triple(idx)
@@ -297,47 +294,27 @@ def lambda_basis(shape: EShape, idx: int):
 # ---------------------------------------------------------------------------
 
 def right_action(shape: EShape, vec, g: GroupElement):
-    out = [SC0] * shape.basis_size
-    for i, c in enumerate(vec):
-        if not c:
-            continue
-        s, j = apply_perm_to_basis(shape, i, g)
-        out[j] = out[j] + (c if s == 1 else -c)
-    return tuple(out)
-
-
-def cyclic_action(shape: EShape, vec):
-    return right_action(shape, vec, GAMMA3)
+    return shape.action(g).apply(vec)
 
 
 def left_lambda(shape: EShape, vec):
-    out = [SC0] * shape.basis_size
-    for i, c in enumerate(vec):
-        if not c:
-            continue
-        s, j = lambda_basis(shape, i)
-        out[j] = out[j] + (c if s == 1 else -c)
-    return tuple(out)
+    return shape.action(LAMBDA).apply(vec)
 
 
 class ActionMatrix:
-    """A group element realised as an exact matrix on the arity-3 component.
+    """A group element (right leg-relabelling action) or LAMBDA (the left
+    involution) realised as a signed slot permutation of the canonical
+    basis of the arity-3 component."""
 
-    side is 'right' for the leg-relabelling action or 'left' for the
-    dihedral involution.
-    """
-
-    def __init__(self, shape: EShape, element=None, side: str = "right"):
+    def __init__(self, shape: EShape, element):
         self.shape = shape
         self.element = element
-        self.side = side
-        n = shape.basis_size
         cols = []
-        for i in range(n):
-            if side == "right":
-                s, j = apply_perm_to_basis(shape, i, element)
-            else:
+        for i in range(shape.basis_size):
+            if element is LAMBDA:
                 s, j = lambda_basis(shape, i)
+            else:
+                s, j = apply_perm_to_basis(shape, i, element)
             cols.append((j, s))
         self._cols = tuple(cols)
 
@@ -351,13 +328,6 @@ class ActionMatrix:
         return tuple(out)
 
     __call__ = apply
-
-    def rows(self):
-        n = self.shape.basis_size
-        mat = [[SC0] * n for _ in range(n)]
-        for i, (j, s) in enumerate(self._cols):
-            mat[j][i] = SC1 if s == 1 else -SC1
-        return tuple(tuple(r) for r in mat)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +352,7 @@ class Subspace:
         return len(self.rows)
 
     def reduce(self, vec):
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if c:
-                for k in range(p, self.ambient):
-                    if row[k]:
-                        vec[k] = vec[k] - c * row[k]
-        return tuple(vec)
+        return tuple(_eliminate(list(vec), self.rows, self.pivots, self.ambient))
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -443,17 +406,22 @@ def _rref(vectors, width):
     return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
-def _rref_insert(rows, pivots, vec, width):
-    """Reduce vec against the rows; if independent, normalise it,
-    back-eliminate, and insert in pivot order.  Returns the pivot column or
-    None when the vector was already in the span."""
-    vec = list(vec)
+def _eliminate(vec: list, rows, pivots, width) -> list:
+    """Clear vec (in place) at every pivot column of the echelon rows."""
     for row, p in zip(rows, pivots):
         c = vec[p]
         if c:
             for k in range(p, width):
                 if row[k]:
                     vec[k] = vec[k] - c * row[k]
+    return vec
+
+
+def _rref_insert(rows, pivots, vec, width):
+    """Reduce vec against the rows; if independent, normalise it,
+    back-eliminate, and insert in pivot order.  Returns the pivot column or
+    None when the vector was already in the span."""
+    vec = _eliminate(list(vec), rows, pivots, width)
     piv = next((k for k in range(width) if vec[k]), None)
     if piv is None:
         return None
@@ -593,7 +561,7 @@ def polarize_map(shape: EShape, dst: EShape | None = None, pairing=None) -> Slot
         if sym == "none":
             cn, an = pairing[name]
             sgn = SC1 if ver == 0 else -SC1
-            images[k] = [(_HALF_U, dst.slot(cn)), (_HALF_U * sgn, dst.slot(an))]
+            images[k] = [(INV_SQRT2, dst.slot(cn)), (INV_SQRT2 * sgn, dst.slot(an))]
         else:
             images[k] = [(SC1, dst.slot(name))]
     return SlotMap(shape, dst, images)
@@ -615,7 +583,7 @@ def depolarize_map(shape: EShape, dst: EShape, pairing) -> SlotMap:
             tgt, sgn = paired[name]
             m0 = dst.slot(tgt, 0)
             m1 = dst.slot(tgt, 1)
-            images[k] = [(_HALF_U, m0), (_HALF_U if sgn == 1 else -_HALF_U, m1)]
+            images[k] = [(INV_SQRT2, m0), (INV_SQRT2 if sgn == 1 else -INV_SQRT2, m1)]
         else:
             images[k] = [(SC1, dst.slot(name, ver))]
     return SlotMap(shape, dst, images)

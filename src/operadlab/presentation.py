@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalar import Scalar, as_scalar, RatFunc, SC0, SC1
+from .scalar import Scalar, as_scalar, SC0, SC1
 from . import free3
-from .free3 import EShape, Subspace, Free3Error, VARS
+from .free3 import EShape, Free3Error, VARS
 
 RESERVED = {"x", "y", "z", "q", "u", "v", "operad", "gen", "rel", "params",
             "comm", "anti", "none"}
@@ -195,9 +195,6 @@ class Presentation:
         vecs = [relation_vector(self.shape, r) for r in self.relations]
         self.R = free3.sigma3_closure(self.shape, vecs)
 
-    def relation_vectors(self):
-        return [relation_vector(self.shape, r) for r in self.relations]
-
     def specialize(self, q0) -> "Presentation":
         q0 = Fraction(q0)
         rels = [RelationExpr([(c.specialize(q0), t) for c, t in r.terms])
@@ -258,20 +255,13 @@ def presentation_from_subspace(name, generators, space) -> Presentation:
 def polarize_presentation(p: Presentation, suffix=("_s", "_a")) -> Presentation:
     """Replace every no-symmetry generator by a commutative/anticommutative
     pair and rewrite the relation space accordingly."""
-    gens = []
-    pairing = {}
-    for g in p.generators:
-        if g.symmetry == "none":
-            pairing[g.name] = (g.name + suffix[0], g.name + suffix[1])
-            gens.append((g.name + suffix[0], "comm"))
-            gens.append((g.name + suffix[1], "anti"))
-        else:
-            gens.append((g.name, g.symmetry))
+    pairing = {g.name: (g.name + suffix[0], g.name + suffix[1])
+               for g in p.generators if g.symmetry == "none"}
     if not pairing:
         return p
-    dst = EShape(gens)
+    dst = free3.polarized_shape(p.shape, suffix)
     pm = free3.polarize_map(p.shape, dst, pairing)
-    return presentation_from_subspace(p.name + "_polarized", gens,
+    return presentation_from_subspace(p.name + "_polarized", dst.gens,
                                       pm.apply_subspace(p.R))
 
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalar import Scalar, as_scalar, SC0, SC1
-
-_HALF_U = Scalar.u() * Fraction(1, 2)     # 1/sqrt(2)
+from .scalar import as_scalar, SC0, INV_SQRT2
 
 
 class QuantizeError(ValueError):
@@ -302,18 +300,22 @@ def polarize_star(s: StarProduct) -> LLData:
     (1/sqrt 2)(antisym part)/t; fails if the product is not commutative
     modulo t."""
     probe = basis_monomials(2)
+    order = None    # the t-adic precision the rule reports on the probes
     for u, v in itertools.combinations(probe, 2):
-        if not s.component(0, u, v).eq_mod(s.component(0, v, u)):
+        uv, vu = s.rule(u, v), s.rule(v, u)
+        if not uv.t_component(0).eq_mod(vu.t_component(0)):
             raise QuantizeError("not commutative mod t")
+        order = _min_order(order, _min_order(uv.order, vu.order))
 
     def dot(u, v):
-        return (s.rule(u, v) + s.rule(v, u)).scale(_HALF_U).truncated(s.order)
+        return (s.rule(u, v) + s.rule(v, u)).scale(INV_SQRT2).truncated(s.order)
 
     def br(u, v):
-        anti = (s.rule(u, v) - s.rule(v, u)).scale(_HALF_U)
+        anti = (s.rule(u, v) - s.rule(v, u)).scale(INV_SQRT2)
         return anti.divide_t()
 
-    border = s.order if s.name == "moyal" else s.order - 1
+    # dividing by t costs one order of precision unless the rule is exact
+    border = s.order if order is None else min(s.order, order - 1)
     return LLData(s.order, dot, br, bracket_order=border, name=s.name + ".polarized")
 
 
@@ -325,7 +327,7 @@ def star_from_LL(data: LLData, check: bool = True, degree: int = 4) -> StarProdu
             raise QuantizeError(f"input fails the compatibility axioms: {failure}")
 
     def rule(u, v):
-        return (data.dot(u, v) + data.br(u, v).times_t()).scale(_HALF_U)
+        return (data.dot(u, v) + data.br(u, v).times_t()).scale(INV_SQRT2)
 
     return StarProduct(data.order, rule, name=data.name + ".star")
 

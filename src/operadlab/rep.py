@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import Scalar, ScalarError
-from .free3 import EShape, Subspace, GroupElement, ActionMatrix
+from .free3 import Subspace, GroupElement, ActionMatrix
 
 IRREP_NAMES = ("id", "sgn", "V22", "V31", "V211")
 
@@ -89,7 +89,7 @@ def restricted_trace(space: Subspace, action: ActionMatrix) -> Fraction:
 def character_of(space: Subspace, representatives=CLASS_REPS) -> CharacterVector:
     shape = space.shape
     return CharacterVector([
-        restricted_trace(space, ActionMatrix(shape, g)) for g in representatives
+        restricted_trace(space, shape.action(g)) for g in representatives
     ])
 
 

@@ -66,10 +66,6 @@ def pneg(a):
     return tuple(-c for c in a)
 
 
-def psub(a, b):
-    return padd(a, pneg(b))
-
-
 def pmul(a, b):
     if not a or not b:
         return PZERO
@@ -105,13 +101,6 @@ def pdivmod(a, b):
             a[k + i] -= c * y
         a = a[: len(a) - 1]
     return _ptrim(q), _ptrim(a)
-
-
-def _monic(a):
-    if not a or a[-1] == 1:
-        return a
-    lead = a[-1]
-    return tuple(c / lead for c in a)
 
 
 def _int_primitive(p):
@@ -592,89 +581,4 @@ _S1 = Scalar(_R1)
 
 SC0 = _S0
 SC1 = _S1
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch form of the four field operations (op in add/sub/mul/div)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# truncated power series in t
-# ---------------------------------------------------------------------------
-
-class TruncSeries:
-    """A series modulo t^order; coefficients are any ring elements
-    (Fractions by default) supporting +, -, *.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=(), zero=_F0):
-        if order < 1:
-            raise ValueError("order must be a positive integer")
-        cs = list(coeffs)[:order]
-        cs += [zero] * (order - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncSeries is immutable")
-
-    def _zero(self):
-        c = self.coeffs[0]
-        return c - c
-
-    def _check(self, other):
-        if not isinstance(other, TruncSeries):
-            raise TypeError("expected a TruncSeries")
-        if other.order != self.order:
-            raise ValueError("mixed truncation orders")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return TruncSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return TruncSeries(self.order, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return TruncSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            self._check(other)
-            zero = self._zero()
-            out = [zero] * self.order
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    if i + j < self.order:
-                        out[i + j] = out[i + j] + a * b
-            return TruncSeries(self.order, out)
-        return TruncSeries(self.order, [a * other for a in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        zero = self._zero()
-        return all(c == zero for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.order == other.order
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        return f"TruncSeries(N={self.order}, {list(self.coeffs)})"
+INV_SQRT2 = Scalar.u() * Fraction(1, 2)

@@ -10,7 +10,8 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar,
                        check_implies, verify_identity, verdict_report,
                        CheckerError, span_closure, sigma3_closure,
                        ActionMatrix, GAMMA3, TAU12, CYC123, EShape,
-                       basis_vector, left_lambda, gamma_plus_split)
+                       basis_vector, left_lambda, gamma_plus_split,
+                       parse_presentation)
 from operadlab.checkers import BPoly, _scalar_sqrt
 from conftest import associator, E, M, C, B, X, Y, Z
 
@@ -37,7 +38,7 @@ def test_cyclic_dihedral_verdicts(name):
 def test_g5_offending_vector():
     G5 = builtin("G5")
     gam = ActionMatrix(G5.shape, GAMMA3)
-    v = G5.relation_vectors()[0]
+    v = relation_vector(G5.shape, G5.relations[0])
     # gamma converts the axiom to -A(x,y,z) + A(y,x,z) - A(y,z,x)
     converted = (-associator("x", "y", "z") + associator("y", "x", "z")
                  - associator("y", "z", "x"))
@@ -151,6 +152,13 @@ def test_hopf_case_one():
     for name in ("Com", "free_comm"):
         h = hopf_analyze(builtin(name))
         assert h.verdict == "unique" and h.witness == {"A": 1}
+    # the cyclic sum of c(c(x,y),z) is not preserved by c -> c (x) c
+    c3 = parse_presentation("operad C3 { gen c: comm; "
+                            "rel c(c(x,y),z) + c(c(y,z),x) + c(c(z,x),y) = 0; }")
+    h = hopf_analyze(c3)
+    assert h.verdict == "none" and h.witness is None
+    assert h.diagnostic == ("relation image survives in the quotient: "
+                            "(1)*c(c(y,z),x) + (1)*c(c(z,x),y) + (1)*c(c(x,y),z)")
 
 
 def test_hopf_free_type3_all():

@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 from operadlab import (EShape, Scalar, basis_vector, right_action,
-                       cyclic_action, left_lambda, span_closure,
+                       left_lambda, span_closure,
                        sigma3_closure, gamma_plus_split, polarize_map,
                        depolarize_map, SIGMA3, SIGMA3_PLUS, GAMMA3, TAU12,
-                       TAU23, CYC123, ActionMatrix, Subspace, GroupElement)
+                       TAU23, CYC123, ActionMatrix, Subspace, GroupElement,
+                       LAMBDA)
 from operadlab.free3 import (apply_perm_to_basis, lambda_basis, Free3Error,
                              normalize_monomial)
 from conftest import dot_monomial
@@ -241,10 +242,13 @@ def test_closure_of_single_vector_under_trivial_group(t3_shape):
     assert span_closure(t3_shape, [v]).dim == 1
 
 
-def test_action_matrix_rows(t3_shape):
-    m = ActionMatrix(t3_shape, GAMMA3)
-    rows = m.rows()
+def test_action_built_once_per_shape_instance(t3_shape):
+    # bench/run.py's traced self-test needs every pass, which compiles its
+    # own shapes, to build its matrices: equal shapes must not share them.
+    assert t3_shape.action(GAMMA3) is t3_shape.action(GAMMA3)
+    assert t3_shape.action(LAMBDA) is t3_shape.action(LAMBDA)
+    twin = EShape(t3_shape.gens)
+    assert twin == t3_shape
+    assert twin.action(GAMMA3) is not t3_shape.action(GAMMA3)
     v = basis_vector(t3_shape, 3)
-    applied = m.apply(v)
-    by_rows = tuple(rows[i][3] for i in range(t3_shape.basis_size))
-    assert applied == by_rows
+    assert twin.action(GAMMA3).apply(v) == t3_shape.action(GAMMA3).apply(v)

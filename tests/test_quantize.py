@@ -104,6 +104,17 @@ def test_polarize_star_requires_commutativity():
         polarize_star(s)
 
 
+def test_polarize_star_bracket_precision_follows_the_rule():
+    # an exact rule gives an exact bracket, whatever the product is named
+    assert polarize_star(moyal_star(4)).bracket_order == 4
+    copy = StarProduct(4, moyal_star(4).rule, name="copy")
+    assert polarize_star(copy).bracket_order == 4
+    # a rule trusted mod t^4 gives a bracket trusted mod t^3 only
+    truncated = star_from_LL(polarize_star(moyal_star(4)), check=False)
+    named = StarProduct(4, truncated.rule, name="moyal")
+    assert polarize_star(named).bracket_order == 3
+
+
 def test_polarized_bracket_reduces_to_poisson():
     s = moyal_star(4)
     data = polarize_star(s)

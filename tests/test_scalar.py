@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operadlab.scalar import (Scalar, RatFunc, TruncSeries, ScalarError,
-                              SpecializationError, scalar_arith)
+from operadlab.scalar import Scalar, RatFunc, ScalarError, SpecializationError
 
 
 def S(x):
@@ -54,15 +53,6 @@ def test_div_one_by_v():
 def test_polarization_normalization():
     half_u = U * Fraction(1, 2)
     assert half_u * half_u * S(2) == S(1)
-
-
-def test_scalar_arith_dispatch():
-    assert scalar_arith(S(3), S(4), "add") == S(7)
-    assert scalar_arith(S(3), S(4), "sub") == S(-1)
-    assert scalar_arith(S(3), S(4), "mul") == S(12)
-    assert scalar_arith(S(3), S(4), "div") == Scalar.from_fraction(Fraction(3, 4))
-    with pytest.raises(ValueError):
-        scalar_arith(S(1), S(1), "pow")
 
 
 def test_division_by_zero():
@@ -132,34 +122,3 @@ def test_render_examples():
     assert Scalar.zero().render() == "0"
     assert (U * V).render() == "u*v"
 
-
-# -- truncated power series ---------------------------------------------------
-
-def test_truncseries_basics():
-    a = TruncSeries(4, [Fraction(1), Fraction(2)])
-    b = TruncSeries(4, [Fraction(0), Fraction(1), Fraction(3)])
-    assert (a * b).coeffs == (Fraction(0), Fraction(1), Fraction(5), Fraction(6))
-    assert (a + b).coeffs == (Fraction(1), Fraction(3), Fraction(3), Fraction(0))
-    with pytest.raises(ValueError):
-        a + TruncSeries(3, [Fraction(1)])
-    with pytest.raises(ValueError):
-        TruncSeries(0, [])
-
-
-series_coeffs = st.lists(small_fracs, min_size=0, max_size=4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(series_coeffs, series_coeffs, series_coeffs)
-def test_truncseries_ring_axioms(a, b, c):
-    n = 4
-    a, b, c = (TruncSeries(n, x) for x in (a, b, c))
-    assert (a + b) * c == a * c + b * c
-    assert a * (b * c) == (a * b) * c
-    assert a * b == b * a
-
-
-def test_truncseries_truncates_silently():
-    t = TruncSeries(3, [Fraction(0), Fraction(1)])
-    cube = t * t * t
-    assert cube.is_zero()
