@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalar import Scalar, RatFunc, as_scalar, SC0, SC1, pmul, _rational_sqrt
+from .scalar import Scalar, RatFunc, as_scalar, SC0, SC1, padd, pmul, _rational_sqrt
 from . import free3
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
                     left_lambda)
@@ -95,14 +95,7 @@ class BPoly:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        other = _as_bpoly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BPoly(out)
+        return BPoly(padd(self.coeffs, _as_bpoly(other).coeffs))
 
     __radd__ = __add__
 
@@ -113,17 +106,7 @@ class BPoly:
         return self + (-_as_bpoly(other))
 
     def __mul__(self, other):
-        other = _as_bpoly(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _BP0
-        out = [SC0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return BPoly(out)
+        return BPoly(pmul(self.coeffs, _as_bpoly(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -395,7 +378,10 @@ def _reduce_bpoly(sparse_vec, R: Subspace):
 
 
 def _solve_constraints(constraints):
-    polys = sorted({c for c, _ in constraints if c}, key=lambda c: c.degree)
+    # first-seen order, so the polynomial whose roots are tried never
+    # depends on hash values
+    polys = sorted(dict.fromkeys(c for c, _ in constraints if c),
+                   key=lambda c: c.degree)
     if not polys:
         return "all"
     if polys[0].degree == 0:

@@ -186,14 +186,17 @@ class Presentation:
     """Generators plus a compiled, symmetric-group-closed relation space."""
 
     def __init__(self, name, generators, relations, params=()):
+        self._declare(name, generators, relations, params)
+        vecs = [relation_vector(self.shape, r) for r in self.relations]
+        self.R = free3.sigma3_closure(self.shape, vecs)
+
+    def _declare(self, name, generators, relations, params=()):
         self.name = str(name)
         self.generators = tuple(GeneratorDecl(*g) for g in generators)
         self.relations = tuple(relations)
         self.shape = EShape(self.generators)
         used_q = any(_scalar_uses_q(c) for r in self.relations for c, _ in r.terms)
         self.params = ("q",) if ("q" in params or used_q) else ()
-        vecs = [relation_vector(self.shape, r) for r in self.relations]
-        self.R = free3.sigma3_closure(self.shape, vecs)
 
     def specialize(self, q0) -> "Presentation":
         q0 = Fraction(q0)
@@ -246,10 +249,12 @@ def _slot_app(shape: EShape, slot: int, s, t):
 
 def presentation_from_subspace(name, generators, space) -> Presentation:
     """A presentation whose relations are the reduced basis rows of an
-    already symmetric-group-closed subspace."""
-    shape = EShape(generators)
-    rels = [expr_from_vector(shape, row) for row in space.rows]
-    return Presentation(name, generators, rels)
+    already symmetric-group-closed subspace, which becomes its R as it is."""
+    p = Presentation.__new__(Presentation)
+    p._declare(name, generators,
+               [expr_from_vector(space.shape, row) for row in space.rows])
+    p.R = space
+    return p
 
 
 def polarize_presentation(p: Presentation, suffix=("_s", "_a")) -> Presentation:

@@ -7,19 +7,29 @@ Every coefficient lives in the field tower
 i.e. rational functions of a formal parameter q, extended by u = sqrt(2)
 and v = sqrt(q).  The tower is a genuine field (q is an indeterminate,
 so u and v generate a degree-four extension), hence every nonzero
-element is invertible.  All values are immutable and normalised on
-construction, so equality is plain structural equality and elements can
-be used as dict keys.
+element is invertible; the inverse is the product of the three Galois
+conjugates over Q(q) divided by the norm.  All values are immutable and
+normalised on construction, so equality is plain structural equality and
+elements can be used as dict keys.
 
-Rational functions are kept with a monic, coprime denominator;
-polynomials are dense coefficient tuples over `fractions.Fraction`.
-Rendering writes `u` for sqrt(2) and `v` for sqrt(q), e.g.
+A rational function is a pair of integer polynomials num/den in Z[q],
+dense coefficient tuples with the constant term first: den has a positive
+leading coefficient, num and den are coprime, and no integer > 1 divides
+every coefficient of both.  A polynomial gcd (over Z[q], by primitive
+pseudo-remainders) is taken only when a denominator has positive degree.
+`padd` and `pmul` are the dense-polynomial core shared with
+`checkers.BPoly`; they work over any ring whose elements support ``+``,
+``*`` and truth testing.
+
+Rendering divides through by the leading coefficient of the denominator
+and writes `u` for sqrt(2) and `v` for sqrt(q), e.g.
 ``(q - 1)/(q + 3) + (1/2)*u``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 
 class ScalarError(ArithmeticError):
@@ -31,26 +41,17 @@ class SpecializationError(ScalarError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Fraction, represented as coefficient tuples
+# dense polynomials, represented as coefficient tuples
 # ---------------------------------------------------------------------------
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-PZERO: tuple = ()
-PONE = (_F1,)
+_P1 = (1,)
 
 
-def _ptrim(cs):
+def _trim(cs):
     n = len(cs)
-    while n and cs[n - 1] == 0:
+    while n and not cs[n - 1]:
         n -= 1
     return tuple(cs[:n])
-
-
-def pconst(a) -> tuple:
-    a = Fraction(a)
-    return (a,) if a else ()
 
 
 def padd(a, b):
@@ -58,104 +59,81 @@ def padd(a, b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] += c
-    return _ptrim(out)
-
-
-def pneg(a):
-    return tuple(-c for c in a)
+        out[i] = out[i] + c
+    return _trim(out)
 
 
 def pmul(a, b):
+    """Product over a commutative integral domain, so the leading term
+    never cancels."""
     if not a or not b:
-        return PZERO
-    if len(a) == 1:
-        c = a[0]
-        return _ptrim([c * x for x in b])
-    if len(b) == 1:
-        c = b[0]
-        return _ptrim([x * c for x in a])
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
+        return ()
+    if len(a) < len(b):
+        a, b = b, a
+    y = b[0]
+    out = [x * y if x else x for x in a]
+    last = len(a) - 1
+    for j in range(1, len(b)):
+        y = b[j]
+        if y:
+            for i in range(last):
+                x = a[i]
+                if x:
+                    out[i + j] = out[i + j] + x * y
+        out.append(a[last] * y)
+    return tuple(out)
 
 
-def pdivmod(a, b):
-    if not b:
-        raise ScalarError("polynomial division by zero")
+def _primitive(p):
+    """An integer polynomial divided by its content, with a positive lead."""
+    c = gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return p if c == 1 else tuple(x // c for x in p)
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b in Z[q], for len(a) >= len(b)."""
     a = list(a)
-    q = [_F0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and _ptrim(a):
-        a = list(_ptrim(a))
-        if len(a) < len(b):
-            break
-        c = a[-1] / lead
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        a = a[: len(a) - 1]
-    return _ptrim(q), _ptrim(a)
-
-
-def _int_primitive(p):
-    """Integer coefficient list with content 1 and positive lead, from a
-    tuple of Fractions (or ints)."""
-    from math import gcd, lcm
-
-    if not p:
-        return []
-    denlcm = 1
-    for c in p:
-        d = getattr(c, "denominator", 1)
-        denlcm = lcm(denlcm, d)
-    ints = [int(c * denlcm) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if ints[-1] < 0:
-        g = -g
-    return [v // g for v in ints]
+    lb, n = b[-1], len(b) - 1
+    while len(a) > n:
+        top = a.pop()
+        if top:
+            k = len(a) - n
+            if lb != 1:
+                a = [lb * x for x in a]
+            for i in range(n):
+                a[k + i] -= top * b[i]
+    return _trim(a)
 
 
 def pgcd(a, b):
-    """Monic gcd via the primitive pseudo-remainder sequence over the
-    integers, which keeps coefficient growth under control.
-    gcd(0, 0) = 0."""
-    A, B = _int_primitive(a), _int_primitive(b)
-    while B:
-        if len(A) < len(B):
-            A, B = B, A
-            continue
-        lb = B[-1]
-        R = list(A)
-        while R and len(R) >= len(B):
-            top = R[-1]
-            shift = len(R) - len(B)
-            if lb != 1:
-                R = [lb * c for c in R]
-            for i, bc in enumerate(B):
-                R[shift + i] -= top * bc
-            del R[-1]
-            while R and not R[-1]:
-                del R[-1]
-        A, B = B, _int_primitive(R)
-    if not A:
-        return PZERO
-    lead = A[-1]
-    return tuple(Fraction(c, lead) for c in A)
+    """The gcd in Z[q] of two integer polynomials, primitive with a positive
+    leading coefficient; gcd(0, 0) = ()."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _primitive(a) if a else ()
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return _P1
 
 
-def peval(a, x0: Fraction) -> Fraction:
-    acc = _F0
-    for c in reversed(a):
-        acc = acc * x0 + c
-    return acc
+def _exquo(a, b):
+    """a / b in Z[q], for a primitive b that divides a in Q[q]."""
+    a = list(a)
+    lb, n = b[-1], len(b) - 1
+    out = [0] * (len(a) - n)
+    for k in range(len(a) - n - 1, -1, -1):
+        c = out[k] = a[k + n] // lb
+        if c:
+            for i in range(n):
+                a[k + i] -= c * b[i]
+    return tuple(out)
 
 
 def prender(a, var: str = "q") -> str:
@@ -167,10 +145,10 @@ def prender(a, var: str = "q") -> str:
         if not c:
             continue
         if k == 0:
-            mono = _frac_str(abs(c))
+            mono = str(abs(c))
         else:
             pw = var if k == 1 else f"{var}^{k}"
-            mono = pw if abs(c) == 1 else f"{_frac_str(abs(c))}*{pw}"
+            mono = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
         if not parts:
             parts.append(mono if c > 0 else f"-{mono}")
         else:
@@ -178,38 +156,31 @@ def prender(a, var: str = "q") -> str:
     return " ".join(parts)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # rational functions of q
 # ---------------------------------------------------------------------------
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 class RatFunc:
-    """A rational function num/den in q; den is monic and coprime to num."""
+    """A rational function num/den in q over Z[q], normalised as described
+    in the module docstring."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=PONE, _normalized=False):
-        if not _normalized:
-            num = _ptrim(tuple(Fraction(c) for c in num))
-            den = _ptrim(tuple(Fraction(c) for c in den))
-            if not den:
-                raise ScalarError("zero denominator")
-            if not num:
-                den = PONE
-            else:
-                g = pgcd(num, den)
-                if len(g) > 1:
-                    num = pdivmod(num, g)[0]
-                    den = pdivmod(den, g)[0]
-                lead = den[-1]
-                if lead != 1:
-                    num = tuple(c / lead for c in num)
-                    den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, num, den=_P1):
+        """num/den from coefficient sequences of ints or Fractions."""
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        scale = lcm(*(c.denominator for c in num + den))
+        den = _trim([int(c * scale) for c in den])
+        if not den:
+            raise ScalarError("zero denominator")
+        r = _content_free(*_cancel(_trim([int(c * scale) for c in num]), den))
+        _set(self, "num", r.num)
+        _set(self, "den", r.den)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
@@ -218,11 +189,11 @@ class RatFunc:
 
     @classmethod
     def const(cls, a) -> "RatFunc":
-        return cls(pconst(a), PONE, _normalized=True)
+        return _as_ratfunc(Fraction(a))
 
     @classmethod
     def q(cls) -> "RatFunc":
-        return cls((_F0, _F1), PONE, _normalized=True)
+        return _RQ
 
     # -- predicates
 
@@ -230,39 +201,42 @@ class RatFunc:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == PONE and self.den == PONE
+        return self.num == _P1 and self.den == _P1
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == PONE
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ScalarError(f"{self} is not constant")
-        return self.num[0] if self.num else _F0
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     # -- arithmetic
 
     def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == PONE and other.den == PONE:
-            a, b = self.num, other.num
-            if len(a) <= 1 and len(b) <= 1:
-                s = (a[0] if a else _F0) + (b[0] if b else _F0)
-                return RatFunc((s,) if s else PZERO, PONE, _normalized=True)
-            return RatFunc(padd(a, b), PONE, _normalized=True)
-        if self.den == other.den:
-            return RatFunc(padd(self.num, other.num), self.den)
-        return RatFunc(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+        if type(other) is not RatFunc:
+            other = _as_ratfunc(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1:
+            return other
+        if not n2:
+            return self
+        if d1 == d2:
+            return _content_free(*_cancel(padd(n1, n2), d1))
+        g = pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else _P1
+        if g == _P1:
+            return _content_free(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
+        e1, e2 = _exquo(d1, g), _exquo(d2, g)
+        # the new numerator is coprime to e1 and e2: only factors of g cancel
+        num, g = _cancel(padd(pmul(n1, e2), pmul(n2, e1)), g)
+        return _content_free(num, pmul(pmul(e1, e2), g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(pneg(self.num), self.den, _normalized=True)
+        return _raw(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = _as_ratfunc(other)
@@ -274,17 +248,17 @@ class RatFunc:
         return _as_ratfunc(other) - self
 
     def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == PONE and other.den == PONE:
-            a, b = self.num, other.num
-            if len(a) <= 1 and len(b) <= 1:
-                if not a or not b:
-                    return _R0
-                return RatFunc((a[0] * b[0],), PONE, _normalized=True)
-            return RatFunc(pmul(a, b), PONE, _normalized=True)
-        return RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
+        if type(other) is not RatFunc:
+            other = _as_ratfunc(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1 or not n2:
+            return _R0
+        # cancel across the two fractions; each is already in lowest terms
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return _content_free(pmul(n1, n2), pmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -292,17 +266,18 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other.num:
             raise ScalarError("division by zero rational function")
-        return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
+        return self * _content_free(other.den, other.num)
 
     def __rtruediv__(self, other):
         return _as_ratfunc(other) / self
 
     def __eq__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RatFunc:
+            other = _as_ratfunc(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -313,16 +288,17 @@ class RatFunc:
 
     def evaluate(self, q0: Fraction) -> Fraction:
         q0 = Fraction(q0)
-        d = peval(self.den, q0)
+        d = _peval(self.den, q0)
         if d == 0:
             raise SpecializationError(f"pole at q = {q0}")
-        return peval(self.num, q0) / d
+        return _peval(self.num, q0) / d
 
     def render(self) -> str:
-        if self.den == PONE:
-            s = prender(self.num)
-            return s
-        return f"({prender(self.num)})/({prender(self.den)})"
+        lead = self.den[-1]
+        num = prender([Fraction(c, lead) for c in self.num])
+        if len(self.den) == 1:
+            return num
+        return f"({num})/({prender([Fraction(c, lead) for c in self.den])})"
 
     __str__ = render
 
@@ -330,18 +306,57 @@ class RatFunc:
         return f"RatFunc({self.render()})"
 
 
+def _raw(num, den) -> RatFunc:
+    """A RatFunc from data that is already normalised."""
+    r = _new(RatFunc)
+    _set(r, "num", num)
+    _set(r, "den", den)
+    return r
+
+
+def _content_free(num, den) -> RatFunc:
+    """num/den for coprime num, den: strip the common integer content and
+    make the leading coefficient of den positive."""
+    if not num:
+        return _R0
+    c = gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return _raw(num, den)
+
+
+def _cancel(a, b):
+    """a and b divided by their gcd in Z[q]."""
+    if len(a) > 1 and len(b) > 1:
+        g = pgcd(a, b)
+        if len(g) > 1:
+            return _exquo(a, g), _exquo(b, g)
+    return a, b
+
+
+def _peval(a, x0: Fraction):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x0 + c
+    return acc
+
+
 def _as_ratfunc(x):
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction)):
-        return RatFunc.const(x)
+        return _raw((x.numerator,), (x.denominator,)) if x else _R0
     return NotImplemented
 
 
-_R0 = RatFunc.const(0)
-_R1 = RatFunc.const(1)
-_R2 = RatFunc.const(2)
-_RQ = RatFunc.q()
+_R0 = _raw((), _P1)
+_R1 = _raw(_P1, _P1)
+_R2 = _raw((2,), _P1)
+_RQ = _raw((0, 1), _P1)
+_R2Q = _raw((0, 2), _P1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +375,7 @@ class Scalar:
             if r is NotImplemented:
                 raise TypeError(f"cannot build Scalar component from {x!r}")
             parts.append(r)
-        object.__setattr__(self, "c", tuple(parts))
+        _set(self, "c", tuple(parts))
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -381,7 +396,7 @@ class Scalar:
 
     @classmethod
     def q(cls) -> "Scalar":
-        return cls(RatFunc.q())
+        return cls(_RQ)
 
     @classmethod
     def u(cls) -> "Scalar":
@@ -415,18 +430,13 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.c, other.c
-        out = Scalar.__new__(Scalar)
-        object.__setattr__(out, "c", (a[0] + b[0], a[1] + b[1],
-                                      a[2] + b[2], a[3] + b[3]))
-        return out
+        return _scalar(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self.c
-        out = Scalar.__new__(Scalar)
-        object.__setattr__(out, "c", (-a[0], -a[1], -a[2], -a[3]))
-        return out
+        return _scalar(-a[0], -a[1], -a[2], -a[3])
 
     def __sub__(self, other):
         other = as_scalar(other)
@@ -445,46 +455,38 @@ class Scalar:
         # u^2 = 2, v^2 = q, (uv)^2 = 2q; fast paths for the u-plane
         if not (a[2] or a[3] or b[2] or b[3]):
             if not (a[1] or b[1]):
-                c00, c10 = a[0] * b[0], _R0
-            else:
-                c00 = a[0] * b[0] + _R2 * (a[1] * b[1])
-                c10 = a[0] * b[1] + a[1] * b[0]
-            out = Scalar.__new__(Scalar)
-            object.__setattr__(out, "c", (c00, c10, _R0, _R0))
-            return out
+                return _scalar(a[0] * b[0], _R0, _R0, _R0)
+            return _scalar(a[0] * b[0] + _R2 * (a[1] * b[1]),
+                           a[0] * b[1] + a[1] * b[0], _R0, _R0)
         q = _RQ
         two = _R2
-        c00 = a[0] * b[0] + two * (a[1] * b[1]) + q * (a[2] * b[2]) + two * q * (a[3] * b[3])
-        c10 = a[0] * b[1] + a[1] * b[0] + q * (a[2] * b[3] + a[3] * b[2])
-        c01 = a[0] * b[2] + a[2] * b[0] + two * (a[1] * b[3] + a[3] * b[1])
-        c11 = a[0] * b[3] + a[3] * b[0] + a[1] * b[2] + a[2] * b[1]
-        out = Scalar.__new__(Scalar)
-        object.__setattr__(out, "c", (c00, c10, c01, c11))
-        return out
+        return _scalar(
+            a[0] * b[0] + two * (a[1] * b[1]) + q * (a[2] * b[2]) + _R2Q * (a[3] * b[3]),
+            a[0] * b[1] + a[1] * b[0] + q * (a[2] * b[3] + a[3] * b[2]),
+            a[0] * b[2] + a[2] * b[0] + two * (a[1] * b[3] + a[3] * b[1]),
+            a[0] * b[3] + a[3] * b[0] + a[1] * b[2] + a[2] * b[1])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Solve the 4x4 multiplication-matrix system self * x = 1."""
+        """x^-1 = s_u(x) s_v(x) s_uv(x) / N(x), with the Galois conjugates
+        s_u: u -> -u, s_v: v -> -v, s_uv = s_u s_v, and the norm
+        N(x) = x s_u(x) s_v(x) s_uv(x) in Q(q)."""
         if self.is_zero():
             raise ScalarError("division by zero")
-        basis = (_S1, Scalar.u(), Scalar.v(), Scalar(_R0, _R0, _R0, _R1))
-        cols = [(self * e).c for e in basis]
-        # augmented system over RatFunc: rows are equations per component
-        rows = [[cols[j][i] for j in range(4)] + [_R1 if i == 0 else _R0]
-                for i in range(4)]
-        for col in range(4):
-            piv = next((r for r in range(col, 4) if rows[r][col]), None)
-            if piv is None:
-                raise ScalarError("non-invertible element (tower is not a field?)")
-            rows[col], rows[piv] = rows[piv], rows[col]
-            inv = _R1 / rows[col][col]
-            rows[col] = [x * inv for x in rows[col]]
-            for r in range(4):
-                if r != col and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        return Scalar(rows[0][4], rows[1][4], rows[2][4], rows[3][4])
+        c0, c1, c2, c3 = self.c
+        q, two = _RQ, _R2
+        # x s_u(x) = a + b v, so x^-1 = s_u(x) (a - b v) / (a^2 - q b^2)
+        a = c0 * c0 + q * (c2 * c2) - two * (c1 * c1 + q * (c3 * c3))
+        b = two * (c0 * c2 - two * (c1 * c3))
+        if b:
+            norm = a * a - q * (b * b)
+            w = (c0 * a - q * (c2 * b), q * (c3 * b) - c1 * a,
+                 c2 * a - c0 * b, c1 * b - c3 * a)
+        else:
+            norm, w = a, (c0, -c1, c2, -c3)
+        inv = _R1 / norm
+        return _scalar(*(c * inv for c in w))
 
     def __truediv__(self, other):
         other = as_scalar(other)
@@ -547,6 +549,12 @@ class Scalar:
         return f"Scalar({self.render()})"
 
 
+def _scalar(c00, c10, c01, c11) -> Scalar:
+    out = _new(Scalar)
+    _set(out, "c", (c00, c10, c01, c11))
+    return out
+
+
 def as_scalar(x):
     if isinstance(x, Scalar):
         return x
@@ -560,20 +568,11 @@ def as_scalar(x):
 def _rational_sqrt(a: Fraction):
     if a < 0:
         return None
-    if a == 0:
-        return _F0
     n, d = a.numerator, a.denominator
-    rn, rd = _isqrt_exact(n), _isqrt_exact(d)
-    if rn is None or rd is None:
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn != n or rd * rd != d:
         return None
     return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 _S0 = Scalar()

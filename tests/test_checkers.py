@@ -197,6 +197,17 @@ def test_hopf_witness_self_verifies():
             assert not _reduce_bpoly(row, p.R)
 
 
+def test_first_constraint_seen_is_the_one_solved():
+    # B^2 - 2 has the roots +-u, which do not kill B^2 - 3; B^2 - 3 has no
+    # root in the tower.  Among constraints of equal degree the first one
+    # listed has its roots tried, whatever the hash values.
+    from operadlab.checkers import _solve_constraints
+    b = BPoly.unknown()
+    two, three = b * b - S(2), b * b - S(3)
+    assert _solve_constraints([(two, None), (three, None), (two, None)]) == []
+    assert _solve_constraints([(three, None), (two, None), (three, None)]) == "unsolved"
+
+
 def test_hopf_rejects_multi_generator():
     with pytest.raises(CheckerError):
         hopf_analyze(builtin("CyclicNotDihedral"))

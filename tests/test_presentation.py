@@ -177,6 +177,23 @@ def test_polarize_presentation_roundtrip():
     assert polarize_presentation(builtin("LLq")) is builtin("LLq")
 
 
+def test_polarized_presentations_keep_the_closed_space():
+    # (de)polarization hands over an already closed space; the relations it
+    # lists must span exactly that space under the symmetric group
+    derived = []
+    for name in BUILTIN_NAMES:
+        p = builtin(name)
+        syms = sorted(g.symmetry for g in p.generators)
+        if "none" in syms:
+            derived.append(polarize_presentation(p))
+        if syms == ["anti", "comm"]:
+            derived.append(depolarize_presentation(p))
+    assert len(derived) >= 20
+    for d in derived:
+        vecs = [relation_vector(d.shape, r) for r in d.relations]
+        assert d.R == sigma3_closure(d.shape, vecs), d.name
+
+
 def test_presentation_renders_params():
     assert "params: q;" in builtin("LLq").render()
     assert "params" not in builtin("Ass").render()

@@ -122,3 +122,19 @@ def test_render_examples():
     assert Scalar.zero().render() == "0"
     assert (U * V).render() == "u*v"
 
+
+
+def test_render_divides_by_the_leading_denominator_coefficient():
+    assert RatFunc([-1, 1], [6, 2]).render() == "(1/2*q - 1/2)/(q + 3)"
+    assert (RatFunc([Fraction(1, 3), 0, Fraction(-2, 5)],
+                    [Fraction(1, 2), Fraction(3, 4)]).render()
+            == "(-8/15*q^2 + 4/9)/(q + 2/3)")
+    s = (Q - S(1)) / (S(2) * Q + S(6)) + U * V * Fraction(3, 7) - V / (Q * Q + S(1))
+    assert s.render() == "(1/2*q - 1/2)/(q + 3) + ((-1)/(q^2 + 1))*v + (3/7)*u*v"
+
+
+def test_specialize_pole_of_a_denominator_with_content():
+    s = Scalar(RatFunc([1], [6, 2]))   # 1/(2q + 6)
+    assert s.specialize(0) == S(Fraction(1, 6))
+    with pytest.raises(SpecializationError):
+        s.specialize(-3)
