@@ -9,21 +9,22 @@ Hopf existence is decided inside the counital normalized family
 
 the only shape a coassociative counital diagonal can take: the induced
 arity-3 map into the tensor square of the quotient must kill the
-relations, which collects polynomial constraints on B that are solved
-exactly over the coefficient tower.
+relations, which collects polynomial constraints of degree <= 2 on B.
+Their gcd, computed by Euclid's algorithm over the coefficient tower (a
+field), decides the verdict: no constraint admits every B, a constant
+gcd admits none, a linear gcd (or the square of one) a unique B, and any
+other quadratic gcd leaves the verdict undecided.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .scalar import Scalar, RatFunc, as_scalar, SC0, SC1, padd, pmul, _rational_sqrt
-from . import free3
+from .scalar import Scalar, as_scalar, SC0, SC1, padd, pmul
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
                     left_lambda)
 from .presentation import (Presentation, RelationExpr, relation_vector,
-                           App, Var, PresentationError)
+                           App, Var, PresentationError, depolarize_presentation)
 
 
 class CheckerError(ValueError):
@@ -110,6 +111,17 @@ class BPoly:
 
     __rmul__ = __mul__
 
+    def __mod__(self, other):
+        """Remainder of the division by a nonzero polynomial."""
+        r = list(self.coeffs)
+        d = other.degree
+        inv = other.coeffs[-1].inverse()
+        while len(r) > d:
+            c = r.pop() * inv
+            for k in range(d):
+                r[len(r) - d + k] -= c * other.coeffs[k]
+        return BPoly(r)
+
     def __call__(self, value: Scalar) -> Scalar:
         acc = SC0
         for c in reversed(self.coeffs):
@@ -119,9 +131,6 @@ class BPoly:
     def __eq__(self, other):
         other = _as_bpoly(other)
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def render(self, var: str = "B") -> str:
         if not self.coeffs:
@@ -260,7 +269,7 @@ def coassoc_family(d: DiagonalCandidate) -> str | None:
 # ---------------------------------------------------------------------------
 
 class HopfResult(NamedTuple):
-    verdict: str                 # none | unique | all
+    verdict: str                 # none | unique | all | undecided
     witness: object = None       # Scalar (type 3), dict (type 1), or None
     diagnostic: str | None = None
 
@@ -280,6 +289,7 @@ def hopf_analyze(p: Presentation) -> HopfResult:
     one commutative and one anticommutative generator), which is depolarized
     internally.
     """
+    p = depolarize_presentation(p)
     syms = [g.symmetry for g in p.generators]
     if syms == ["anti"]:
         return HopfResult("none", None,
@@ -289,11 +299,6 @@ def hopf_analyze(p: Presentation) -> HopfResult:
         return _hopf_comm(p)
     if syms == ["none"]:
         return _hopf_type3(p.shape, p.R)
-    if sorted(syms) == ["anti", "comm"]:
-        comm = next(g.name for g in p.generators if g.symmetry == "comm")
-        anti = next(g.name for g in p.generators if g.symmetry == "anti")
-        dep = free3.depolarize_map(p.shape, _T3, {"m": (comm, anti)})
-        return _hopf_type3(_T3, dep.apply_subspace(p.R))
     raise CheckerError("unsupported multi-generator presentation")
 
 
@@ -313,27 +318,7 @@ def _hopf_comm(p: Presentation) -> HopfResult:
 
 def _hopf_type3(shape: EShape, R: Subspace) -> HopfResult:
     tbl = _delta2_table(DiagonalCandidate.normalized_family())
-    constraints = _hopf_constraints(shape, R, tbl)
-    if not constraints:
-        return HopfResult("all", "any B", None)
-    roots = _solve_constraints(constraints)
-    if roots == "unsolved":
-        worst = min((c for c, _ in constraints), key=lambda c: c.degree)
-        return HopfResult("none", None,
-                          f"irreducible constraint over the tower: "
-                          f"{worst.render()} = 0")
-    if not roots:
-        bad = constraints[0][1]
-        return HopfResult("none", None,
-                          f"no admissible B; first failing relation: "
-                          f"{_render_row(shape, bad)}")
-    if len(roots) == 1:
-        b = roots[0]
-        assert all(c(b).is_zero() for c, _ in constraints)
-        return HopfResult("unique", b, None)
-    raise CheckerError(
-        "several isolated diagonals found; not reachable for the supported "
-        f"presentations (roots: {[r.render() for r in roots]})")
+    return _solve_constraints(shape, _hopf_constraints(shape, R, tbl))
 
 
 def _hopf_constraints(shape: EShape, R: Subspace, tbl):
@@ -377,88 +362,43 @@ def _reduce_bpoly(sparse_vec, R: Subspace):
     return [(i, c) for i, c in vec.items() if c]
 
 
-def _solve_constraints(constraints):
-    # first-seen order, so the polynomial whose roots are tried never
-    # depends on hash values
-    polys = sorted(dict.fromkeys(c for c, _ in constraints if c),
-                   key=lambda c: c.degree)
-    if not polys:
-        return "all"
-    if polys[0].degree == 0:
-        return []
-    candidates = _poly_roots(polys[0])
-    if candidates is None:
-        return "unsolved"
-    return [b for b in candidates if all(c(b).is_zero() for c in polys)]
+def _solve_constraints(shape: EShape, constraints) -> HopfResult:
+    """The verdict on B from the (BPoly, source row) constraints, through
+    the gcd of all of them over the tower, which is a field: a constant
+    gcd proves there is no B, a linear one (or the square of one) gives
+    the only B.  Every constraint has degree <= 2, being a product of two
+    table entries of degree <= 1, so any other gcd is a quadratic whose
+    roots may lie outside the tower, and the verdict is left undecided."""
+    if not constraints:
+        return HopfResult("all", "any B", None)
+    polys = {c.coeffs: c for c, _ in constraints}.values()    # distinct ones
+    g = _BP0
+    for c in polys:
+        g = _bpoly_gcd(g, c)
+        if g.degree == 0:
+            return HopfResult("none", None,
+                              f"no admissible B; first failing relation: "
+                              f"{_render_row(shape, constraints[0][1])}")
+    if g.degree == 1:
+        root = -g.coeffs[0]
+    elif g.degree == 2 and g.coeffs[1] * g.coeffs[1] == g.coeffs[0] * 4:
+        root = -g.coeffs[1] / 2
+    else:
+        return HopfResult("undecided", None,
+                          f"constraints share the factor {g.render()} = 0 "
+                          f"over the tower")
+    assert all(c(root).is_zero() for c in polys)
+    return HopfResult("unique", root, None)
 
 
-def _poly_roots(p: BPoly):
-    if p.degree == 1:
-        c0, c1 = p.coeffs
-        return [-c0 / c1]
-    if p.degree == 2:
-        c0, c1, c2 = p.coeffs
-        disc = c1 * c1 - Fraction(4) * c2 * c0
-        s = _scalar_sqrt(disc)
-        if s is None:
-            return None
-        half = Fraction(1, 2)
-        return sorted({(-c1 + s) / c2 * half, (-c1 - s) / c2 * half},
-                      key=lambda x: x.render())
-    return None
-
-
-def _scalar_sqrt(s: Scalar):
-    """Square root within the tower when the argument lies in Q(q) and is a
-    square times one of 1, 2, q, 2q (so the root is r, r*u, r*v or r*u*v)."""
-    if s.is_zero():
-        return SC0
-    c = s.c
-    if not (c[1].is_zero() and c[2].is_zero() and c[3].is_zero()):
-        return None
-    r = c[0]
-    q = RatFunc.q()
-    for divisor, unit in ((RatFunc.const(1), SC1),
-                          (RatFunc.const(2), Scalar.u()),
-                          (q, Scalar.v()),
-                          (RatFunc.const(2) * q, Scalar.u() * Scalar.v())):
-        cand = _ratfunc_sqrt(r / divisor)
-        if cand is not None:
-            return Scalar(cand) * unit
-    return None
-
-
-def _ratfunc_sqrt(r):
-    num = _poly_sqrt(r.num)
-    den = _poly_sqrt(r.den)
-    if num is None or den is None:
-        return None
-    return RatFunc(num, den)
-
-
-def _poly_sqrt(p):
-    """Exact square root of a polynomial over Q, or None."""
-    if not p:
-        return ()
-    if (len(p) - 1) % 2:
-        return None
-    deg = (len(p) - 1) // 2
-    lead = p[-1]
-    root_lead = _rational_sqrt(lead)
-    if root_lead is None:
-        return None
-    out = [Fraction(0)] * (deg + 1)
-    out[deg] = root_lead
-    # undetermined coefficients from the top down
-    for k in range(deg - 1, -1, -1):
-        # coefficient of x^(k+deg) in out^2 must match p[k+deg]
-        acc = Fraction(0)
-        for i in range(k + 1, deg + 1):
-            j = k + deg - i
-            if 0 <= j <= deg:
-                acc += out[i] * out[j]
-        out[k] = (p[k + deg] - acc) / (2 * root_lead)
-    return tuple(out) if pmul(tuple(out), tuple(out)) == p else None
+def _bpoly_gcd(a: BPoly, b: BPoly) -> BPoly:
+    """Monic gcd by Euclid's algorithm (the zero polynomial if both are)."""
+    while b:
+        a, b = b, a % b
+    if not a:
+        return a
+    inv = a.coeffs[-1].inverse()
+    return BPoly([c * inv for c in a.coeffs])
 
 
 def _render_row(shape, row):
@@ -528,7 +468,7 @@ def check_implies(p_stronger: Presentation, target: RelationExpr) -> bool:
     """True iff the target relation lies in the compiled relation space."""
     try:
         vec = relation_vector(p_stronger.shape, target)
-    except (KeyError, PresentationError) as e:
+    except PresentationError as e:
         raise CheckerError(f"alphabet mismatch: {e}") from None
     return p_stronger.R.contains(vec)
 

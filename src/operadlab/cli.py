@@ -1,8 +1,9 @@
 """Command-line front end: verdicts, the results table, decompositions,
 polarization, isomorphism checks and the randomized suites.
 
-Exit codes: 0 success, 2 parse error in a presentation or map,
-3 internal inconsistency between two decision methods.
+Exit codes: 0 success, 2 bad input (a presentation, map or --q value
+that does not parse or does not fit) or a failed check, 3 internal
+inconsistency between two decision methods.
 """
 
 from __future__ import annotations
@@ -56,8 +57,15 @@ def _load_presentation(spec: str, q=None) -> Presentation:
     else:
         p = parse_presentation(spec)
     if q is not None:
-        p = p.specialize(Fraction(q))
+        p = p.specialize(q)
     return p
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise PresentationError(f"--q expects a rational number, got {text!r}") from None
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -115,7 +123,8 @@ def cmd_table(args) -> int:
             "dihedral": r["dihedral"],
             "hopf": h,
         })
-        hopf_col = "yes" if h["verdict"] in ("unique", "all") else "no"
+        hopf_col = {"unique": "yes", "all": "yes", "none": "no"}.get(
+            h["verdict"], h["verdict"])
         if h["witness"] is not None:
             hopf_col += f" (B = {h['witness']})"
         lines.append(f"{name:<8} {algebras:<{width}} "
@@ -172,19 +181,12 @@ def cmd_polarize(args) -> int:
 NAMED_MAPS = ("star", "opposite", "identity", "signflip")
 
 
-def _single_none(p: Presentation) -> Presentation:
-    syms = sorted(g.symmetry for g in p.generators)
-    if syms == ["anti", "comm"]:
-        return depolarize_presentation(p)
-    return p
-
-
 def _named_map(name: str, p: Presentation, p2: Presentation, q=None):
     if name == "star":
         g = p.generators[0].name
         t = p2.generators[0].name
         half = Fraction(1, 2)
-        v = Scalar.v() if q is None else Scalar.v().specialize(Fraction(q))
+        v = Scalar.v() if q is None else Scalar.v().specialize(q)
         return {g: RelationExpr([((Scalar.one() + v) * half, App(t, Var("x"), Var("y"))),
                                  ((Scalar.one() - v) * half, App(t, Var("y"), Var("x")))])}
     if name == "opposite":
@@ -224,8 +226,8 @@ def _parse_map(text: str, p: Presentation, p2: Presentation, q=None):
 
 
 def cmd_iso(args) -> int:
-    p = _single_none(_load_presentation(args.p1, args.q))
-    p2 = _single_none(_load_presentation(args.p2, args.q))
+    p = depolarize_presentation(_load_presentation(args.p1, args.q))
+    p2 = depolarize_presentation(_load_presentation(args.p2, args.q))
     if args.map == "star":
         # the star formula defines the second product from the first, so the
         # generator substitution runs from the second presentation's side
@@ -400,8 +402,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "q", None) is not None:
+            args.q = _rational(args.q)
         return args.fn(args)
-    except (ParseError, PresentationError, SpecializationError) as e:
+    except (ParseError, PresentationError, SpecializationError,
+            free3.Free3Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except InternalInconsistencyError as e:

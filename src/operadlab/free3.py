@@ -48,8 +48,9 @@ class EShape:
     def __init__(self, gens):
         gens = tuple((str(n), str(s)) for n, s in gens)
         names = [n for n, _ in gens]
-        if len(set(names)) != len(names):
-            raise Free3Error("duplicate generator names")
+        dups = sorted({n for n in names if names.count(n) > 1})
+        if dups:
+            raise Free3Error(f"duplicate generator names: {', '.join(dups)}")
         for n, s in gens:
             if s not in ("comm", "anti", "none"):
                 raise Free3Error(f"unknown symmetry {s!r} for generator {n!r}")
@@ -75,7 +76,9 @@ class EShape:
         return f"EShape({list(self.gens)})"
 
     def slot(self, name: str, version: int = 0) -> int:
-        gi = self._by_name[name]
+        gi = self._by_name.get(name)
+        if gi is None:
+            raise Free3Error(f"unknown generator {name!r}")
         if version and self.gens[gi][1] != "none":
             raise Free3Error(f"generator {name!r} has a single slot")
         return self._slot_of[(gi, version)]
@@ -533,13 +536,13 @@ def _collect(imgs, dim):
     return tuple(out)
 
 
-def polarized_shape(shape: EShape, suffix=("_s", "_a")) -> EShape:
-    """Replace each no-symmetry generator by a (comm, anti) pair."""
+def polarized_shape(shape: EShape) -> EShape:
+    """Replace each no-symmetry generator m by the (comm, anti) pair m_s, m_a."""
     gens = []
     for n, s in shape.gens:
         if s == "none":
-            gens.append((n + suffix[0], "comm"))
-            gens.append((n + suffix[1], "anti"))
+            gens.append((n + "_s", "comm"))
+            gens.append((n + "_a", "anti"))
         else:
             gens.append((n, s))
     return EShape(gens)
@@ -590,23 +593,24 @@ def depolarize_map(shape: EShape, dst: EShape, pairing) -> SlotMap:
 
 
 def gamma_plus_split(shape: EShape):
-    """The bracket-parity splitting (Gamma_plus, Gamma_minus): spans of the
-    monomials with an even / odd number of anti-symmetric vertices in the
-    polarized picture, pulled back through depolarization."""
-    pol = polarized_shape(shape)
-    pairing = {n: (n + "_s", n + "_a") for n, s in shape.gens if s == "none"}
-    back = depolarize_map(pol, shape, pairing) if pairing else None
-
-    def parity(slot):
-        gi, _ = pol.slots[slot]
-        return 1 if pol.gens[gi][1] == "anti" else 0
-
+    """The bracket-parity splitting (Gamma_plus, Gamma_minus): each vertex
+    label runs over the transposition eigenvectors of its generator
+    (e_0 + e_1 and e_0 - e_1 on the slot pair of a no-symmetry generator,
+    the single slot of a comm (+1) or anti (-1) one); the monomials of two
+    eigenvectors at a lone variable span Gamma_plus or Gamma_minus by the
+    product of their eigenvalues."""
+    eigen = []      # (eigenvalue, ((slot, coefficient), ...))
+    for gi, (_, sym) in enumerate(shape.gens):
+        s0 = shape._slot_of[(gi, 0)]
+        if sym == "none":
+            s1 = shape._slot_of[(gi, 1)]
+            eigen += [(1, ((s0, SC1), (s1, SC1))), (-1, ((s0, SC1), (s1, -SC1)))]
+        else:
+            eigen.append((1 if sym == "comm" else -1, ((s0, SC1),)))
     plus_vecs, minus_vecs = [], []
-    for f in range(pol.dim):
-        for g in range(pol.dim):
-            for l in range(3):
-                v = basis_vector(pol, pol.index(f, g, l))
-                if back is not None:
-                    v = back.apply(v)
-                (plus_vecs if (parity(f) + parity(g)) % 2 == 0 else minus_vecs).append(v)
+    for (ef, fs), (eg, gs), l in itertools.product(eigen, eigen, range(3)):
+        v = [SC0] * shape.basis_size
+        for (f, cf), (g, cg) in itertools.product(fs, gs):
+            v[shape.index(f, g, l)] = cf * cg
+        (plus_vecs if ef * eg == 1 else minus_vecs).append(v)
     return Subspace(shape, plus_vecs), Subspace(shape, minus_vecs)

@@ -250,42 +250,39 @@ def _slot_app(shape: EShape, slot: int, s, t):
 def presentation_from_subspace(name, generators, space) -> Presentation:
     """A presentation whose relations are the reduced basis rows of an
     already symmetric-group-closed subspace, which becomes its R as it is."""
+    rels = [expr_from_vector(space.shape, row) for row in space.rows]
+    return _assemble(name, generators, rels, space)
+
+
+def _assemble(name, generators, relations, R, params=()) -> Presentation:
+    """A presentation whose relation space R is given already closed."""
     p = Presentation.__new__(Presentation)
-    p._declare(name, generators,
-               [expr_from_vector(space.shape, row) for row in space.rows])
-    p.R = space
+    p._declare(name, generators, relations, params)
+    p.R = R
     return p
 
 
-def polarize_presentation(p: Presentation, suffix=("_s", "_a")) -> Presentation:
-    """Replace every no-symmetry generator by a commutative/anticommutative
-    pair and rewrite the relation space accordingly."""
-    pairing = {g.name: (g.name + suffix[0], g.name + suffix[1])
-               for g in p.generators if g.symmetry == "none"}
-    if not pairing:
+def polarize_presentation(p: Presentation) -> Presentation:
+    """Replace every no-symmetry generator m by the commutative/
+    anticommutative pair m_s, m_a and rewrite the relation space
+    accordingly."""
+    if all(g.symmetry != "none" for g in p.generators):
         return p
-    dst = free3.polarized_shape(p.shape, suffix)
-    pm = free3.polarize_map(p.shape, dst, pairing)
-    return presentation_from_subspace(p.name + "_polarized", dst.gens,
+    pm = free3.polarize_map(p.shape)
+    return presentation_from_subspace(p.name + "_polarized", pm.dst.gens,
                                       pm.apply_subspace(p.R))
 
 
-def depolarize_presentation(p: Presentation, pairing=None, gen_name="m") -> Presentation:
-    """Assemble each (comm, anti) generator pair into one no-symmetry
-    generator; by default the unique such pair becomes `gen_name`."""
-    if pairing is None:
-        comm = [g.name for g in p.generators if g.symmetry == "comm"]
-        anti = [g.name for g in p.generators if g.symmetry == "anti"]
-        if len(comm) != 1 or len(anti) != 1 or len(p.generators) != 2:
-            raise PresentationError(
-                "default depolarization needs exactly one comm/anti pair")
-        pairing = {gen_name: (comm[0], anti[0])}
-    paired_sources = {n for pair in pairing.values() for n in pair}
-    gens = [(tgt, "none") for tgt in pairing]
-    gens += [(g.name, g.symmetry) for g in p.generators
-             if g.name not in paired_sources]
-    dst = EShape(gens)
-    dm = free3.depolarize_map(p.shape, dst, pairing)
+def depolarize_presentation(p: Presentation) -> Presentation:
+    """Assemble exactly one commutative and one anticommutative generator
+    into one no-symmetry generator m and rewrite the relation space
+    accordingly; any other presentation is returned as it is."""
+    names = {g.symmetry: g.name for g in p.generators}
+    if len(p.generators) != 2 or set(names) != {"comm", "anti"}:
+        return p
+    gens = [("m", "none")]
+    dm = free3.depolarize_map(p.shape, EShape(gens),
+                              {"m": (names["comm"], names["anti"])})
     return presentation_from_subspace(p.name + "_depolarized", gens,
                                       dm.apply_subspace(p.R))
 
@@ -722,9 +719,11 @@ _BUILTIN_SRC = {
     "free_anti": """operad free_anti { gen b: anti; }""",
 }
 
-_ALIASES = {"G1": "Ass", "Vinberg": "G2", "PreLie": "G3"}
+# name -> (source, q or None): an alias, or a specialization at q
+_DERIVED = {"G1": ("Ass", None), "Vinberg": ("G2", None), "PreLie": ("G3", None),
+            "LL0": ("LLq", 0), "LL1": ("LLq", 1)}
 
-BUILTIN_NAMES = tuple(sorted(set(_BUILTIN_SRC) | set(_ALIASES) | {"LL0", "LL1"}))
+BUILTIN_NAMES = tuple(sorted(set(_BUILTIN_SRC) | set(_DERIVED)))
 
 _cache: dict = {}
 
@@ -734,18 +733,13 @@ def builtin(name: str) -> Presentation:
     results table and the worked examples."""
     if name in _cache:
         return _cache[name]
-    if name in _ALIASES:
-        src = _BUILTIN_SRC[_ALIASES[name]]
-        p = parse_presentation(src)
-        p = Presentation(name, p.generators, p.relations, p.params)
-    elif name == "LL0":
-        p = builtin("LLq").specialize(0)
-        p = Presentation("LL0", p.generators, p.relations)
-    elif name == "LL1":
-        p = builtin("LLq").specialize(1)
-        p = Presentation("LL1", p.generators, p.relations)
-    elif name in _BUILTIN_SRC:
+    if name in _BUILTIN_SRC:
         p = parse_presentation(_BUILTIN_SRC[name])
+    elif name in _DERIVED:
+        # the closed space of the source, under the new name
+        base, q0 = _DERIVED[name]
+        src = builtin(base) if q0 is None else builtin(base).specialize(q0)
+        p = _assemble(name, src.generators, src.relations, src.R, src.params)
     else:
         raise PresentationError(f"unknown builtin presentation {name!r}")
     _cache[name] = p

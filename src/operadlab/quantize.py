@@ -332,7 +332,7 @@ def star_from_LL(data: LLData, check: bool = True, degree: int = 4) -> StarProdu
     return StarProduct(data.order, rule, name=data.name + ".star")
 
 
-def check_LL(data: LLData, degree: int = 4, report_first_failure: bool = True):
+def check_LL(data: LLData, degree: int = 4):
     """The three compatibility axioms with the deformation parameter t^2,
     on every triple of carrier basis monomials:
 
@@ -360,20 +360,17 @@ def check_LL(data: LLData, degree: int = 4, report_first_failure: bool = True):
                     jac = (br(xx, brP[b][c]) + br(yy, brP[c][a])
                            + br(zz, brP[a][b]))
                     if not jac.is_zero_mod(n_br):
-                        return (False, _fail("jacobi", xx, yy, zz)
-                                if report_first_failure else None)
+                        return False, _fail("jacobi", xx, yy, zz)
                 # the distributive defect is symmetric in the last two slots
                 if b <= c:
                     dist = (br(xx, dotP[b][c]) - dot(brP[a][b], zz)
                             - dot(yy, brP[a][c]))
                     if not dist.is_zero_mod(n_br):
-                        return (False, _fail("distributive", xx, yy, zz)
-                                if report_first_failure else None)
+                        return False, _fail("distributive", xx, yy, zz)
                 a3 = (dot(dotP[a][b], zz) - dot(xx, dotP[b][c])
                       - br(yy, brP[a][c]).times_t(2))
                 if not a3.is_zero_mod(min(n_dot, n_br + 2)):
-                    return (False, _fail("associator-defect", xx, yy, zz)
-                            if report_first_failure else None)
+                    return False, _fail("associator-defect", xx, yy, zz)
     return True, None
 
 

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from operadlab import (builtin, parse_relation, relation_vector, Scalar,
+from operadlab import (builtin, parse_relation, relation_vector, Scalar, RatFunc,
                        RelationExpr, App, Var, check_cyclic, check_dihedral,
                        check_coassoc, check_counit, coassoc_family,
                        hopf_analyze, DiagonalCandidate, check_substitution_iso,
@@ -12,8 +14,9 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar,
                        ActionMatrix, GAMMA3, TAU12, CYC123, EShape,
                        basis_vector, left_lambda, gamma_plus_split,
                        parse_presentation)
-from operadlab.checkers import BPoly, _scalar_sqrt
+from operadlab.checkers import BPoly, _solve_constraints, _T3
 from conftest import associator, E, M, C, B, X, Y, Z
+from test_scalar import small_fracs
 
 S = Scalar.from_fraction
 
@@ -197,15 +200,63 @@ def test_hopf_witness_self_verifies():
             assert not _reduce_bpoly(row, p.R)
 
 
-def test_first_constraint_seen_is_the_one_solved():
-    # B^2 - 2 has the roots +-u, which do not kill B^2 - 3; B^2 - 3 has no
-    # root in the tower.  Among constraints of equal degree the first one
-    # listed has its roots tried, whatever the hash values.
-    from operadlab.checkers import _solve_constraints
+def _solve(*polys):
+    row = basis_vector(_T3, 0)
+    return _solve_constraints(_T3, [(c, row) for c in polys])
+
+
+def test_constraint_order_does_not_change_the_verdict():
+    # B^2 - 2 and B^2 - 3 have no common root: none, whichever comes first
     b = BPoly.unknown()
     two, three = b * b - S(2), b * b - S(3)
-    assert _solve_constraints([(two, None), (three, None), (two, None)]) == []
-    assert _solve_constraints([(three, None), (two, None), (three, None)]) == "unsolved"
+    for polys in ((two, three, two), (three, two, three)):
+        h = _solve(*polys)
+        assert h.verdict == "none"
+        assert h.diagnostic == ("no admissible B; first failing relation: "
+                                "(1)*m(m(y,z),x)")
+
+
+def test_quadratics_with_one_common_root():
+    # each quadratic has two roots in the tower; 1 is the only common one
+    b = BPoly.unknown()
+    p = (b - Scalar.u()) * (b - S(1))
+    r = (b - S(1)) * (b - S(3))
+    for polys in ((p, r), (r, p)):
+        h = _solve(*polys)
+        assert h.verdict == "unique" and h.witness == S(1)
+
+
+def test_shared_quadratic_factor_is_undecided():
+    b = BPoly.unknown()
+    c = Scalar.q() + Scalar.u()
+    h = _solve(b * (b - S(1)) * c)
+    assert h.verdict == "undecided" and h.witness is None
+    assert h.diagnostic == ("constraints share the factor B^2 + (-1)*B = 0 "
+                            "over the tower")
+
+
+def test_double_root_is_unique():
+    b = BPoly.unknown()
+    h = _solve((b - S(2)) * (b - S(2)) * S(-3))
+    assert h.verdict == "unique" and h.witness == S(2)
+
+
+# tower elements whose four components are polynomials of degree <= 1 in q
+# (general rational functions make one solve take seconds)
+tower = st.builds(Scalar, *[st.lists(small_fracs, max_size=2).map(RatFunc)] * 4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(tower, st.lists(st.tuples(tower, tower), min_size=2, max_size=3))
+def test_common_linear_factor_is_found_in_any_order(r, lins):
+    b = BPoly.unknown()
+    lins = [b * a0 + a1 for a0, a1 in lins if a0]
+    # two non-proportional linear factors leave exactly B - r in common
+    assume(len({(-l.coeffs[0] / l.coeffs[1]) for l in lins}) >= 2)
+    polys = [(b - r) * l for l in lins]
+    for order in itertools.permutations(polys):
+        h = _solve(*order)
+        assert h.verdict == "unique" and h.witness == r
 
 
 def test_hopf_rejects_multi_generator():
@@ -217,16 +268,6 @@ def test_hopf_polarized_pair_accepted():
     # LLq is a comm/anti pair: depolarized internally
     assert hopf_analyze(builtin("LLinf")).verdict == "none"
     assert hopf_analyze(builtin("Poiss_polarized")).witness == S(Fraction(1, 4))
-
-
-def test_scalar_sqrt_helper():
-    q = Scalar.q()
-    assert _scalar_sqrt(S(4)) == S(2)
-    assert _scalar_sqrt(S(2)) == Scalar.u()
-    assert _scalar_sqrt(q) == Scalar.v()
-    assert _scalar_sqrt(S(2) * q) == Scalar.u() * Scalar.v()
-    assert _scalar_sqrt(q * q) == q
-    assert _scalar_sqrt(S(3)) is None
 
 
 # -- substitution isomorphisms ------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from operadlab.cli import main, EXIT_OK, EXIT_PARSE, EXIT_INCONSISTENT
+from operadlab.presentation import BUILTIN_NAMES
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 @pytest.fixture(scope="session")
@@ -72,6 +76,37 @@ def test_check_specialization_pole(capsys):
     assert code == EXIT_PARSE and "pole" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("iso", "Ass", "Ass", "--map", "m=k(x,y)"),
+    ("check", "Ass", "--q", "1/0"),
+    ("check", "LLq", "--q", "abc"),
+    ("polarize", "operad X { gen m: none; gen m_s: comm; }"),
+], ids=["unknown-map-generator", "zero-denominator-q", "non-numeric-q",
+        "polarized-name-clash"])
+def test_bad_input_is_a_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# CyclicNotDihedral with its comm generator c renamed m_s, the name that
+# polarizing m would give
+M_AND_M_S = """operad X { gen m: none; gen m_s: comm;
+    rel m(x,m_s(y,z)) + m(y,m_s(z,x)) + m(z,m_s(x,y)) = 0;
+    rel m(m_s(x,y),z) + m_s(m(z,x),y) + m_s(x,m(z,y)) = 0; }"""
+
+
+def test_verdicts_do_not_depend_on_generator_names(capsys, schema):
+    code, out, _ = run(capsys, "check", M_AND_M_S, "--cyclic", "--dihedral")
+    assert code == EXIT_OK
+    assert "cyclic:   yes" in out and "dihedral: no" in out
+    code, doc = run_json(capsys, schema, "decompose", M_AND_M_S, "--json")
+    _, ref = run_json(capsys, schema, "decompose", "CyclicNotDihedral", "--json")
+    assert code == EXIT_OK and doc["presentation"] == "X"
+    del doc["presentation"], ref["presentation"]
+    assert doc == ref
+
+
 # -- table --------------------------------------------------------------------
 
 EXPECTED_TABLE = {
@@ -103,6 +138,20 @@ def test_table_text_marks_cited_column(capsys):
     code, out, _ = run(capsys, "table")
     assert code == EXIT_OK
     assert "cited from the literature, not computed" in out
+
+
+def test_table_shows_undecided_as_undecided(capsys, monkeypatch):
+    import operadlab.cli as cli
+    real = cli.verdict_report
+
+    def undecided(p):
+        return dict(real(p), hopf={"verdict": "undecided", "witness": None})
+
+    monkeypatch.setattr(cli, "verdict_report", undecided)
+    code, out, _ = run(capsys, "table")
+    rows = out.splitlines()[2:-1]
+    assert code == EXIT_OK and len(rows) == len(EXPECTED_TABLE)
+    assert all(r.endswith(" undecided") for r in rows)
 
 
 def test_table_deterministic(capsys):
@@ -194,3 +243,16 @@ def test_mlab_seed_reproducible(capsys):
     _, out1, _ = run(capsys, "mlab", "--seed", "3", "--trials", "4", "--json")
     _, out2, _ = run(capsys, "mlab", "--seed", "3", "--trials", "4", "--json")
     assert out1 == out2
+
+
+# -- outputs fixed at a reference version ------------------------------------------
+
+def test_outputs_match_the_golden_file(capsys):
+    """`check NAME --json` for every builtin name and `table --json`, exit
+    code and both streams byte for byte."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    argvs = [("check", n, "--json") for n in BUILTIN_NAMES] + [("table", "--json")]
+    assert sorted(golden) == sorted(" ".join(a) for a in argvs)
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert {"exit": code, "stdout": out, "stderr": err} == golden[" ".join(argv)]
