@@ -1,28 +1,41 @@
 """Deformation-quantization workbench on a truncated polynomial carrier.
 
-The carrier is the polynomial algebra Q[x, p]; test elements are the
-monomials of total degree <= D (default 4).  Elements of the deformed
-algebra are polynomials in x, p and the formal parameter t with
-coefficients in the scalar tower (the normalisations need sqrt 2).
-Products of carrier elements are computed exactly in the full
-polynomial ring, so every algebraic identity checked here is exact;
-the degree bound only caps the set of probed basis elements, and the
-order N truncates powers of t.
+The carrier is Q[x, p]; test elements are the monomials of total degree
+<= D (default 4), and elements of the deformed algebra are polynomials in
+x, p and the formal parameter t.  The degree bound only caps the probed
+basis and the order N truncates powers of t, so every check is exact.
 
-The star product of the worked example is the standard-ordered
-expansion u * v = sum_k (t^k / k!) (d_p^k u)(d_x^k v), which is exactly
-associative and commutative mod t.  Its symmetric/antisymmetric parts,
-with the antisymmetric part divided by t, give the commutative product
-and degree-lowered bracket whose compatibility conditions (with the
-deformation parameter entering as t^2) are checked by `check_LL`.
+A `TPoly` keeps each coefficient in its smallest exact type (`exact`): an
+int, a non-integral Fraction, or a tower `Scalar` that is not rational.
+Rational data never touches `Scalar` arithmetic; `render` still writes
+every coefficient through `Scalar.render`.
+
+A star product is a `rule(u, v)` that is bilinear over the tower and in
+t, and respects t-adic precision: rule(u, v) is trusted modulo
+t^min(u.order, v.order, N_rule), where N_rule is the order the rule
+reports on basis monomials.  `StarProduct` calls its rule only on pairs
+of coefficient-1 monomials x^i p^j, keeps those values in a table filled
+lazily on the instance, and expands every product through it.
+
+The worked example is the standard-ordered product u * v = sum_k (t^k/k!)
+(d_p^k u)(d_x^k v), exactly associative and commutative mod t.
+`polarize_star` splits it into the commutative product (1/sqrt 2)(sym
+part) and the bracket (1/sqrt 2)(antisym part)/t, whose compatibility
+axioms (deformation parameter t^2) `check_LL` verifies.  `LLData` keeps
+the common factor 1/sqrt 2 apart from its operations: `dot` and `br`
+return scaled values, `check_LL` runs on the unscaled ones.  Each term of
+its axioms holds exactly two operations, so a common factor c multiplies
+every defect by c^2 and cannot change a verdict or the first failure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
+from math import comb, perm
 
-from .scalar import as_scalar, SC0, INV_SQRT2
+from .scalar import as_scalar, INV_SQRT2
 
 
 class QuantizeError(ValueError):
@@ -37,12 +50,23 @@ def _min_order(a, b):
     return min(a, b)
 
 
+def exact(c):
+    """A coefficient in its smallest exact type: int, non-integral
+    Fraction, or a Scalar that is not rational."""
+    if not isinstance(c, (int, Fraction)):
+        c = as_scalar(c)
+        if not c.is_rational():
+            return c
+        c = c.as_fraction()
+    return c.numerator if c.denominator == 1 else c
+
+
 class TPoly:
     """Polynomial in x, p and t over the scalar tower.
 
-    coeffs maps (t_power, x_power, p_power) -> Scalar.  `order` is the
-    t-adic precision: None means exact, an integer N means the
-    coefficients are only trusted modulo t^N.
+    coeffs maps (t_power, x_power, p_power) -> coefficient in `exact`
+    form.  `order` is the t-adic precision: None means exact, an integer
+    N means the coefficients are only trusted modulo t^N.
     """
 
     __slots__ = ("coeffs", "order")
@@ -50,9 +74,10 @@ class TPoly:
     def __init__(self, coeffs=None, order=None):
         cc = {}
         for key, v in (coeffs or {}).items():
-            v = as_scalar(v)
             if order is not None and key[0] >= order:
                 continue
+            if type(v) is not int:
+                v = exact(v)
             if v:
                 cc[tuple(key)] = v
         object.__setattr__(self, "coeffs", cc)
@@ -63,7 +88,7 @@ class TPoly:
 
     @classmethod
     def monomial(cls, xdeg: int, pdeg: int, coeff=1) -> "TPoly":
-        return cls({(0, xdeg, pdeg): as_scalar(coeff)})
+        return cls({(0, xdeg, pdeg): coeff})
 
     @classmethod
     def zero(cls) -> "TPoly":
@@ -72,7 +97,7 @@ class TPoly:
     def __add__(self, other):
         cc = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            cc[k] = cc.get(k, SC0) + v
+            cc[k] = cc.get(k, 0) + v
         return TPoly(cc, _min_order(self.order, other.order))
 
     def __neg__(self):
@@ -82,7 +107,9 @@ class TPoly:
         return self + (-other)
 
     def scale(self, s) -> "TPoly":
-        s = as_scalar(s)
+        s = exact(s)
+        if type(s) is int and s == 1:
+            return self
         return TPoly({k: s * v for k, v in self.coeffs.items()}, self.order)
 
     def __mul__(self, other):
@@ -96,7 +123,7 @@ class TPoly:
                 if order is not None and k >= order:
                     continue
                 key = (k, i1 + i2, j1 + j2)
-                cc[key] = cc.get(key, SC0) + v1 * v2
+                cc[key] = cc.get(key, 0) + v1 * v2
         return TPoly(cc, order)
 
     __rmul__ = __mul__
@@ -156,18 +183,22 @@ class TPoly:
             mono = "".join([f"t^{k}" if k > 1 else "t" * k,
                             f"x^{i}" if i > 1 else "x" * i,
                             f"p^{j}" if j > 1 else "p" * j]) or "1"
-            parts.append(f"({v.render()})*{mono}")
+            parts.append(f"({as_scalar(v).render()})*{mono}")
         return " + ".join(parts)
 
     def __repr__(self):
         return f"TPoly({self.render()})"
 
 
+def _exponents(degree: int):
+    if degree < 0:
+        raise QuantizeError(f"carrier degree {degree} is negative")
+    return sorted((i, j) for i in range(degree + 1) for j in range(degree + 1 - i))
+
+
 def basis_monomials(degree: int):
     """Carrier basis: monomials x^i p^j with i + j <= degree."""
-    return [TPoly.monomial(i, j)
-            for i, j in sorted((i, j) for i in range(degree + 1)
-                               for j in range(degree + 1 - i))]
+    return [TPoly.monomial(i, j) for i, j in _exponents(degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +217,64 @@ class StarProduct:
         self.order = order
         self.rule = rule
         self.name = name
+        self._pairs = {}    # (i1, j1, i2, j2) -> ((k, i, j, c), ...)
+
+    @functools.cached_property
+    def precision(self):
+        """N_rule, the t-adic order the rule reports on basis monomials."""
+        return self.rule(TPoly.monomial(0, 0), TPoly.monomial(0, 0)).order
+
+    def _pair(self, key):
+        """The rule on x^i1 p^j1, x^i2 p^j2 as (k, i, j, c) terms by t-power."""
+        terms = self._pairs.get(key)
+        if terms is None:
+            w = self.rule(TPoly.monomial(*key[:2]), TPoly.monomial(*key[2:]))
+            terms = self._pairs[key] = tuple(m + (c,) for m, c in sorted(w.coeffs.items()))
+        return terms
+
+    def expand(self, u: TPoly, v: TPoly, limit=None, twist=0) -> TPoly:
+        """rule(u, v) + twist * rule(v, u), twist in (0, 1, -1), by
+        bilinearity from the pair table, truncated mod t^limit as well."""
+        order = _min_order(_min_order(u.order, v.order),
+                           _min_order(self.precision, limit))
+        pairs, cc = self._pairs, {}
+        get = cc.get
+        for a, b, sign in ((u, v, 1), (v, u, twist))[:2 if twist else 1]:
+            for (k1, i1, j1), c1 in a.coeffs.items():
+                if sign < 0:
+                    c1 = -c1
+                for (k2, i2, j2), c2 in b.coeffs.items():
+                    pair = (i1, j1, i2, j2)
+                    terms = pairs.get(pair) or self._pair(pair)
+                    c12 = c1 * c2
+                    for k, i, j, c in terms:
+                        k += k1 + k2
+                        if order is not None and k >= order:
+                            break
+                        key = (k, i, j)
+                        cc[key] = get(key, 0) + c12 * c
+        return TPoly(cc, order)
 
     def __call__(self, u: TPoly, v: TPoly) -> TPoly:
-        return self.rule(u, v).truncated(self.order)
+        return self.expand(u, v, self.order)
 
-    def component(self, k: int, u: TPoly, v: TPoly) -> TPoly:
+    def _check_index(self, k: int):
         if not 0 <= k < self.order:
             raise QuantizeError(f"component index {k} outside 0..{self.order - 1}")
-        return self.rule(u, v).t_component(k)
+
+    def component(self, k: int, u: TPoly, v: TPoly) -> TPoly:
+        self._check_index(k)
+        return self.expand(u, v, k + 1).t_component(k)
 
     def structure_tensor(self, k: int, degree: int):
-        basis = basis_monomials(degree)
+        self._check_index(k)
+        basis = _exponents(degree)
         out = {}
-        for a, u in enumerate(basis):
-            for b, v in enumerate(basis):
-                w = self.component(k, u, v)
-                if not w.is_zero_mod():
-                    out[(a, b)] = w
+        for a, b in itertools.product(range(len(basis)), repeat=2):
+            terms = self._pair(basis[a] + basis[b])
+            w = TPoly({(0, i, j): c for kk, i, j, c in terms if kk == k})
+            if w.coeffs:
+                out[(a, b)] = w
         return out
 
     def commutative_mod_t(self, degree: int) -> bool:
@@ -225,8 +297,8 @@ def moyal_star(order: int = 4) -> StarProduct:
     The sum is finite on polynomials, so values are exact; associativity
     holds on the nose (it mirrors operator composition in the standard
     ordering), and the t^0 part is plain multiplication.  On monomial
-    pairs the k-th term carries the falling-factorial weight
-    (j1)_k (i2)_k / k!.
+    pairs the k-th term carries the integer weight
+    (j1)_k (i2)_k / k! = C(j1, k) (i2)_k.
     """
 
     def rule(u: TPoly, v: TPoly) -> TPoly:
@@ -235,18 +307,12 @@ def moyal_star(order: int = 4) -> StarProduct:
         for (k1, i1, j1), v1 in u.coeffs.items():
             for (k2, i2, j2), v2 in v.coeffs.items():
                 w = v1 * v2
-                f = Fraction(1)
-                kmin = min(j1, i2)
-                for k in range(kmin + 1):
-                    if k:
-                        f *= Fraction((j1 - k + 1) * (i2 - k + 1), k)
+                for k in range(min(j1, i2) + 1):
                     kt = k1 + k2 + k
                     if tail is not None and kt >= tail:
                         break
                     key = (kt, i1 + i2 - k, j1 + j2 - k)
-                    prev = cc.get(key)
-                    term = w * f
-                    cc[key] = term if prev is None else prev + term
+                    cc[key] = cc.get(key, 0) + w * (comb(j1, k) * perm(i2, k))
         return TPoly(cc, tail)
 
     return StarProduct(order, rule, name="moyal")
@@ -258,21 +324,31 @@ def moyal_star(order: int = 4) -> StarProduct:
 
 class LLData:
     """Commutative product `dot` and antisymmetric bracket `br` on the
-    carrier, with the bracket trusted modulo t^bracket_order."""
+    carrier, with the bracket trusted modulo t^bracket_order.  `ops` holds
+    the two operations before the nonzero common factor `scale`."""
 
-    def __init__(self, order: int, dot, br, bracket_order=None, name="ll"):
+    def __init__(self, order: int, dot, br, bracket_order=None, name="ll", scale=1):
         self.order = order
-        self.dot = dot
-        self.br = br
+        self.ops = (dot, br)
+        self.scale = exact(scale)
+        if not self.scale:
+            raise QuantizeError("scale must be nonzero")
         self.bracket_order = order if bracket_order is None else bracket_order
         self.name = name
 
+    def dot(self, u: TPoly, v: TPoly) -> TPoly:
+        return self.ops[0](u, v).scale(self.scale)
+
+    def br(self, u: TPoly, v: TPoly) -> TPoly:
+        return self.ops[1](u, v).scale(self.scale)
+
     def validate_symmetry(self, degree: int) -> bool:
+        dot, br = self.ops
         basis = basis_monomials(degree)
         for u, v in itertools.combinations_with_replacement(basis, 2):
-            if not (self.dot(u, v) - self.dot(v, u)).is_zero_mod(self.order):
+            if not (dot(u, v) - dot(v, u)).is_zero_mod(self.order):
                 return False
-            if not (self.br(u, v) + self.br(v, u)).is_zero_mod(self.bracket_order):
+            if not (br(u, v) + br(v, u)).is_zero_mod(self.bracket_order):
                 return False
         return True
 
@@ -280,16 +356,14 @@ class LLData:
         """Corrupt one structure coefficient of the bracket (antisymmetrised,
         so the result is still a bracket); m1, m2 are (xdeg, pdeg) basis
         monomials and out a (t, x, p) target monomial."""
-        delta = as_scalar(delta)
-        base = self.br
+        delta = exact(delta)
 
         def coeff_of(u: TPoly, mono):
-            return u.coeffs.get((0,) + tuple(mono), SC0)
+            return u.coeffs.get((0,) + tuple(mono), 0)
 
         def br(u, v):
             bump = coeff_of(u, m1) * coeff_of(v, m2) - coeff_of(u, m2) * coeff_of(v, m1)
-            extra = TPoly({tuple(out): bump * delta})
-            return base(u, v) + extra
+            return self.br(u, v) + TPoly({tuple(out): bump * delta})
 
         return LLData(self.order, self.dot, br, self.bracket_order,
                       name=self.name + "+mutation")
@@ -299,24 +373,19 @@ def polarize_star(s: StarProduct) -> LLData:
     """Split a star product into (1/sqrt 2)(sym part) and the bracket
     (1/sqrt 2)(antisym part)/t; fails if the product is not commutative
     modulo t."""
-    probe = basis_monomials(2)
-    order = None    # the t-adic precision the rule reports on the probes
-    for u, v in itertools.combinations(probe, 2):
-        uv, vu = s.rule(u, v), s.rule(v, u)
-        if not uv.t_component(0).eq_mod(vu.t_component(0)):
-            raise QuantizeError("not commutative mod t")
-        order = _min_order(order, _min_order(uv.order, vu.order))
+    if not s.commutative_mod_t(2):
+        raise QuantizeError("not commutative mod t")
 
     def dot(u, v):
-        return (s.rule(u, v) + s.rule(v, u)).scale(INV_SQRT2).truncated(s.order)
+        return s.expand(u, v, s.order, twist=1)
 
     def br(u, v):
-        anti = (s.rule(u, v) - s.rule(v, u)).scale(INV_SQRT2)
-        return anti.divide_t()
+        return s.expand(u, v, twist=-1).divide_t()
 
     # dividing by t costs one order of precision unless the rule is exact
-    border = s.order if order is None else min(s.order, order - 1)
-    return LLData(s.order, dot, br, bracket_order=border, name=s.name + ".polarized")
+    border = s.order if s.precision is None else min(s.order, s.precision - 1)
+    return LLData(s.order, dot, br, bracket_order=border,
+                  name=s.name + ".polarized", scale=INV_SQRT2)
 
 
 def star_from_LL(data: LLData, check: bool = True, degree: int = 4) -> StarProduct:
@@ -325,9 +394,11 @@ def star_from_LL(data: LLData, check: bool = True, degree: int = 4) -> StarProdu
         ok, failure = check_LL(data, degree=degree)
         if not ok:
             raise QuantizeError(f"input fails the compatibility axioms: {failure}")
+    dot, br = data.ops
+    c = exact(data.scale * INV_SQRT2)
 
     def rule(u, v):
-        return (data.dot(u, v) + data.br(u, v).times_t()).scale(INV_SQRT2)
+        return (dot(u, v) + br(u, v).times_t()).scale(c)
 
     return StarProduct(data.order, rule, name=data.name + ".star")
 
@@ -342,8 +413,10 @@ def check_LL(data: LLData, degree: int = 4):
 
     Bracket-only axioms are verified to the bracket's own precision; the
     last one modulo t^order.  Returns (ok, first_failure_description).
+    Runs on the unscaled operations: each axiom is homogeneous of degree
+    two in them, so the common factor cannot change the result.
     """
-    dot, br = data.dot, data.br
+    dot, br = data.ops
     n_dot, n_br = data.order, min(data.order, data.bracket_order)
     basis = basis_monomials(degree)
     n = len(basis)

@@ -81,8 +81,9 @@ def test_check_specialization_pole(capsys):
     ("check", "Ass", "--q", "1/0"),
     ("check", "LLq", "--q", "abc"),
     ("polarize", "operad X { gen m: none; gen m_s: comm; }"),
+    ("quantize", "--degree", "-1"),
 ], ids=["unknown-map-generator", "zero-denominator-q", "non-numeric-q",
-        "polarized-name-clash"])
+        "polarized-name-clash", "negative-carrier-degree"])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
@@ -248,10 +249,13 @@ def test_mlab_seed_reproducible(capsys):
 # -- outputs fixed at a reference version ------------------------------------------
 
 def test_outputs_match_the_golden_file(capsys):
-    """`check NAME --json` for every builtin name and `table --json`, exit
-    code and both streams byte for byte."""
+    """`check NAME --json` for every builtin name, `table --json` and four
+    `quantize` runs, exit code and both streams byte for byte."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    argvs = [("check", n, "--json") for n in BUILTIN_NAMES] + [("table", "--json")]
+    argvs = ([("check", n, "--json") for n in BUILTIN_NAMES] + [("table", "--json")]
+             + [("quantize", "--json"), ("quantize", "--mutate", "--json"),
+                ("quantize", "--order", "3", "--degree", "3", "--mutate", "--json"),
+                ("quantize", "--mutate")])
     assert sorted(golden) == sorted(" ".join(a) for a in argvs)
     for argv in argvs:
         code, out, err = run(capsys, *argv)

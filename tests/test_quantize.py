@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operadlab import Scalar
 from operadlab.quantize import (TPoly, StarProduct, LLData, QuantizeError,
@@ -53,6 +54,22 @@ def test_tpoly_derivatives():
 def test_basis_monomials_count():
     assert len(basis_monomials(4)) == 15
     assert len(basis_monomials(2)) == 6
+    assert basis_monomials(0) == [mono(0, 0)]
+    with pytest.raises(QuantizeError):
+        basis_monomials(-1)
+
+
+def test_coefficient_types_are_canonical():
+    ones = [TPoly({(0, 1, 0): c}) for c in (1, Fraction(1), Scalar.one())]
+    halves = [TPoly({(1, 0, 2): c}) for c in
+              (Fraction(1, 2), Scalar.from_fraction(Fraction(1, 2)), HALF_U * HALF_U)]
+    for polys, text in ((ones, "(1)*x"), (halves, "(1/2)*tp^2")):
+        assert polys[0] == polys[1] == polys[2]
+        assert len({hash(f) for f in polys}) == 1
+        assert {f.render() for f in polys} == {text}
+    assert all(type(f.coeffs[(0, 1, 0)]) is int for f in ones)
+    assert all(type(f.coeffs[(1, 0, 2)]) is Fraction for f in halves)
+    assert mono(1, 0, HALF_U).coeffs[(0, 1, 0)] == HALF_U
 
 
 # -- the worked star product --------------------------------------------------------
@@ -229,3 +246,72 @@ def test_random_triple_associativity_of_assembled_star():
     for _ in range(20):
         u, v, w = rand_elt(), rand_elt(), rand_elt()
         assert s2.associativity_defect(u, v, w).is_zero_mod(4)
+
+
+# -- the pair table ------------------------------------------------------------------
+
+def test_pair_table_is_filled_once_per_instance():
+    calls = []
+    moyal = moyal_star(4).rule
+
+    def rule(u, v):
+        calls.append((u, v))
+        return moyal(u, v)
+
+    s = StarProduct(4, rule)
+    assert s.is_associative(2)
+    first = len(calls)
+    # each pair once, and the constant pair once more for `precision`
+    assert first == len(set(calls)) + 1
+    assert s.is_associative(2) and len(calls) == first
+    assert StarProduct(4, rule).is_associative(2) and len(calls) == 2 * first
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero = small.filter(bool)
+EXPONENTS = [(i, j) for i in range(4) for j in range(4 - i)]
+# (t, x, p) exponents with t <= 2 and x + p <= 3
+keys = st.builds(lambda k, ij: (k,) + ij, st.integers(0, 2), st.sampled_from(EXPONENTS))
+
+
+@st.composite
+def tpolys(draw):
+    """Rational and u-plane coefficients, exact or trusted modulo t^1 .. t^5."""
+    coeff = st.one_of(small, small.map(lambda f: U * f))
+    terms = draw(st.dictionaries(keys, coeff, max_size=4))
+    return TPoly(terms, draw(st.one_of(st.none(), st.integers(1, 5))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: moyal_star(4),
+    lambda: star_from_LL(polarize_star(moyal_star(4)), check=False),
+], ids=["moyal", "assembled"])
+@settings(max_examples=40, deadline=None)
+@given(u=tpolys(), v=tpolys())
+def test_table_expansion_equals_the_rule(make, u, v):
+    s = make()
+    direct = s.rule(u, v)
+    expanded = s.expand(u, v)
+    assert (expanded.coeffs, expanded.order) == (direct.coeffs, direct.order)
+    assert s(u, v) == direct.truncated(s.order)
+    for k in range(s.order):
+        assert s.component(k, u, v) == direct.t_component(k)
+
+
+POLARIZED = polarize_star(moyal_star(4))
+tower_factors = st.one_of(
+    nonzero, nonzero.map(lambda f: U * f),
+    st.builds(lambda a, b: a + Scalar.v() * b, small, nonzero),
+    st.builds(lambda a, b: a + Scalar.q() * b, small, nonzero))
+degree2 = st.sampled_from([(i, j) for i in range(3) for j in range(3 - i)])
+mutations = st.tuples(degree2, degree2, keys, tower_factors)
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=tower_factors, mutation=st.one_of(st.none(), mutations))
+def test_check_ll_ignores_a_common_factor(c, mutation):
+    """Scaling both operations by c != 0 scales every defect by c^2."""
+    data = POLARIZED if mutation is None else POLARIZED.mutate_bracket(*mutation)
+    scaled = LLData(data.order, lambda u, v: data.dot(u, v).scale(c),
+                    lambda u, v: data.br(u, v).scale(c), data.bracket_order)
+    assert check_LL(scaled, degree=2) == check_LL(data, degree=2)
