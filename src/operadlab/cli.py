@@ -275,7 +275,8 @@ def cmd_quantize(args) -> int:
         lines.append(f"  first failing triple: {failure}")
     if args.mutate:
         bad = data.mutate_bracket((1, 0), (0, 1), (0, 0, 0), 1)
-        bad_ok, bad_fail = quantize.check_LL(bad, degree=min(args.degree, 2))
+        # the corrupted {x, p} coefficient first shows in carrier degree 1
+        bad_ok, bad_fail = quantize.check_LL(bad, degree=min(max(args.degree, 1), 2))
         payload["mutated_ll_axioms"] = bad_ok
         payload["mutated_first_failure"] = bad_fail
         lines.append(f"  mutated bracket: {'still passes (BUG)' if bad_ok else 'fails as expected'}")
@@ -286,6 +287,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_mlab(args) -> int:
+    if args.trials < 0:
+        raise CheckerError(f"trial count {args.trials} is negative")
     rng = random.Random(args.seed)
     d = 2
     pre_lie = vinberg = master = g6_signed = 0

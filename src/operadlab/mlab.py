@@ -2,18 +2,29 @@
 multilinear maps.
 
 A MultiMap is an exact tensor in Lin(V^(x)m, V^(x)n) over the rationals,
-stored sparsely as {(out_index_tuple, in_index_tuple): Fraction}.  The
-partial composition comp_ij plugs the j-th output of g into the i-th
+stored sparsely as {(out_index_tuple, in_index_tuple): coefficient}.
+Every coefficient is nonzero and kept in its smallest exact type by
+`_exact`: an int when it is integral, else a Fraction, so integer maps
+compose in int arithmetic (`==` and `hash` agree across 3 and
+Fraction(3)).  Every MultiMap built checks the shape and index range of
+its keys.
+
+The partial composition comp_ij plugs the j-th output of g into the i-th
 input of f; the remaining lines keep their blocks in place:
 
     inputs  = (f-inputs 1..i-1,  g-inputs,  f-inputs i+1..b)
     outputs = (g-outputs 1..j-1, f-outputs, g-outputs j+1..c)
 
+It buckets g's entries by their j-th output index once, so each f-entry
+meets only the g-entries whose j-th output is its i-th input.
+
 The signed total composition is
 
     f o g = sum over i <= b, j <= c of (-1)^(i(b+1) + j(c+1)) f comp_ij g
 
-for f with b inputs and g with c outputs.
+for f with b inputs and g with c outputs.  circ, circ_plain and
+alternating_associator_sum add their signed terms into one coefficient
+dict and build one MultiMap from it at the end.
 """
 
 from __future__ import annotations
@@ -22,11 +33,18 @@ import itertools
 import random
 from fractions import Fraction
 
-_F0 = Fraction(0)
-
 
 class MultiMapError(ValueError):
     pass
+
+
+def _exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is not int:
+        v = Fraction(v)
+        if v.denominator == 1:
+            return v.numerator
+    return v
 
 
 class MultiMap:
@@ -38,16 +56,11 @@ class MultiMap:
         if d < 1 or m < 1 or n < 1:
             raise MultiMapError("base dimension and arities must be >= 1")
         cc = {}
-        for (out, inp), v in (coeffs or {}).items():
-            v = Fraction(v)
-            if not v:
-                continue
-            out, inp = tuple(out), tuple(inp)
-            if len(out) != n or len(inp) != m:
-                raise MultiMapError(f"index shape mismatch: {(out, inp)}")
-            if not all(0 <= k < d for k in out + inp):
-                raise MultiMapError(f"index out of range: {(out, inp)}")
-            cc[(out, inp)] = v
+        for key, v in (coeffs or {}).items():
+            v = _exact(v)
+            if v:
+                cc[key] = v
+        _check_keys(cc, d, m, n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -68,7 +81,7 @@ class MultiMap:
         cc = {}
         for out in itertools.product(range(d), repeat=n):
             for inp in itertools.product(range(d), repeat=m):
-                cc[(out, inp)] = Fraction(rng.randint(lo, hi))
+                cc[(out, inp)] = rng.randint(lo, hi)
         return cls(d, m, n, cc)
 
     # -- vector-space structure
@@ -82,8 +95,7 @@ class MultiMap:
     def __add__(self, other):
         self._like(other)
         cc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            cc[k] = cc.get(k, _F0) + v
+        _accumulate(cc, other.coeffs, 1)
         return MultiMap(self.d, self.m, self.n, cc)
 
     def __neg__(self):
@@ -94,7 +106,7 @@ class MultiMap:
         return self + (-other)
 
     def scale(self, s) -> "MultiMap":
-        s = Fraction(s)
+        s = _exact(s)
         return MultiMap(self.d, self.m, self.n,
                         {k: s * v for k, v in self.coeffs.items()})
 
@@ -118,8 +130,9 @@ class MultiMap:
         return f"MultiMap(d={self.d}, {self.m}->{self.n}, {len(self.coeffs)} entries)"
 
     def apply(self, *vectors):
-        """Evaluate on m input vectors (dicts index -> Fraction or sequences);
-        returns the output tensor {out_tuple: Fraction}."""
+        """Evaluate on m input vectors, each a dict {index: coefficient}
+        with indices in range(d) or a sequence of exactly d coefficients;
+        returns the output tensor {out_tuple: coefficient}."""
         if len(vectors) != self.m:
             raise MultiMapError(f"expected {self.m} arguments")
         vecs = [_as_vec(v, self.d) for v in vectors]
@@ -131,14 +144,43 @@ class MultiMap:
                 if not w:
                     break
             if w:
-                out[o] = out.get(o, _F0) + w
-        return {k: v for k, v in out.items() if v}
+                out[o] = out.get(o, 0) + w
+        return {k: _exact(v) for k, v in out.items() if v}
+
+
+def _check_keys(cc: dict, d: int, m: int, n: int) -> None:
+    """Every key of cc must be (outputs, inputs): tuples of n and m indices
+    in range(d).  Each distinct index tuple is checked once."""
+    span = set(range(d))
+    for what, tuples, size in (("output", {o for o, _ in cc}, n),
+                               ("input", {i for _, i in cc}, m)):
+        for t in tuples:
+            if type(t) is not tuple or len(t) != size:
+                raise MultiMapError(f"index shape mismatch: {what} {t!r}, "
+                                    f"expected {size} indices")
+            if not span.issuperset(t):
+                raise MultiMapError(f"index out of range: {what} {t!r}, "
+                                    f"expected indices in 0..{d - 1}")
 
 
 def _as_vec(v, d):
     if isinstance(v, dict):
-        return [Fraction(v.get(k, 0)) for k in range(d)]
-    return [Fraction(x) for x in v]
+        for k in v:
+            if k not in range(d):
+                raise MultiMapError(f"vector index {k!r} out of range 0..{d - 1}")
+        return [_exact(v.get(k, 0)) for k in range(d)]
+    v = list(v)
+    if len(v) != d:
+        raise MultiMapError(f"expected a vector of length {d}, got {len(v)}")
+    return [_exact(x) for x in v]
+
+
+def _accumulate(acc: dict, coeffs: dict, s) -> None:
+    """acc += s * coeffs, entry by entry (zeros are dropped later, when a
+    MultiMap is built from acc)."""
+    get = acc.get
+    for k, v in coeffs.items():
+        acc[k] = get(k, 0) + s * v
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +197,33 @@ def comp_ij(f: MultiMap, g: MultiMap, i: int, j: int) -> MultiMap:
         raise MultiMapError(f"input index {i} out of range 1..{b}")
     if not 1 <= j <= c:
         raise MultiMapError(f"output index {j} out of range 1..{c}")
+    i -= 1
+    j -= 1
+    by_out = {}
+    for (go, gi), cg in g.coeffs.items():
+        by_out.setdefault(go[j], []).append((go[:j], go[j + 1:], gi, cg))
     cc = {}
+    get = cc.get
     for (fo, fi), cf in f.coeffs.items():
-        s = fi[i - 1]
-        for (go, gi), cg in g.coeffs.items():
-            if go[j - 1] != s:
-                continue
-            inp = fi[:i - 1] + gi + fi[i:]
-            out = go[:j - 1] + fo + go[j:]
-            key = (out, inp)
-            cc[key] = cc.get(key, _F0) + cf * cg
+        head, tail = fi[:i], fi[i + 1:]
+        for ghead, gtail, gi, cg in by_out.get(fi[i], ()):
+            key = (ghead + fo + gtail, head + gi + tail)
+            cc[key] = get(key, 0) + cf * cg
     return MultiMap(f.d, b + dd - 1, a + c - 1, cc)
 
 
 def insertion_sign(i: int, b: int, j: int, c: int) -> int:
     return -1 if (i * (b + 1) + j * (c + 1)) % 2 else 1
+
+
+def _insertion_sum(f: MultiMap, g: MultiMap, signed: bool) -> MultiMap:
+    b, c = f.m, g.n
+    acc = {}
+    for i in range(1, b + 1):
+        for j in range(1, c + 1):
+            s = insertion_sign(i, b, j, c) if signed else 1
+            _accumulate(acc, comp_ij(f, g, i, j).coeffs, s)
+    return MultiMap(f.d, b + g.m - 1, f.n + c - 1, acc)
 
 
 def circ(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -179,13 +233,7 @@ def circ(f: MultiMap, g: MultiMap) -> MultiMap:
     associator and that of a (1 -> 2) map is its coassociator defect, which
     is what the master equation needs.
     """
-    b, c = f.m, g.n
-    total = None
-    for i in range(1, b + 1):
-        for j in range(1, c + 1):
-            t = comp_ij(f, g, i, j).scale(insertion_sign(i, b, j, c))
-            total = t if total is None else total + t
-    return total
+    return _insertion_sum(f, g, signed=True)
 
 
 def circ_plain(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -195,12 +243,7 @@ def circ_plain(f: MultiMap, g: MultiMap) -> MultiMap:
     pre-Lie algebra and the single-input maps a (left-symmetric) Vinberg
     algebra, in the plain ungraded sense; the signed sum satisfies neither.
     """
-    total = None
-    for i in range(1, f.m + 1):
-        for j in range(1, g.n + 1):
-            t = comp_ij(f, g, i, j)
-            total = t if total is None else total + t
-    return total
+    return _insertion_sum(f, g, signed=False)
 
 
 def bracket(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -216,14 +259,20 @@ def circ_associator(f: MultiMap, g: MultiMap, h: MultiMap,
 def alternating_associator_sum(f: MultiMap, g: MultiMap, h: MultiMap,
                                compose=None) -> MultiMap:
     """Alternating sum of the composition associator over all argument
-    orders (zero iff the composition is Lie-admissible on these inputs)."""
+    orders (zero iff the composition is Lie-admissible on these inputs).
+
+    Each of the six ordered inner compositions compose(x, y) is computed
+    once and serves two associators."""
+    compose = compose or circ
     maps = (f, g, h)
-    total = None
-    for perm in itertools.permutations(range(3)):
-        sgn = _perm_sign(perm)
-        t = circ_associator(*(maps[k] for k in perm), compose=compose).scale(sgn)
-        total = t if total is None else total + t
-    return total
+    inner = {(a, b): compose(maps[a], maps[b])
+             for a, b in itertools.permutations(range(3), 2)}
+    acc = {}
+    for a, b, c in itertools.permutations(range(3)):
+        sgn = _perm_sign((a, b, c))
+        _accumulate(acc, compose(inner[a, b], maps[c]).coeffs, sgn)
+        _accumulate(acc, compose(maps[a], inner[b, c]).coeffs, -sgn)
+    return MultiMap(f.d, f.m + g.m + h.m - 2, f.n + g.n + h.n - 2, acc)
 
 
 def _perm_sign(perm):
@@ -247,11 +296,10 @@ def master_residual(mu: MultiMap, delta: MultiMap) -> dict:
         raise MultiMapError("mu must be a (2 -> 1) map")
     if (delta.m, delta.n) != (1, 2):
         raise MultiMapError("delta must be a (1 -> 2) map")
-    two = Fraction(2)
     return {
-        (3, 1): circ(mu, mu).scale(two),
-        (2, 2): (circ(mu, delta) + circ(delta, mu)).scale(two),
-        (1, 3): circ(delta, delta).scale(two),
+        (3, 1): circ(mu, mu).scale(2),
+        (2, 2): (circ(mu, delta) + circ(delta, mu)).scale(2),
+        (1, 3): circ(delta, delta).scale(2),
     }
 
 
@@ -269,12 +317,12 @@ def assoc_defect(mu: MultiMap) -> MultiMap:
         for (o2, (aidx, bidx)), c2 in _items(mu):
             if o2[0] == s:
                 key = (o1, (aidx, bidx, cidx))
-                cc[key] = cc.get(key, _F0) + c1 * c2
+                cc[key] = cc.get(key, 0) + c1 * c2
     for (o1, (aidx, s)), c1 in _items(mu):
         for (o2, (bidx, cidx)), c2 in _items(mu):
             if o2[0] == s:
                 key = (o1, (aidx, bidx, cidx))
-                cc[key] = cc.get(key, _F0) - c1 * c2
+                cc[key] = cc.get(key, 0) - c1 * c2
     return MultiMap(d, 3, 1, cc)
 
 
@@ -286,12 +334,12 @@ def coassoc_defect(delta: MultiMap) -> MultiMap:
         for ((w1, w2), (t,)), c2 in _items(delta):
             if t == s:
                 key = ((w1, w2, w3), (a,))
-                cc[key] = cc.get(key, _F0) + c1 * c2
+                cc[key] = cc.get(key, 0) + c1 * c2
     for ((w1, s), (a,)), c1 in _items(delta):
         for ((w2, w3), (t,)), c2 in _items(delta):
             if t == s:
                 key = ((w1, w2, w3), (a,))
-                cc[key] = cc.get(key, _F0) - c1 * c2
+                cc[key] = cc.get(key, 0) - c1 * c2
     return MultiMap(d, 1, 3, cc)
 
 
@@ -303,17 +351,17 @@ def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
         for ((t,), (uu, vv)), c2 in _items(mu):
             if t == s:
                 key = ((w1, w2), (uu, vv))
-                cc[key] = cc.get(key, _F0) + c1 * c2
+                cc[key] = cc.get(key, 0) + c1 * c2
     for ((u1, u2), (uu,)), c1 in _items(delta):
         for ((t,), (s, vv)), c2 in _items(mu):
             if s == u2:
                 key = ((u1, t), (uu, vv))
-                cc[key] = cc.get(key, _F0) - c1 * c2
+                cc[key] = cc.get(key, 0) - c1 * c2
     for ((v1, v2), (vv,)), c1 in _items(delta):
         for ((t,), (uu, s)), c2 in _items(mu):
             if s == v1:
                 key = ((t, v2), (uu, vv))
-                cc[key] = cc.get(key, _F0) - c1 * c2
+                cc[key] = cc.get(key, 0) - c1 * c2
     return MultiMap(d, 2, 2, cc)
 
 

@@ -82,8 +82,9 @@ def test_check_specialization_pole(capsys):
     ("check", "LLq", "--q", "abc"),
     ("polarize", "operad X { gen m: none; gen m_s: comm; }"),
     ("quantize", "--degree", "-1"),
+    ("mlab", "--trials", "-2"),
 ], ids=["unknown-map-generator", "zero-denominator-q", "non-numeric-q",
-        "polarized-name-clash", "negative-carrier-degree"])
+        "polarized-name-clash", "negative-carrier-degree", "negative-trial-count"])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
@@ -225,6 +226,12 @@ def test_quantize_report(capsys, schema):
     assert "fails on" in doc["mutated_first_failure"]
 
 
+def test_quantize_mutation_is_caught_at_degree_0(capsys):
+    code, out, _ = run(capsys, "quantize", "--degree", "0", "--mutate")
+    assert code == EXIT_OK
+    assert "mutated bracket: fails as expected" in out
+
+
 def test_quantize_unknown_example(capsys):
     code, _, err = run(capsys, "quantize", "--example", "weyl")
     assert code == EXIT_PARSE
@@ -249,13 +256,16 @@ def test_mlab_seed_reproducible(capsys):
 # -- outputs fixed at a reference version ------------------------------------------
 
 def test_outputs_match_the_golden_file(capsys):
-    """`check NAME --json` for every builtin name, `table --json` and four
-    `quantize` runs, exit code and both streams byte for byte."""
+    """`check NAME --json` for every builtin name, `table --json`, four
+    `quantize` runs and two `mlab` runs, exit code and both streams byte
+    for byte."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     argvs = ([("check", n, "--json") for n in BUILTIN_NAMES] + [("table", "--json")]
              + [("quantize", "--json"), ("quantize", "--mutate", "--json"),
                 ("quantize", "--order", "3", "--degree", "3", "--mutate", "--json"),
-                ("quantize", "--mutate")])
+                ("quantize", "--mutate"),
+                ("mlab", "--seed", "1", "--trials", "20", "--json"),
+                ("mlab", "--seed", "2", "--trials", "5")])
     assert sorted(golden) == sorted(" ".join(a) for a in argvs)
     for argv in argvs:
         code, out, err = run(capsys, *argv)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operadlab.mlab import (MultiMap, MultiMapError, comp_ij, circ, circ_plain,
                             bracket, circ_associator,
@@ -74,6 +75,37 @@ def test_apply_evaluates():
     assert out == {(1,): Fraction(2)}
 
 
+def test_apply_rejects_bad_vectors():
+    mu = MultiMap(2, 2, 1, {((0,), (0, 0)): 1, ((1,), (0, 1)): 1, ((1,), (1, 0)): 1})
+    assert mu.apply([1, 0], {1: 2}) == {(1,): 2}
+    for bad in ([1], [1, 0, 0], {2: 1}, {-1: 1}):
+        with pytest.raises(MultiMapError):
+            mu.apply(bad, [1, 0])
+
+
+@pytest.mark.parametrize("key", [((0, 0), (0, 0)), ((0,), (0,)), ((2,), (0, 1)),
+                                 ((0,), (0, -1))],
+                         ids=["outputs", "inputs", "output-range", "input-range"])
+def test_constructor_checks_shape_and_index_range(key):
+    with pytest.raises(MultiMapError):
+        MultiMap(2, 2, 1, {key: Fraction(1, 2)})
+    assert MultiMap(2, 2, 1, {key: 0}).is_zero()
+
+
+def test_coefficients_are_canonical():
+    k = ((0,), (0,))
+    threes = [MultiMap(1, 1, 1, {k: v}) for v in (3, Fraction(3), Fraction(6, 2))]
+    assert all(type(t.coeffs[k]) is int for t in threes)
+    assert threes[0] == threes[1] == threes[2]
+    assert len({hash(t) for t in threes}) == 1
+    half = MultiMap(1, 1, 1, {k: Fraction(1, 2)})
+    assert type(half.coeffs[k]) is Fraction
+    two_thirds = MultiMap(1, 1, 1, {k: Fraction(2, 3)})
+    for whole in (half + half, half.scale(4), comp_ij(half.scale(3), two_thirds, 1, 1)):
+        assert type(whole.coeffs[k]) is int
+    assert (half - half).is_zero()
+
+
 def test_circ_reduces_to_single_output_sum():
     # with one output the j-sum has one term and the sign is (-1)^(i(b+1))
     rng = random.Random(3)
@@ -85,6 +117,105 @@ def test_circ_reduces_to_single_output_sum():
         total = t if total is None else total + t
     assert circ(f, g) == total
     assert insertion_sign(1, 3, 1, 1) == 1 and insertion_sign(1, 2, 1, 1) == -1
+
+
+# -- the compositions against the definition in the module docstring -------------
+#
+# A reference map is (m, n, {(outputs, inputs): Fraction}); every sum is a
+# direct double sum over all pairs of entries.
+
+PERM_SIGN = {(0, 1, 2): 1, (0, 2, 1): -1, (1, 0, 2): -1,
+             (1, 2, 0): 1, (2, 0, 1): 1, (2, 1, 0): -1}
+
+
+def ref(f):
+    return (f.m, f.n, {k: Fraction(v) for k, v in f.coeffs.items()})
+
+
+def ref_add(total, terms, s):
+    for k, v in terms.items():
+        total[k] = total.get(k, Fraction(0)) + s * v
+
+
+def ref_comp(f, g, i, j):
+    (_, _, fc), (_, _, gc) = f, g
+    out = {}
+    for (fo, fi), cf in fc.items():
+        for (go, gi), cg in gc.items():
+            if go[j - 1] == fi[i - 1]:
+                key = (go[:j - 1] + fo + go[j:], fi[:i - 1] + gi + fi[i:])
+                out[key] = out.get(key, Fraction(0)) + cf * cg
+    return out
+
+
+def ref_compose(signed):
+    def compose(f, g):
+        (b, a, _), (dd, c, _) = f, g
+        total = {}
+        for i in range(1, b + 1):
+            for j in range(1, c + 1):
+                s = (-1) ** (i * (b + 1) + j * (c + 1)) if signed else 1
+                ref_add(total, ref_comp(f, g, i, j), s)
+        return (b + dd - 1, a + c - 1, total)
+    return compose
+
+
+def ref_associator(f, g, h, compose):
+    left, right = compose(compose(f, g), h), compose(f, compose(g, h))
+    total = dict(left[2])
+    ref_add(total, right[2], -1)
+    return (left[0], left[1], total)
+
+
+def ref_alternating(maps, compose):
+    total = {}
+    for perm, sgn in PERM_SIGN.items():
+        m, n, terms = ref_associator(*(maps[k] for k in perm), compose)
+        ref_add(total, terms, sgn)
+    return (m, n, total)
+
+
+def assert_matches(mm, reference):
+    m, n, terms = reference
+    assert (mm.m, mm.n) == (m, n)
+    assert mm.coeffs == {k: v for k, v in terms.items() if v}
+    for v in mm.coeffs.values():
+        assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+NONINTEGRAL = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+    lambda q: q.denominator > 1)
+
+
+@st.composite
+def sparse_triples(draw):
+    d = draw(st.integers(1, 3))
+
+    def indices(k):
+        return st.tuples(*[st.integers(0, d - 1)] * k)
+
+    maps = []
+    for _ in range(3):
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        terms = draw(st.dictionaries(st.tuples(indices(n), indices(m)), NONINTEGRAL,
+                                     min_size=1, max_size=5))
+        maps.append(MultiMap(d, m, n, terms))
+    return maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=sparse_triples())
+def test_compositions_match_the_double_sum_definition(maps):
+    f, g, h = maps
+    refs = [ref(x) for x in maps]
+    for compose, reference in ((circ, ref_compose(True)), (circ_plain, ref_compose(False))):
+        assert_matches(compose(f, g), reference(refs[0], refs[1]))
+        assert_matches(circ_associator(f, g, h, compose=compose),
+                       ref_associator(*refs, reference))
+        assert_matches(alternating_associator_sum(f, g, h, compose=compose),
+                       ref_alternating(refs, reference))
+    assert alternating_associator_sum(f, g, h) == alternating_associator_sum(
+        f, g, h, compose=circ)
 
 
 # -- the ungraded symmetry laws under the unsigned composition --------------------
