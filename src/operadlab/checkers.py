@@ -45,8 +45,9 @@ def check_cyclic(p: Presentation) -> bool:
 
 
 def check_dihedral(p: Presentation) -> bool:
-    """R preserved by the left involution; cross-checked against the
-    splitting R = (R ∩ Γ+) ⊕ (R ∩ Γ-)."""
+    """R preserved by the left involution.  Cross-checked against the
+    splitting R = (R ∩ Γ+) ⊕ (R ∩ Γ-), each part found from the rows of R
+    modulo the rational space Γ±, so that only R's rows are reduced."""
     by_lambda = p.R.is_invariant(lambda v: left_lambda(p.shape, v))
     gp, gm = gamma_plus_split(p.shape)
     rp = p.R.intersect(gp)

@@ -375,14 +375,33 @@ class Subspace:
         return Subspace(self.shape, list(self.rows) + list(other.rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: RREF of [[A A], [B 0]]; rows with zero left half carry
-        the intersection in their right half."""
+        """The combinations sum c_i a_i of this space's rows that `other`
+        contains: the null space of the remainders r_i = other.reduce(a_i).
+
+        Only this space's rows are reduced, and the elimination that finds
+        the null space is k columns wide (k = self.dim), never 2n.  Pass the
+        space with the simpler coefficients (e.g. a rational one) as
+        `other`, so that the reduction stays cheap."""
         _compat(self, other)
-        n = self.ambient
-        big = [list(r) + list(r) for r in self.rows]
-        big += [list(r) + [SC0] * n for r in other.rows]
-        rows, _ = _rref(big, 2 * n)
-        inter = [r[n:] for r in rows if not any(r[:n])]
+        k = self.dim
+        rems = [other.reduce(r) for r in self.rows]
+        # a coordinate of the remainders is one linear condition on c
+        rows: list = []
+        pivots: list = []
+        for cond in zip(*rems):
+            if len(rows) == k:
+                break
+            if any(cond):
+                _rref_insert(rows, pivots, cond, k)
+        # each free column f gives c_f = 1 and c_p = -row_p[f] at the pivots
+        inter = []
+        for f in sorted(set(range(k)) - set(pivots)):
+            v = list(self.rows[f])
+            for p, row in zip(pivots, rows):
+                c = row[f]
+                if c:
+                    v = [a - c * b if b else a for a, b in zip(v, self.rows[p])]
+            inter.append(v)
         return Subspace(self.shape, inter)
 
     def is_invariant(self, action) -> bool:

@@ -225,10 +225,18 @@ class StarProduct:
         return self.rule(TPoly.monomial(0, 0), TPoly.monomial(0, 0)).order
 
     def _pair(self, key):
-        """The rule on x^i1 p^j1, x^i2 p^j2 as (k, i, j, c) terms by t-power."""
+        """The rule on x^i1 p^j1, x^i2 p^j2 as (k, i, j, c) terms by t-power.
+        The table is truncated at one order, so every pair must report
+        `precision`."""
         terms = self._pairs.get(key)
         if terms is None:
             w = self.rule(TPoly.monomial(*key[:2]), TPoly.monomial(*key[2:]))
+            if w.order != self.precision:
+                i1, j1, i2, j2 = key
+                raise QuantizeError(
+                    f"{self.name}: the rule reports order {w.order} on "
+                    f"x^{i1} p^{j1}, x^{i2} p^{j2} but order {self.precision} "
+                    f"on 1, 1")
             terms = self._pairs[key] = tuple(m + (c,) for m, c in sorted(w.coeffs.items()))
         return terms
 

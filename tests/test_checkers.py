@@ -13,7 +13,7 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar, RatFunc
                        CheckerError, span_closure, sigma3_closure,
                        ActionMatrix, GAMMA3, TAU12, CYC123, EShape,
                        basis_vector, left_lambda, gamma_plus_split,
-                       parse_presentation)
+                       parse_presentation, Subspace)
 from operadlab.checkers import BPoly, _solve_constraints, _T3
 from conftest import associator, E, M, C, B, X, Y, Z
 from test_scalar import small_fracs
@@ -67,6 +67,32 @@ def test_dihedral_methods_agree_on_random_closed_subspaces(t3_shape):
         by_lambda = space.is_invariant(lam)
         by_split = (space.intersect(gp).dim + space.intersect(gm).dim) == space.dim
         assert by_lambda == by_split
+
+
+MIXED_TOWER_T = (
+    "operad T { gen m: none; rel ((q-1)/(2*q+6))*m(m(x,y),z)"
+    " + ((3/7)*u*v)*m(x,m(y,z)) - (v/(q^2+1))*m(m(y,x),z)"
+    " + (u+v)*m(y,m(x,z)) = 0; }")
+
+
+def test_mixed_tower_relation_is_decided(monkeypatch):
+    # coefficients in all of Q(q)(sqrt 2, sqrt q); the splitting route
+    # used to grow its coefficients without bound on this relation
+    p = parse_presentation(MIXED_TOWER_T)
+    assert p.R.dim == 6
+    assert check_cyclic(p) is False
+    dims = []
+    intersect = Subspace.intersect
+
+    def recorded(self, other):
+        out = intersect(self, other)
+        dims.append(out.dim)
+        return out
+
+    monkeypatch.setattr(Subspace, "intersect", recorded)
+    # no InternalInconsistencyError: the lambda route and the split agree
+    assert check_dihedral(p) is False
+    assert dims == [0, 0]       # R ∩ Γ+ and R ∩ Γ-
 
 
 # -- coassociativity and the counit ---------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operadlab import (EShape, Scalar, basis_vector, right_action,
                        left_lambda, span_closure,
@@ -228,6 +229,65 @@ def test_subspace_ops(t3_shape):
     assert s01.intersect(s0) == s0
     assert s0.sum(Subspace(t3_shape, [v1])) == s01
     assert Subspace(t3_shape, [v0, v0]).dim == 1
+
+
+# entries: small rationals, or a + b*q + c*u + d*v with small rational a..d
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+TOWER_GENS = (Scalar.one(), Scalar.q(), Scalar.u(), Scalar.v())
+entries = st.one_of(
+    small.map(Scalar.from_fraction),
+    st.tuples(*[small] * 4).map(
+        lambda cs: sum((g * c for g, c in zip(TOWER_GENS, cs)), Scalar.zero())))
+
+
+def sparse_vector(support):
+    size = EShape([("m", "none")]).basis_size
+    return st.dictionaries(st.integers(0, size - 1), entries,
+                           min_size=1, max_size=support).map(
+        lambda d: tuple(d.get(i, Scalar.zero()) for i in range(size)))
+
+
+def check_intersection(a, b):
+    inter = a.intersect(b)
+    assert a.contains_subspace(inter) and b.contains_subspace(inter)
+    assert inter.dim == a.dim + b.dim - a.sum(b).dim
+    assert b.intersect(a) == inter
+    return inter
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool=st.lists(sparse_vector(3), min_size=1, max_size=4),
+       picks=st.tuples(*[st.sets(st.integers(0, 3))] * 2),
+       extra=st.tuples(*[st.lists(sparse_vector(2), max_size=1)] * 2))
+def test_intersect_properties(t3_shape, pool, picks, extra):
+    # A and B share vectors of one pool, so that A ∩ B is often nonzero
+    a, b = (Subspace(t3_shape, [pool[i] for i in sorted(p) if i < len(pool)] + e)
+            for p, e in zip(picks, extra))
+    check_intersection(a, b)
+
+
+def test_intersect_edge_cases(t3_shape):
+    q, u, v = Scalar.q(), Scalar.u(), Scalar.v()
+    zero, one = Scalar.zero(), Scalar.one()
+
+    def vec(entries):
+        return tuple(entries.get(i, zero) for i in range(t3_shape.basis_size))
+
+    vecs = [vec({0: one, 3: q}), vec({1: u, 5: -v, 7: one}), vec({0: q + u, 2: one})]
+    empty = Subspace(t3_shape)
+    part = Subspace(t3_shape, vecs[:2])
+    whole = Subspace(t3_shape, vecs)
+    assert check_intersection(empty, whole) == empty
+    assert check_intersection(whole, empty) == empty
+    assert check_intersection(part, whole) == part        # A ⊂ B
+    assert check_intersection(whole, part) == part        # B ⊂ A
+    assert check_intersection(whole, whole) == whole      # A == B
+    assert check_intersection(empty, empty) == empty
+    # neither row of `mixed` lies in `part`, but their sum does
+    mixed = Subspace(t3_shape, [tuple(a + b for a, b in zip(vecs[0], vecs[2])),
+                                tuple(a - b for a, b in zip(vecs[1], vecs[2]))])
+    sum01 = tuple(a + b for a, b in zip(vecs[0], vecs[1]))
+    assert check_intersection(mixed, part) == Subspace(t3_shape, [sum01])
 
 
 def test_subspace_dimension_mismatch(t3_shape):

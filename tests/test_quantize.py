@@ -267,6 +267,21 @@ def test_pair_table_is_filled_once_per_instance():
     assert StarProduct(4, rule).is_associative(2) and len(calls) == 2 * first
 
 
+def test_pair_with_another_order_is_rejected():
+    moyal = moyal_star(4).rule
+
+    def rule(u, v):
+        # trusted mod t^4 everywhere except on the pair (x, p)
+        odd = (0, 1, 0) in u.coeffs and (0, 0, 1) in v.coeffs
+        return TPoly(moyal(u, v).coeffs, 3 if odd else 4)
+
+    s = StarProduct(4, rule, name="uneven")
+    assert s.expand(mono(1, 0), mono(1, 0)).order == 4
+    with pytest.raises(QuantizeError, match=r"order 3 on x\^1 p\^0, x\^0 p\^1 "
+                                            r"but order 4 on 1, 1"):
+        s.expand(mono(1, 0), mono(0, 1))
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 nonzero = small.filter(bool)
 EXPONENTS = [(i, j) for i in range(4) for j in range(4 - i)]
