@@ -18,13 +18,15 @@ other quadratic gcd leaves the verdict undecided.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import NamedTuple
 
 from .scalar import Scalar, as_scalar, SC0, SC1, padd, pmul
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
-                    left_lambda)
+                    left_lambda, _eliminate)
 from .presentation import (Presentation, RelationExpr, relation_vector,
-                           App, Var, PresentationError, depolarize_presentation)
+                           App, Var, PresentationError, depolarize_presentation,
+                           expr_from_vector)
 
 
 class CheckerError(ValueError):
@@ -270,7 +272,7 @@ def coassoc_family(d: DiagonalCandidate) -> str | None:
 # ---------------------------------------------------------------------------
 
 class HopfResult(NamedTuple):
-    verdict: str                 # none | unique | all | undecided
+    verdict: str                 # none | unique | all | undecided | unsupported
     witness: object = None       # Scalar (type 3), dict (type 1), or None
     diagnostic: str | None = None
 
@@ -352,14 +354,8 @@ def _hopf_constraints(shape: EShape, R: Subspace, tbl):
 
 def _reduce_bpoly(sparse_vec, R: Subspace):
     """Reduce a sparse BPoly vector modulo a Scalar-coefficient subspace."""
-    vec = dict(sparse_vec)
-    for row, piv in zip(R.rows, R.pivots):
-        c = vec.get(piv)
-        if c is None or c.is_zero():
-            continue
-        for k in range(piv, R.ambient):
-            if row[k]:
-                vec[k] = vec.get(k, _BP0) - c * row[k]
+    vec = _eliminate(defaultdict(lambda: _BP0, sparse_vec),
+                     R.rows, R.pivots, R.ambient)
     return [(i, c) for i, c in vec.items() if c]
 
 
@@ -403,10 +399,8 @@ def _bpoly_gcd(a: BPoly, b: BPoly) -> BPoly:
 
 
 def _render_row(shape, row):
-    parts = []
-    for i, c in enumerate(row):
-        if c:
-            parts.append(f"({c.render()})*{shape.monomial_str(i)}")
+    parts = [f"({c.render()})*{t.render()}"
+             for c, t in expr_from_vector(shape, row).terms]
     return " + ".join(parts) if parts else "0"
 
 
@@ -422,6 +416,9 @@ def slotmap_from_exprs(p: Presentation, p2: Presentation, mapping) -> SlotMap:
     """
     images = {}
     shape, shape2 = p.shape, p2.shape
+    extra = sorted(set(mapping) - {g.name for g in p.generators})
+    if extra:
+        raise CheckerError(f"no source generator named {extra[0]!r}")
     for g in p.generators:
         if g.name not in mapping:
             raise CheckerError(f"no image given for generator {g.name!r}")
@@ -436,24 +433,18 @@ def slotmap_from_exprs(p: Presentation, p2: Presentation, mapping) -> SlotMap:
             if names == ("x", "y"):
                 img.append((coeff, sl))
             elif names == ("y", "x"):
-                sl2, sgn = shape2.tau(sl)
-                img.append((coeff if sgn == 1 else -coeff, sl2))
+                img.append(shape2.tau_term(coeff, sl))
             else:
                 raise CheckerError("generator images must use x and y once each")
         images[shape.slot(g.name)] = img
         if g.symmetry == "none":
             sl_op = shape.slot(g.name, 1)
-            images[sl_op] = [_tau_term(shape2, c, t) for c, t in img]
+            images[sl_op] = [shape2.tau_term(c, t) for c, t in img]
     sm = SlotMap(shape, shape2, images)
     if not sm.check_equivariant():
         raise CheckerError("generator map is not equivariant for the "
                            "transposition action")
     return sm
-
-
-def _tau_term(shape2, c, t):
-    t2, sgn = shape2.tau(t)
-    return (c if sgn == 1 else -c, t2)
 
 
 def check_substitution_iso(p: Presentation, p2: Presentation, mapping) -> bool:

@@ -21,7 +21,7 @@ from .presentation import (Presentation, ParseError, PresentationError,
                            builtin, parse_presentation, polarize_presentation,
                            depolarize_presentation, BUILTIN_NAMES, _Parser,
                            RelationExpr, App, Var)
-from .checkers import (check_cyclic, check_dihedral, hopf_analyze,
+from .checkers import (check_cyclic, check_dihedral, hopf_analyze, HopfResult,
                        check_substitution_iso, verdict_report,
                        InternalInconsistencyError, CheckerError)
 
@@ -95,7 +95,11 @@ def cmd_check(args) -> int:
         payload["dihedral"] = check_dihedral(p)
         lines.append(f"  dihedral: {'yes' if payload['dihedral'] else 'no'}")
     if "hopf" in wanted:
-        h = hopf_analyze(p)
+        try:
+            h = hopf_analyze(p)
+        except CheckerError as e:
+            # the other verdicts are decided; only this one is out of reach
+            h = HopfResult("unsupported", None, str(e))
         payload["hopf"] = {"verdict": h.verdict, "witness": h.witness_str()}
         w = f" (B = {h.witness_str()})" if h.witness is not None else ""
         lines.append(f"  hopf:     {h.verdict}{w}")
@@ -221,7 +225,10 @@ def _parse_map(text: str, p: Presentation, p2: Presentation, q=None):
         t = parser.peek()
         if t.kind != "EOF":
             raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
-        mapping[gname.strip()] = expr
+        gname = gname.strip()
+        if gname in mapping:
+            raise CheckerError(f"generator {gname!r} is mapped twice")
+        mapping[gname] = expr
     return mapping
 
 

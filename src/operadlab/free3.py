@@ -91,6 +91,11 @@ class EShape:
             return self._slot_of[(gi, 1 - ver)], 1
         return slot, (1 if sym == "comm" else -1)
 
+    def tau_term(self, c, slot: int):
+        """The transposition image of the signed slot term c * slot."""
+        t, sign = self.tau(slot)
+        return (c if sign == 1 else -c), t
+
     def action(self, element) -> "ActionMatrix":
         """The signed slot permutation of a group element, or of LAMBDA,
         built once per instance (equal shapes do not share matrices)."""
@@ -116,20 +121,6 @@ class EShape:
         fg, l = divmod(idx, 3)
         f, g = divmod(fg, self.dim)
         return f, g, l
-
-    def monomial_str(self, idx: int) -> str:
-        """Render the basis monomial as generator applications on x, y, z."""
-        f, g, l = self.basis_triple(idx)
-        a, b = VARS[(l + 1) % 3], VARS[(l + 2) % 3]
-        inner = self._app_str(g, a, b)
-        return self._app_str(f, inner, VARS[l])
-
-    def _app_str(self, slot: int, s: str, t: str) -> str:
-        gi, ver = self.slots[slot]
-        name = self.gens[gi][0]
-        if ver:
-            s, t = t, s
-        return f"{name}({s},{t})"
 
 
 def basis_vector(shape: EShape, idx: int):
@@ -224,7 +215,6 @@ class GroupElement:
 GAMMA3 = GroupElement((1, 2, 3, 0))        # the cycle (0 1 2 3)
 TAU12 = GroupElement.sigma3((2, 1, 3))
 TAU23 = GroupElement.sigma3((1, 3, 2))
-TAU13 = GroupElement.sigma3((3, 2, 1))
 CYC123 = GroupElement.sigma3((2, 3, 1))    # x -> y -> z -> x
 
 SIGMA3 = tuple(GroupElement.sigma3((a + 1, b + 1, c + 1))
@@ -405,8 +395,7 @@ class Subspace:
         return Subspace(self.shape, inter)
 
     def is_invariant(self, action) -> bool:
-        apply = action.apply if isinstance(action, ActionMatrix) else action
-        return all(self.contains(apply(r)) for r in self.rows)
+        return all(self.contains(action(r)) for r in self.rows)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -428,8 +417,9 @@ def _rref(vectors, width):
     return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
-def _eliminate(vec: list, rows, pivots, width) -> list:
-    """Clear vec (in place) at every pivot column of the echelon rows."""
+def _eliminate(vec, rows, pivots, width):
+    """Clear vec (in place) at every pivot column of the echelon rows; vec
+    is a list or a sparse defaultdict that reads a missing entry as zero."""
     for row, p in zip(rows, pivots):
         c = vec[p]
         if c:
@@ -469,12 +459,11 @@ def span_closure(shape: EShape, vectors, actions=()) -> Subspace:
     pivots: list = []
     for v in vectors:
         _rref_insert(rows, pivots, v, width)
-    appliers = [a.apply if isinstance(a, ActionMatrix) else a for a in actions]
     changed = bool(rows)
     while changed:
         changed = False
         for r in [tuple(r) for r in rows]:
-            for ap in appliers:
+            for ap in actions:
                 if _rref_insert(rows, pivots, ap(r), width) is not None:
                     changed = True
     return Subspace(shape, (),
@@ -506,26 +495,14 @@ class SlotMap:
     def check_equivariant(self) -> bool:
         for s in range(self.src.dim):
             s2, sign = self.src.tau(s)
-            lhs = self._tau_image(self.images[s])
+            lhs = [self.dst.tau_term(c, t) for c, t in self.images[s]]
             rhs = [(c if sign == 1 else -c, t) for c, t in self.images[s2]]
             if _collect(lhs, self.dst.dim) != _collect(rhs, self.dst.dim):
                 return False
         return True
 
-    def _tau_image(self, imgs):
-        out = []
-        for c, t in imgs:
-            t2, sign = self.dst.tau(t)
-            out.append((c if sign == 1 else -c, t2))
-        return out
-
     def matrix_rank(self) -> int:
-        vecs = []
-        for s in range(self.src.dim):
-            row = [SC0] * self.dst.dim
-            for c, t in self.images[s]:
-                row[t] = row[t] + c
-            vecs.append(row)
+        vecs = [_collect(self.images[s], self.dst.dim) for s in range(self.src.dim)]
         rows, _ = _rref(vecs, self.dst.dim)
         return len(rows)
 
@@ -567,6 +544,22 @@ def polarized_shape(shape: EShape) -> EShape:
     return EShape(gens)
 
 
+def _polarization(src: EShape, dst: EShape, pairs) -> SlotMap:
+    """The slot map that sends each source slot pair (x, y) of `pairs` to
+    ((x' + y')/sqrt(2), (x' - y')/sqrt(2)), where (x', y') is the dst slot
+    pair given with it, and every other slot to the dst slot with the same
+    name and version.  On a pair this is (1/sqrt(2))[[1, 1], [1, -1]],
+    which squares to 1: polarizing and depolarizing are the same map."""
+    images = {}
+    for (x, y), (x2, y2) in pairs:
+        images[x] = [(INV_SQRT2, x2), (INV_SQRT2, y2)]
+        images[y] = [(INV_SQRT2, x2), (-INV_SQRT2, y2)]
+    for k, (gi, ver) in enumerate(src.slots):
+        if k not in images:
+            images[k] = [(SC1, dst.slot(src.gens[gi][0], ver))]
+    return SlotMap(src, dst, images)
+
+
 def polarize_map(shape: EShape, dst: EShape | None = None, pairing=None) -> SlotMap:
     """m -> (c + a)/sqrt(2), m~ -> (c - a)/sqrt(2); comm/anti slots pass through.
 
@@ -577,16 +570,9 @@ def polarize_map(shape: EShape, dst: EShape | None = None, pairing=None) -> Slot
         dst = polarized_shape(shape)
     if pairing is None:
         pairing = {n: (n + "_s", n + "_a") for n, s in shape.gens if s == "none"}
-    images = {}
-    for k, (gi, ver) in enumerate(shape.slots):
-        name, sym = shape.gens[gi]
-        if sym == "none":
-            cn, an = pairing[name]
-            sgn = SC1 if ver == 0 else -SC1
-            images[k] = [(INV_SQRT2, dst.slot(cn)), (INV_SQRT2 * sgn, dst.slot(an))]
-        else:
-            images[k] = [(SC1, dst.slot(name))]
-    return SlotMap(shape, dst, images)
+    return _polarization(shape, dst, [
+        ((shape.slot(n), shape.slot(n, 1)), (dst.slot(cn), dst.slot(an)))
+        for n, (cn, an) in pairing.items()])
 
 
 def depolarize_map(shape: EShape, dst: EShape, pairing) -> SlotMap:
@@ -594,21 +580,9 @@ def depolarize_map(shape: EShape, dst: EShape, pairing) -> SlotMap:
     no-symmetry generator.  pairing maps target generator name ->
     (comm source name, anti source name); unpaired comm/anti source
     generators map to the target generator of the same name."""
-    paired = {}
-    for tgt, (cn, an) in pairing.items():
-        paired[cn] = (tgt, 1)
-        paired[an] = (tgt, -1)
-    images = {}
-    for k, (gi, ver) in enumerate(shape.slots):
-        name, sym = shape.gens[gi]
-        if name in paired:
-            tgt, sgn = paired[name]
-            m0 = dst.slot(tgt, 0)
-            m1 = dst.slot(tgt, 1)
-            images[k] = [(INV_SQRT2, m0), (INV_SQRT2 if sgn == 1 else -INV_SQRT2, m1)]
-        else:
-            images[k] = [(SC1, dst.slot(name, ver))]
-    return SlotMap(shape, dst, images)
+    return _polarization(shape, dst, [
+        ((shape.slot(cn), shape.slot(an)), (dst.slot(tgt), dst.slot(tgt, 1)))
+        for tgt, (cn, an) in pairing.items()])
 
 
 def gamma_plus_split(shape: EShape):

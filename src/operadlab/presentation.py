@@ -227,7 +227,8 @@ def _scalar_uses_q(s: Scalar) -> bool:
 
 def expr_from_vector(shape: EShape, vec) -> RelationExpr:
     """Rewrite a coordinate vector as a relation expression (one term per
-    nonzero canonical basis monomial)."""
+    nonzero canonical basis monomial).  This is the one decoder of a basis
+    index into its left-comb monomial; rendering a vector goes through it."""
     terms = []
     for i, coeff in enumerate(vec):
         if not coeff:

@@ -17,7 +17,6 @@ from .free3 import Subspace, GroupElement, ActionMatrix
 
 IRREP_NAMES = ("id", "sgn", "V22", "V31", "V211")
 
-CLASS_NAMES = ("I", "(01)", "(012)", "(0123)", "(01)(23)")
 CLASS_SIZES = (1, 6, 8, 6, 3)
 GROUP_ORDER = 24
 

@@ -78,17 +78,30 @@ def test_check_specialization_pole(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("iso", "Ass", "Ass", "--map", "m=k(x,y)"),
+    ("iso", "Ass", "Ass", "--map", "m=m(x,y); k=m(y,x)"),
+    ("iso", "Ass", "Ass", "--map", "m=m(x,y); m=m(y,x)"),
     ("check", "Ass", "--q", "1/0"),
     ("check", "LLq", "--q", "abc"),
     ("polarize", "operad X { gen m: none; gen m_s: comm; }"),
     ("quantize", "--degree", "-1"),
     ("mlab", "--trials", "-2"),
-], ids=["unknown-map-generator", "zero-denominator-q", "non-numeric-q",
+], ids=["unknown-map-generator", "map-key-not-a-generator",
+        "map-key-given-twice", "zero-denominator-q", "non-numeric-q",
         "polarized-name-clash", "negative-carrier-degree", "negative-trial-count"])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_keeps_decided_verdicts_when_hopf_is_unsupported(capsys, schema):
+    code, doc = run_json(capsys, schema, "check", "CyclicNotDihedral", "--json")
+    assert code == EXIT_OK
+    assert (doc["cyclic"], doc["dihedral"]) == (True, False)
+    assert doc["hopf"] == {"verdict": "unsupported", "witness": None}
+    code, out, err = run(capsys, "check", "CyclicNotDihedral")
+    assert code == EXIT_OK and err == ""
+    assert "hopf:     unsupported" in out
 
 
 # CyclicNotDihedral with its comm generator c renamed m_s, the name that

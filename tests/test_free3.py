@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operadlab import (EShape, Scalar, basis_vector, right_action,
-                       left_lambda, span_closure,
+                       left_lambda, span_closure, expr_from_vector,
                        sigma3_closure, gamma_plus_split, polarize_map,
                        depolarize_map, SIGMA3, SIGMA3_PLUS, GAMMA3, TAU12,
                        TAU23, CYC123, ActionMatrix, Subspace, GroupElement,
@@ -39,7 +39,7 @@ def test_basis_sizes():
 
 def test_comm_basis_monomials():
     shape = EShape([("c", "comm")])
-    labels = {shape.monomial_str(i) for i in range(3)}
+    labels = {expr_from_vector(shape, basis_vector(shape, i)).render() for i in range(3)}
     assert labels == {"c(c(y,z),x)", "c(c(z,x),y)", "c(c(x,y),z)"}
 
 
@@ -160,6 +160,19 @@ def test_polarize_roundtrip(t3_shape):
         assert pm.apply(dm.apply(pm.apply(v))) == pm.apply(v)
     zero = tuple([Scalar.zero()] * t3_shape.basis_size)
     assert pm.apply(zero) == tuple([Scalar.zero()] * pm.dst.basis_size)
+
+
+def test_polarize_roundtrip_passes_unpaired_slots_through():
+    shape = EShape([("m", "none"), ("c", "comm"), ("b", "anti")])
+    pm = polarize_map(shape)
+    dm = depolarize_map(pm.dst, shape, {"m": ("m_s", "m_a")})
+    for i in range(shape.basis_size):
+        v = basis_vector(shape, i)
+        assert dm.apply(pm.apply(v)) == v
+    for sm in (pm, dm):
+        assert sm.check_equivariant() and sm.is_invertible()
+        for name in ("c", "b"):
+            assert sm.images[sm.src.slot(name)] == ((Scalar.one(), sm.dst.slot(name)),)
 
 
 def test_polarize_intertwines_actions(t3_shape):
