@@ -10,10 +10,12 @@ Hopf existence is decided inside the counital normalized family
 the only shape a coassociative counital diagonal can take: the induced
 arity-3 map into the tensor square of the quotient must kill the
 relations, which collects polynomial constraints of degree <= 2 on B.
-Their gcd, computed by Euclid's algorithm over the coefficient tower (a
-field), decides the verdict: no constraint admits every B, a constant
-gcd admits none, a linear gcd (or the square of one) a unique B, and any
-other quadratic gcd leaves the verdict undecided.
+Their common roots are those of the last row of the reduced echelon form
+of their span, taken as vectors in the columns B^2, B, 1 over the
+coefficient tower (a field): no constraint admits every B, a constant
+last row admits none, a linear one (which must also kill the row above
+it) or the square of one a unique B, and any other quadratic leaves the
+verdict undecided.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 from .scalar import Scalar, as_scalar, SC0, SC1, padd, pmul
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
-                    left_lambda, _eliminate)
+                    left_lambda, _eliminate, _rref)
 from .presentation import (Presentation, RelationExpr, relation_vector,
                            App, Var, PresentationError, depolarize_presentation,
                            expr_from_vector)
@@ -92,9 +94,6 @@ class BPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -113,17 +112,6 @@ class BPoly:
         return BPoly(pmul(self.coeffs, _as_bpoly(other).coeffs))
 
     __rmul__ = __mul__
-
-    def __mod__(self, other):
-        """Remainder of the division by a nonzero polynomial."""
-        r = list(self.coeffs)
-        d = other.degree
-        inv = other.coeffs[-1].inverse()
-        while len(r) > d:
-            c = r.pop() * inv
-            for k in range(d):
-                r[len(r) - d + k] -= c * other.coeffs[k]
-        return BPoly(r)
 
     def __call__(self, value: Scalar) -> Scalar:
         acc = SC0
@@ -360,42 +348,38 @@ def _reduce_bpoly(sparse_vec, R: Subspace):
 
 
 def _solve_constraints(shape: EShape, constraints) -> HopfResult:
-    """The verdict on B from the (BPoly, source row) constraints, through
-    the gcd of all of them over the tower, which is a field: a constant
-    gcd proves there is no B, a linear one (or the square of one) gives
-    the only B.  Every constraint has degree <= 2, being a product of two
-    table entries of degree <= 1, so any other gcd is a quadratic whose
-    roots may lie outside the tower, and the verdict is left undecided."""
+    """The verdict on B from the (BPoly, source row) constraints.  Every
+    constraint has degree <= 2, being a product of two table entries of
+    degree <= 1, so the constraints span a subspace of the polynomials
+    c2 B^2 + c1 B + c0, and their common roots are those of any basis of
+    it.  The reduced echelon form (columns B^2, B, 1) over the tower, a
+    field, is such a basis; its last row g is monic of least degree.  A
+    constant g proves there is no B; a linear g gives the only candidate,
+    which must also kill the row above it; the square of a linear g gives
+    the only B.  Any other quadratic g has roots that may lie outside the
+    tower, and the verdict is left undecided.  The constraints are
+    inserted smallest first: the echelon form is the same in any order,
+    but the order decides which tower elements get inverted."""
     if not constraints:
         return HopfResult("all", "any B", None)
     polys = {c.coeffs: c for c, _ in constraints}.values()    # distinct ones
-    g = _BP0
-    for c in polys:
-        g = _bpoly_gcd(g, c)
-        if g.degree == 0:
-            return HopfResult("none", None,
-                              f"no admissible B; first failing relation: "
-                              f"{_render_row(shape, constraints[0][1])}")
+    order = sorted(polys, key=lambda c: sum(x.bit_size() for x in c.coeffs))
+    rows, _ = _rref([(SC0,) * (2 - c.degree) + c.coeffs[::-1] for c in order], 3)
+    *above, g = (BPoly(r[::-1]) for r in rows)
     if g.degree == 1:
         root = -g.coeffs[0]
     elif g.degree == 2 and g.coeffs[1] * g.coeffs[1] == g.coeffs[0] * 4:
         root = -g.coeffs[1] / 2
-    else:
+    elif g.degree == 2:
         return HopfResult("undecided", None,
                           f"constraints share the factor {g.render()} = 0 "
                           f"over the tower")
+    if g.degree == 0 or any(h(root) for h in above):
+        return HopfResult("none", None,
+                          f"no admissible B; first failing relation: "
+                          f"{_render_row(shape, constraints[0][1])}")
     assert all(c(root).is_zero() for c in polys)
     return HopfResult("unique", root, None)
-
-
-def _bpoly_gcd(a: BPoly, b: BPoly) -> BPoly:
-    """Monic gcd by Euclid's algorithm (the zero polynomial if both are)."""
-    while b:
-        a, b = b, a % b
-    if not a:
-        return a
-    inv = a.coeffs[-1].inverse()
-    return BPoly([c * inv for c in a.coeffs])
 
 
 def _render_row(shape, row):

@@ -233,8 +233,13 @@ def _parse_map(text: str, p: Presentation, p2: Presentation, q=None):
 
 
 def cmd_iso(args) -> int:
-    p = depolarize_presentation(_load_presentation(args.p1, args.q))
-    p2 = depolarize_presentation(_load_presentation(args.p2, args.q))
+    p = _load_presentation(args.p1, args.q)
+    p2 = _load_presentation(args.p2, args.q)
+    # star and opposite are defined on one no-symmetry generator; any other
+    # map compares the presentations as given when their generators match
+    if (args.map in ("star", "opposite") or [g.symmetry for g in p.generators]
+            != [g.symmetry for g in p2.generators]):
+        p, p2 = depolarize_presentation(p), depolarize_presentation(p2)
     if args.map == "star":
         # the star formula defines the second product from the first, so the
         # generator substitution runs from the second presentation's side

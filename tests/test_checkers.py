@@ -13,7 +13,7 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar, RatFunc
                        CheckerError, span_closure, sigma3_closure,
                        ActionMatrix, GAMMA3, TAU12, CYC123, EShape,
                        basis_vector, left_lambda, gamma_plus_split,
-                       parse_presentation, Subspace)
+                       parse_presentation, Subspace, depolarize_presentation)
 from operadlab.checkers import BPoly, _solve_constraints, _T3
 from conftest import associator, E, M, C, B, X, Y, Z
 from test_scalar import small_fracs
@@ -93,6 +93,11 @@ def test_mixed_tower_relation_is_decided(monkeypatch):
     # no InternalInconsistencyError: the lambda route and the split agree
     assert check_dihedral(p) is False
     assert dims == [0, 0]       # R ∩ Γ+ and R ∩ Γ-
+    # 21 distinct Hopf constraints whose echelon form has a constant row
+    h = hopf_analyze(p)
+    assert h.verdict == "none" and h.witness is None
+    assert h.diagnostic.startswith("no admissible B; first failing relation: "
+                                   "(1)*m(m(y,z),x)")
 
 
 # -- coassociativity and the counit ---------------------------------------------
@@ -201,29 +206,19 @@ def test_hopf_specialization_matches():
     assert h1.witness == hopf_analyze(builtin("Ass")).witness
 
 
-def test_hopf_witness_self_verifies():
+HOPF_SCALAR_WITNESS = ("Ass", "G1", "LL0", "LL1", "LLminus3", "LLq",
+                       "LLq_depolarized", "Poiss", "Poiss_polarized")
+
+
+@pytest.mark.parametrize("name", HOPF_SCALAR_WITNESS)
+def test_hopf_witness_self_verifies(name):
     # substituting the witness back kills the relations in the quotient square
-    from operadlab.checkers import _hopf_type3, _delta2_table, _delta3, _reduce_bpoly
-    p = builtin("Poiss")
+    from operadlab.checkers import _hopf_constraints, _delta2_table
+    p = depolarize_presentation(builtin(name))
     h = hopf_analyze(p)
-    d = DiagonalCandidate.normalized_family().at(h.witness)
-    tbl = _delta2_table(d)
-    for r in p.R.rows:
-        entries = {}
-        for w, cw in enumerate(r):
-            if not cw:
-                continue
-            for coeff, (i, j) in _delta3(p.shape, tbl, w):
-                entries[(i, j)] = entries.get((i, j), BPoly.const(Scalar.zero())) + coeff * cw
-        cols = {}
-        for (i, j), cc in entries.items():
-            cols.setdefault(j, {})[i] = cc
-        half = {}
-        for j, col in cols.items():
-            for i, cc in _reduce_bpoly(col, p.R):
-                half.setdefault(i, {})[j] = cc
-        for i, row in half.items():
-            assert not _reduce_bpoly(row, p.R)
+    assert h.verdict == "unique" and isinstance(h.witness, Scalar)
+    tbl = _delta2_table(DiagonalCandidate.normalized_family().at(h.witness))
+    assert _hopf_constraints(p.shape, p.R, tbl) == []
 
 
 def _solve(*polys):
@@ -259,6 +254,19 @@ def test_shared_quadratic_factor_is_undecided():
     assert h.verdict == "undecided" and h.witness is None
     assert h.diagnostic == ("constraints share the factor B^2 + (-1)*B = 0 "
                             "over the tower")
+
+
+@pytest.mark.parametrize("polys, verdict, witness", [
+    (lambda b: (b, b - S(1)), "none", None),
+    # the root of the last echelon row B - 1 kills the row B^2 - 1 above it
+    (lambda b: (b * b - S(1), b - S(1)), "unique", S(1)),
+    # ... but not the row B^2 - 4
+    (lambda b: (b * b - S(4), b - S(1)), "none", None),
+], ids=["constant-row", "linear-row-kills-the-row-above",
+        "linear-row-misses-the-row-above"])
+def test_echelon_patterns(polys, verdict, witness):
+    h = _solve(*polys(BPoly.unknown()))
+    assert h.verdict == verdict and h.witness == witness
 
 
 def test_double_root_is_unique():

@@ -221,6 +221,19 @@ def test_iso_explicit_map(capsys):
     assert code == EXIT_OK and " isomorphism" in out
 
 
+@pytest.mark.parametrize("argv, iso", [
+    # b -> -b is not an isomorphism of G2; depolarized it became the identity
+    (("G2_polarized", "G2_polarized", "--map", "signflip"), False),
+    (("LLq", "LLq", "--map", "signflip"), True),
+    # the polarized generators keep their names
+    (("LLq", "LLq", "--map", "c=c(x,y); b=b(x,y)"), True),
+], ids=["G2-signflip", "LLq-signflip", "LLq-explicit"])
+def test_iso_named_maps_on_polarized_inputs(capsys, argv, iso):
+    code, out, _ = run(capsys, "iso", *argv)
+    assert code == EXIT_OK
+    assert out.rstrip().endswith(": isomorphism" if iso else "NOT an isomorphism")
+
+
 def test_iso_degenerate_map_errors(capsys):
     code, _, err = run(capsys, "iso", "LLq", "Ass", "--map", "star", "--q", "0")
     assert code == EXIT_PARSE and "not invertible" in err
