@@ -10,22 +10,24 @@ Hopf existence is decided inside the counital normalized family
 the only shape a coassociative counital diagonal can take: the induced
 arity-3 map into the tensor square of the quotient must kill the
 relations, which collects polynomial constraints of degree <= 2 on B.
-Their common roots are those of the last row of the reduced echelon form
-of their span, taken as vectors in the columns B^2, B, 1 over the
-coefficient tower (a field): no constraint admits every B, a constant
-last row admits none, a linear one (which must also kill the row above
-it) or the square of one a unique B, and any other quadratic leaves the
-verdict undecided.
+The map is Σ3-equivariant and R (x) Γ + Γ (x) R is Σ3-stable, so only
+rows of R that generate it as a Σ3-module are pushed through, and each
+image is reduced as three Scalar matrices, the coefficients of B^2, B
+and 1.  The constraints' common roots are those of the last row of the
+reduced echelon form of their span, taken as vectors in the columns
+B^2, B, 1 over the coefficient tower (a field): no constraint admits
+every B, a constant last row admits none, a linear one (which must also
+kill the row above it) or the square of one a unique B, and any other
+quadratic leaves the verdict undecided.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import NamedTuple
 
 from .scalar import Scalar, as_scalar, SC0, SC1, padd, pmul
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
-                    left_lambda, _eliminate, _rref)
+                    left_lambda, sigma3_closure, _eliminate, _rref)
 from .presentation import (Presentation, RelationExpr, relation_vector,
                            App, Var, PresentationError, depolarize_presentation,
                            expr_from_vector)
@@ -293,7 +295,7 @@ def hopf_analyze(p: Presentation) -> HopfResult:
     raise CheckerError("unsupported multi-generator presentation")
 
 
-_COMM_TABLE = {0: ((1, (0, 0)),)}    # Delta(c) = c (x) c
+_COMM_TABLE = {0: ((_BP1, (0, 0)),)}    # Delta(c) = c (x) c
 
 
 def _hopf_comm(p: Presentation) -> HopfResult:
@@ -301,53 +303,89 @@ def _hopf_comm(p: Presentation) -> HopfResult:
     it remains to test that the relations are preserved."""
     constraints = _hopf_constraints(p.shape, p.R, _COMM_TABLE)
     if constraints:
+        row = _first_failing_row(p.shape, p.R, _COMM_TABLE, constraints)
         return HopfResult("none", None,
                           f"relation image survives in the quotient: "
-                          f"{_render_row(p.shape, constraints[0][1])}")
+                          f"{_render_row(p.shape, row)}")
     return HopfResult("unique", {"A": 1}, None)
 
 
 def _hopf_type3(shape: EShape, R: Subspace) -> HopfResult:
     tbl = _delta2_table(DiagonalCandidate.normalized_family())
-    return _solve_constraints(shape, _hopf_constraints(shape, R, tbl))
+    constraints = _hopf_constraints(shape, R, tbl)
+    return _solve_constraints(
+        shape, constraints,
+        lambda: _first_failing_row(shape, R, tbl, constraints))
 
 
 def _hopf_constraints(shape: EShape, R: Subspace, tbl):
-    """Push each relation through the arity-3 map induced by the slot
-    table `tbl` and reduce the image modulo R in both tensor factors.
+    """Push Σ3-generators of R through the arity-3 map induced by the slot
+    table `tbl`, and reduce each image modulo R in both tensor factors.
+    The constraints of g.r lie in the tower span of those of r (see the
+    module docstring), so these span the constraints of every row.
     Returns the surviving coefficients as (BPoly, source row) pairs, in
-    row order; the relations are preserved iff the list is empty."""
+    generator order; the relations are preserved iff the list is empty."""
     constraints = []
-    for r in R.rows:
-        entries = {}
-        for w, cw in enumerate(r):
-            if not cw:
-                continue
-            for c, (i, j) in _delta3(shape, tbl, w):
-                key = (i, j)
-                entries[key] = entries.get(key, _BP0) + c * cw
-        cols = {}
-        for (i, j), c in entries.items():
-            cols.setdefault(j, {})[i] = c
-        half = {}
-        for j, col in cols.items():
-            for i, c in _reduce_bpoly(col, R):
-                half.setdefault(i, {})[j] = c
-        for i, row in half.items():
-            for _, c in _reduce_bpoly(row, R):
-                if c:
-                    constraints.append((c, r))
+    for r in _sigma3_generators(shape, R):
+        constraints += _row_constraints(shape, R, tbl, r)
     return constraints
 
 
-def _reduce_bpoly(sparse_vec, R: Subspace):
-    """Reduce a sparse BPoly vector modulo a Scalar-coefficient subspace."""
-    vec = _eliminate(defaultdict(lambda: _BP0, sparse_vec),
-                     R.rows, R.pivots, R.ambient)
-    return [(i, c) for i, c in vec.items() if c]
+def _sigma3_generators(shape: EShape, R: Subspace):
+    """A greedy subset of R's rows, from the first on, whose Σ3-closure is
+    R (a compiled relation space is Σ3-closed); usually one row."""
+    gens = []
+    span = Subspace(shape)
+    for r in R.rows:
+        if span.dim == R.dim:
+            break
+        if not span.contains(r):
+            gens.append(r)
+            span = sigma3_closure(shape, gens)
+    return gens
 
 
-def _solve_constraints(shape: EShape, constraints) -> HopfResult:
+def _row_constraints(shape: EShape, R: Subspace, tbl, r):
+    """The surviving coefficients of one relation row's image.  Every
+    coefficient has degree <= 2 in B, so the image is split into three
+    Scalar matrices, of B^0, B^1 and B^2, each reduced modulo R, columns
+    first and then rows; only the surviving entries become BPoly."""
+    n = shape.basis_size
+    parts = [[[SC0] * n for _ in range(n)] for _ in range(3)]   # [k][j][i]
+    for w, cw in enumerate(r):
+        if not cw:
+            continue
+        for c, (i, j) in _delta3(shape, tbl, w):
+            for k, ck in enumerate(c.coeffs):
+                col = parts[k][j]
+                col[i] = col[i] + ck * cw
+    for part in parts:
+        for col in part:
+            if any(col):
+                _eliminate(col, R.rows, R.pivots, n)
+    free = [i for i in range(n) if i not in R.pivots]
+    constraints = []
+    for i in free:
+        rows = [_eliminate([col[i] for col in part], R.rows, R.pivots, n)
+                for part in parts]
+        for j in free:
+            c = BPoly([row[j] for row in rows])
+            if c:
+                constraints.append((c, r))
+    return constraints
+
+
+def _first_failing_row(shape: EShape, R: Subspace, tbl, constraints):
+    """The first row of R with a surviving constraint, named by the `none`
+    diagnostic.  The generators start at R.rows[0], so it is that row
+    whenever its constraints are nonempty; otherwise the rows are
+    scanned."""
+    if constraints[0][1] == R.rows[0]:
+        return R.rows[0]
+    return next(r for r in R.rows if _row_constraints(shape, R, tbl, r))
+
+
+def _solve_constraints(shape: EShape, constraints, failing_row) -> HopfResult:
     """The verdict on B from the (BPoly, source row) constraints.  Every
     constraint has degree <= 2, being a product of two table entries of
     degree <= 1, so the constraints span a subspace of the polynomials
@@ -359,7 +397,8 @@ def _solve_constraints(shape: EShape, constraints) -> HopfResult:
     the only B.  Any other quadratic g has roots that may lie outside the
     tower, and the verdict is left undecided.  The constraints are
     inserted smallest first: the echelon form is the same in any order,
-    but the order decides which tower elements get inverted."""
+    but the order decides which tower elements get inverted.  The `none`
+    diagnostic names the row that `failing_row()` returns."""
     if not constraints:
         return HopfResult("all", "any B", None)
     polys = {c.coeffs: c for c, _ in constraints}.values()    # distinct ones
@@ -377,7 +416,7 @@ def _solve_constraints(shape: EShape, constraints) -> HopfResult:
     if g.degree == 0 or any(h(root) for h in above):
         return HopfResult("none", None,
                           f"no admissible B; first failing relation: "
-                          f"{_render_row(shape, constraints[0][1])}")
+                          f"{_render_row(shape, failing_row())}")
     assert all(c(root).is_zero() for c in polys)
     return HopfResult("unique", root, None)
 

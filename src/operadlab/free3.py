@@ -418,8 +418,8 @@ def _rref(vectors, width):
 
 
 def _eliminate(vec, rows, pivots, width):
-    """Clear vec (in place) at every pivot column of the echelon rows; vec
-    is a list or a sparse defaultdict that reads a missing entry as zero."""
+    """Clear the list vec (in place) at every pivot column of the echelon
+    rows, and return it."""
     for row, p in zip(rows, pivots):
         c = vec[p]
         if c:
@@ -438,7 +438,8 @@ def _rref_insert(rows, pivots, vec, width):
     if piv is None:
         return None
     inv = vec[piv].inverse()
-    vec = [c * inv for c in vec]
+    vec = [c * inv if c else SC0 for c in vec]
+    vec[piv] = SC1
     for row in rows:
         c = row[piv]
         if c:

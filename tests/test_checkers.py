@@ -13,8 +13,12 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar, RatFunc
                        CheckerError, span_closure, sigma3_closure,
                        ActionMatrix, GAMMA3, TAU12, CYC123, EShape,
                        basis_vector, left_lambda, gamma_plus_split,
-                       parse_presentation, Subspace, depolarize_presentation)
-from operadlab.checkers import BPoly, _solve_constraints, _T3
+                       parse_presentation, Subspace, depolarize_presentation,
+                       BUILTIN_NAMES)
+from operadlab.checkers import (BPoly, _solve_constraints, _T3, _COMM_TABLE,
+                                _delta2_table, _hopf_constraints, _render_row,
+                                _row_constraints, _sigma3_generators)
+from operadlab.free3 import _rref
 from conftest import associator, E, M, C, B, X, Y, Z
 from test_scalar import small_fracs
 
@@ -93,7 +97,7 @@ def test_mixed_tower_relation_is_decided(monkeypatch):
     # no InternalInconsistencyError: the lambda route and the split agree
     assert check_dihedral(p) is False
     assert dims == [0, 0]       # R ∩ Γ+ and R ∩ Γ-
-    # 21 distinct Hopf constraints whose echelon form has a constant row
+    # the Hopf constraints' echelon form has a constant row
     h = hopf_analyze(p)
     assert h.verdict == "none" and h.witness is None
     assert h.diagnostic.startswith("no admissible B; first failing relation: "
@@ -213,7 +217,6 @@ HOPF_SCALAR_WITNESS = ("Ass", "G1", "LL0", "LL1", "LLminus3", "LLq",
 @pytest.mark.parametrize("name", HOPF_SCALAR_WITNESS)
 def test_hopf_witness_self_verifies(name):
     # substituting the witness back kills the relations in the quotient square
-    from operadlab.checkers import _hopf_constraints, _delta2_table
     p = depolarize_presentation(builtin(name))
     h = hopf_analyze(p)
     assert h.verdict == "unique" and isinstance(h.witness, Scalar)
@@ -221,9 +224,73 @@ def test_hopf_witness_self_verifies(name):
     assert _hopf_constraints(p.shape, p.R, tbl) == []
 
 
+def _hopf_table(p):
+    """The slot table hopf_analyze pushes R through, or None when the
+    generator has none (anticommutative, or not one generator)."""
+    syms = [g.symmetry for g in p.generators]
+    if syms == ["comm"]:
+        return _COMM_TABLE
+    if syms == ["none"]:
+        return _delta2_table(DiagonalCandidate.normalized_family())
+    return None
+
+
+def _echelon(constraints):
+    triples = {(Scalar.zero(),) * (2 - c.degree) + c.coeffs[::-1]
+               for c, _ in constraints}
+    return _rref(sorted(triples, key=lambda t: sum(x.bit_size() for x in t)), 3)
+
+
+# the first three rows of R carry no surviving constraint, the fourth does
+FIRST_ROW_PRESERVED = (
+    "operad X { gen m: none; rel m(m(x,y),z) - m(z,m(y,x)) = 0;"
+    " rel m(m(x,y),z) - m(x,m(y,z)) + m(m(y,z),x) - m(y,m(z,x))"
+    " + m(m(z,x),y) - m(z,m(x,y)) = 0; }")
+C3 = ("operad C3 { gen c: comm; "
+      "rel c(c(x,y),z) + c(c(y,z),x) + c(c(z,x),y) = 0; }")
+
+
+def _presentation(name):
+    texts = {"T": MIXED_TOWER_T, "X": FIRST_ROW_PRESERVED, "C3": C3}
+    p = parse_presentation(texts[name]) if name in texts else builtin(name)
+    return depolarize_presentation(p)
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES
+                                  if _hopf_table(_presentation(n))] + ["T"])
+def test_sigma3_generators_give_the_constraints_of_every_row(name):
+    # Δ₃ is Σ3-equivariant and R (x) Γ + Γ (x) R is Σ3-stable, so the
+    # constraints of the generator rows span those of all rows
+    p = _presentation(name)
+    tbl = _hopf_table(p)
+    gens = _sigma3_generators(p.shape, p.R)
+    assert gens == [r for r in p.R.rows if r in gens]     # rows of R, in order
+    assert sigma3_closure(p.shape, gens) == p.R
+    every_row = [c for r in p.R.rows for c in _row_constraints(p.shape, p.R, tbl, r)]
+    assert _echelon(_hopf_constraints(p.shape, p.R, tbl)) == _echelon(every_row)
+
+
+NONE_VERDICTS = ("G2", "G2_polarized", "G3", "G4", "G4_polarized", "G5",
+                 "G5_polarized", "G6", "LLinf", "PreLie", "Vinberg", "T", "X", "C3")
+
+
+@pytest.mark.parametrize("name", NONE_VERDICTS)
+def test_none_diagnostic_names_the_first_failing_row(name):
+    p = _presentation(name)
+    tbl = _hopf_table(p)
+    first = next(r for r in p.R.rows if _row_constraints(p.shape, p.R, tbl, r))
+    if name == "X":     # found by the scan, not by the generators
+        assert first != p.R.rows[0]
+    prefix = ("relation image survives in the quotient: " if name == "C3"
+              else "no admissible B; first failing relation: ")
+    h = hopf_analyze(p)
+    assert h.verdict == "none"
+    assert h.diagnostic == prefix + _render_row(p.shape, first)
+
+
 def _solve(*polys):
     row = basis_vector(_T3, 0)
-    return _solve_constraints(_T3, [(c, row) for c in polys])
+    return _solve_constraints(_T3, [(c, row) for c in polys], lambda: row)
 
 
 def test_constraint_order_does_not_change_the_verdict():
