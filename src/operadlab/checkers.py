@@ -323,12 +323,14 @@ def _hopf_constraints(shape: EShape, R: Subspace, tbl):
     table `tbl`, and reduce each image modulo R in both tensor factors.
     The constraints of g.r lie in the tower span of those of r (see the
     module docstring), so these span the constraints of every row.
-    Returns the surviving coefficients as (BPoly, source row) pairs, in
-    generator order; the relations are preserved iff the list is empty."""
-    constraints = []
+    Returns the distinct surviving coefficients as (BPoly, source row)
+    pairs, each with the row that first gives it, in generator order; the
+    relations are preserved iff the list is empty."""
+    first = {}
     for r in _sigma3_generators(shape, R):
-        constraints += _row_constraints(shape, R, tbl, r)
-    return constraints
+        for c, row in _row_constraints(shape, R, tbl, r):
+            first.setdefault(c.coeffs, (c, row))
+    return list(first.values())
 
 
 def _sigma3_generators(shape: EShape, R: Subspace):
@@ -401,8 +403,8 @@ def _solve_constraints(shape: EShape, constraints, failing_row) -> HopfResult:
     diagnostic names the row that `failing_row()` returns."""
     if not constraints:
         return HopfResult("all", "any B", None)
-    polys = {c.coeffs: c for c, _ in constraints}.values()    # distinct ones
-    order = sorted(polys, key=lambda c: sum(x.bit_size() for x in c.coeffs))
+    order = sorted((c for c, _ in constraints),
+                   key=lambda c: sum(x.bit_size() for x in c.coeffs))
     rows, _ = _rref([(SC0,) * (2 - c.degree) + c.coeffs[::-1] for c in order], 3)
     *above, g = (BPoly(r[::-1]) for r in rows)
     if g.degree == 1:
@@ -417,7 +419,7 @@ def _solve_constraints(shape: EShape, constraints, failing_row) -> HopfResult:
         return HopfResult("none", None,
                           f"no admissible B; first failing relation: "
                           f"{_render_row(shape, failing_row())}")
-    assert all(c(root).is_zero() for c in polys)
+    assert all(c(root).is_zero() for c in order)
     return HopfResult("unique", root, None)
 
 

@@ -432,14 +432,17 @@ def _eliminate(vec, rows, pivots, width):
 def _rref_insert(rows, pivots, vec, width):
     """Reduce vec against the rows; if independent, normalise it,
     back-eliminate, and insert in pivot order.  Returns the pivot column or
-    None when the vector was already in the span."""
+    None when the vector was already in the span.  A pivot entry that is
+    already 1 (most of them on rational relations) needs no inverse and
+    no scaling."""
     vec = _eliminate(list(vec), rows, pivots, width)
     piv = next((k for k in range(width) if vec[k]), None)
     if piv is None:
         return None
-    inv = vec[piv].inverse()
-    vec = [c * inv if c else SC0 for c in vec]
-    vec[piv] = SC1
+    if vec[piv] != SC1:
+        inv = vec[piv].inverse()
+        vec = [c * inv if c else SC0 for c in vec]
+        vec[piv] = SC1
     for row in rows:
         c = row[piv]
         if c:

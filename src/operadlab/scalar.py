@@ -21,6 +21,16 @@ pseudo-remainders) is taken only when a denominator has positive degree.
 `checkers.BPoly`; they work over any ring whose elements support ``+``,
 ``*`` and truth testing.
 
+Most coefficients are plain rationals or lie in Q(q), so the arithmetic
+returns early for them, inside the same methods: `RatFunc` sums and
+products of two constants (num of length <= 1, den of length 1) are one
+integer cross product cancelled by one `math.gcd`, and `Scalar` sums,
+differences, products and inverses of elements without a u, v or uv part
+work on the first component alone.  The early returns build exactly the
+canonical values of the general code (den > 0, gcd 1, zero is num = ()),
+so equality stays structural and nothing downstream can tell the paths
+apart.
+
 Rendering divides through by the leading coefficient of the denominator
 and writes `u` for sqrt(2) and `v` for sqrt(q), e.g.
 ``(q - 1)/(q + 3) + (1/2)*u``.
@@ -223,6 +233,13 @@ class RatFunc:
             return other
         if not n2:
             return self
+        if len(n1) == len(n2) == len(d1) == len(d2) == 1:     # constants
+            a = n1[0] * d2[0] + n2[0] * d1[0]
+            if not a:
+                return _R0
+            b = d1[0] * d2[0]
+            g = gcd(a, b)
+            return _raw((a // g,), (b // g,))
         if d1 == d2:
             return _content_free(*_cancel(padd(n1, n2), d1))
         g = pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else _P1
@@ -236,7 +253,10 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(tuple(-c for c in self.num), self.den)
+        n = self.num
+        if len(n) > 1:
+            return _raw(tuple(-c for c in n), self.den)
+        return _raw((-n[0],), self.den) if n else self
 
     def __sub__(self, other):
         other = _as_ratfunc(other)
@@ -255,6 +275,10 @@ class RatFunc:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not n1 or not n2:
             return _R0
+        if len(n1) == len(n2) == len(d1) == len(d2) == 1:     # constants
+            a, b = n1[0] * n2[0], d1[0] * d2[0]
+            g = gcd(a, b)
+            return _raw((a // g,), (b // g,))
         # cancel across the two fractions; each is already in lowest terms
         n1, d2 = _cancel(n1, d2)
         n2, d1 = _cancel(n2, d1)
@@ -409,7 +433,7 @@ class Scalar:
     # -- predicates
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not self
 
     def is_rational(self) -> bool:
         c = self.c
@@ -426,7 +450,8 @@ class Scalar:
         return sum(abs(a).bit_length() for r in self.c for a in r.num + r.den)
 
     def __bool__(self):
-        return any(self.c)
+        a, b, c, d = self.c
+        return bool(a.num or b.num or c.num or d.num)
 
     # -- arithmetic
 
@@ -435,6 +460,8 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.c, other.c
+        if not (a[1].num or a[2].num or a[3].num or b[1].num or b[2].num or b[3].num):
+            return _scalar(a[0] + b[0], _R0, _R0, _R0)
         return _scalar(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
     __radd__ = __add__
@@ -447,7 +474,10 @@ class Scalar:
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self.c, other.c
+        if not (a[1].num or a[2].num or a[3].num or b[1].num or b[2].num or b[3].num):
+            return _scalar(a[0] - b[0], _R0, _R0, _R0)
+        return _scalar(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
     def __rsub__(self, other):
         return as_scalar(other) - self
@@ -457,9 +487,9 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.c, other.c
-        # u^2 = 2, v^2 = q, (uv)^2 = 2q; fast paths for the u-plane
-        if not (a[2] or a[3] or b[2] or b[3]):
-            if not (a[1] or b[1]):
+        # u^2 = 2, v^2 = q, (uv)^2 = 2q; fast paths for Q(q) and the u-plane
+        if not (a[2].num or a[3].num or b[2].num or b[3].num):
+            if not (a[1].num or b[1].num):
                 return _scalar(a[0] * b[0], _R0, _R0, _R0)
             return _scalar(a[0] * b[0] + _R2 * (a[1] * b[1]),
                            a[0] * b[1] + a[1] * b[0], _R0, _R0)
@@ -477,9 +507,11 @@ class Scalar:
         """x^-1 = s_u(x) s_v(x) s_uv(x) / N(x), with the Galois conjugates
         s_u: u -> -u, s_v: v -> -v, s_uv = s_u s_v, and the norm
         N(x) = x s_u(x) s_v(x) s_uv(x) in Q(q)."""
-        if self.is_zero():
+        if not self:
             raise ScalarError("division by zero")
         c0, c1, c2, c3 = self.c
+        if not (c1.num or c2.num or c3.num):
+            return _scalar(_R1 / c0, _R0, _R0, _R0)
         q, two = _RQ, _R2
         # x s_u(x) = a + b v, so x^-1 = s_u(x) (a - b v) / (a^2 - q b^2)
         a = c0 * c0 + q * (c2 * c2) - two * (c1 * c1 + q * (c3 * c3))

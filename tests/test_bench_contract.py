@@ -37,12 +37,14 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["results_table", "full_tower"])
+@pytest.mark.parametrize("workload", ["results_table", "full_tower", "star_product",
+                                      "multimap"])
 def test_traced_pass_passes_the_selftest(workload, monkeypatch):
     # one untraced and one traced pass, as `bench/run.py --trace 1` runs
     # them: no op fails, the outputs agree, and every traced name the
     # workload must reach (e.g. checkers.BPoly.mul on results_table) is
-    # called while the names of unused layers are not
+    # called while the names of unused layers are not (e.g. Scalar.inverse
+    # and pgcd on star_product, every scalar and free3 name on multimap)
     monkeypatch.syspath_prepend(str(BENCH))     # run.py imports calib
     run = _load("bench_run", BENCH / "run.py")
     workloads = _load("bench_workloads", BENCH / "workloads.py")

@@ -270,6 +270,24 @@ def test_sigma3_generators_give_the_constraints_of_every_row(name):
     assert _echelon(_hopf_constraints(p.shape, p.R, tbl)) == _echelon(every_row)
 
 
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES
+                                  if _hopf_table(_presentation(n))] + ["T"])
+def test_hopf_constraints_keep_the_first_of_equal_ones(name):
+    # the collector drops a constraint equal to an earlier one, so the
+    # first constraint and its source row (the `none` diagnostic) stay
+    p = _presentation(name)
+    tbl = _hopf_table(p)
+    produced = [c for r in _sigma3_generators(p.shape, p.R)
+                for c in _row_constraints(p.shape, p.R, tbl, r)]
+    first = {}
+    for c, r in produced:
+        first.setdefault(c.coeffs, r)
+    got = _hopf_constraints(p.shape, p.R, tbl)
+    assert [(c.coeffs, r) for c, r in got] == list(first.items())
+    if name == "LLq":
+        assert (len(produced), len(got)) == (32, 9)
+
+
 NONE_VERDICTS = ("G2", "G2_polarized", "G3", "G4", "G4_polarized", "G5",
                  "G5_polarized", "G6", "LLinf", "PreLie", "Vinberg", "T", "X", "C3")
 

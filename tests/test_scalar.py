@@ -20,18 +20,31 @@ Q = Scalar.q()
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
+# constants with numerators and denominators far beyond one machine word
+big_fracs = st.builds(Fraction, st.integers(-10**30, 10**30),
+                      st.integers(1, 10**30))
+
+
 @st.composite
-def ratfuncs(draw):
+def polynomial_ratfuncs(draw):
     num = draw(st.lists(small_fracs, min_size=0, max_size=2))
     den = draw(st.lists(small_fracs, min_size=0, max_size=1))
     den = den + [Fraction(1)]  # never the zero polynomial
     return RatFunc(num, den)
 
 
+# constants, small and large (the arithmetic's fast path), and functions of q
+ratfuncs = st.one_of(polynomial_ratfuncs(),
+                     big_fracs.map(lambda a: RatFunc([a])),
+                     small_fracs.map(lambda a: RatFunc([a])))
+
+
 @st.composite
 def scalars(draw):
-    return Scalar(draw(ratfuncs()), draw(ratfuncs()),
-                  draw(ratfuncs()), draw(ratfuncs()))
+    """Elements of Q(q), of the u-plane Q(q)(u) and of the whole tower,
+    with equal weight: the arithmetic has a fast path for the first two."""
+    parts = draw(st.sampled_from((1, 2, 4)))    # c00; c00 + c10 u; all four
+    return Scalar(*(draw(ratfuncs) for _ in range(parts)))
 
 
 # -- basic arithmetic ---------------------------------------------------------
@@ -86,6 +99,51 @@ def test_canonical_representation(a, b):
     s = a - b
     if s.is_zero():
         assert s == Scalar.zero() and s.c == Scalar.zero().c
+
+
+# -- the constant and Q(q) fast paths ------------------------------------------
+
+def _check_constant_ops(x, y):
+    # every result equals the general constructor's canonical form
+    a, b = RatFunc([x]), RatFunc([y])
+    results = {"+": (a + b, x + y), "-": (a - b, x - y), "*": (a * b, x * y),
+               "neg": (-a, -x), "+int": (a + 3, x + 3), "*Fraction": (a * y, x * y)}
+    if y:
+        results["/"] = (a / b, x / y)
+    for op, (got, want) in results.items():
+        ref = RatFunc([want])
+        assert (got.num, got.den) == (ref.num, ref.den), op
+
+
+@pytest.mark.parametrize("x, y", [
+    (Fraction(1, 3), Fraction(-1, 3)),          # sum cancels to zero
+    (Fraction(5, 6), Fraction(5, 6)),           # difference cancels to zero
+    (Fraction(-7, 4), Fraction(2, 3)),          # negative results
+    (Fraction(3, 10), Fraction(-5, 9)),         # the product cancels
+    (Fraction(10**25, 3), Fraction(-10**25 + 1, 3)),
+    (Fraction(0), Fraction(-2, 7)),
+])
+def test_constant_arithmetic_examples(x, y):
+    _check_constant_ops(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_constant_arithmetic_is_canonical(data):
+    x = data.draw(st.one_of(big_fracs, small_fracs))
+    y = data.draw(st.one_of(big_fracs, small_fracs, st.just(x), st.just(-x)))
+    _check_constant_ops(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars(), scalars())
+def test_zero_tests_agree_on_zeros_reached_by_subtraction(a, b):
+    zero = Scalar.zero()
+    for z in (a - a, (a + b) - b - a, a * b - b * a, (a - b) + (b - a), -(a - a)):
+        assert not z and z.is_zero() and z == zero
+        assert z.c == zero.c and hash(z) == hash(zero)
+    d = a - b
+    assert bool(d) == (not d.is_zero()) == (d != zero) == (a != b)
 
 
 # -- specialization -----------------------------------------------------------
