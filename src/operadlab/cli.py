@@ -19,8 +19,8 @@ from . import free3, rep, mlab, quantize
 from .scalar import Scalar, ScalarError, SpecializationError
 from .presentation import (Presentation, ParseError, PresentationError,
                            builtin, parse_presentation, polarize_presentation,
-                           depolarize_presentation, BUILTIN_NAMES, _Parser,
-                           RelationExpr, App, Var)
+                           depolarize_presentation, BUILTIN_NAMES,
+                           parse_expression, RelationExpr, App, Var)
 from .checkers import (check_cyclic, check_dihedral, hopf_analyze, HopfResult,
                        check_substitution_iso, verdict_report,
                        InternalInconsistencyError, CheckerError)
@@ -52,8 +52,12 @@ def _load_presentation(spec: str, q=None) -> Presentation:
     if spec in BUILTIN_NAMES:
         p = builtin(spec)
     elif os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            p = parse_presentation(fh.read())
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise PresentationError(f"cannot read {spec}: {e}") from None
+        p = parse_presentation(text)
     else:
         p = parse_presentation(spec)
     if q is not None:
@@ -220,15 +224,10 @@ def _parse_map(text: str, p: Presentation, p2: Presentation, q=None):
         if "=" not in piece:
             raise ParseError(f"expected gen=expression, got {piece!r}", 1, 1)
         gname, expr_text = piece.split("=", 1)
-        parser = _Parser(expr_text)
-        expr = parser.sum_expr()
-        t = parser.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
         gname = gname.strip()
         if gname in mapping:
             raise CheckerError(f"generator {gname!r} is mapped twice")
-        mapping[gname] = expr
+        mapping[gname] = parse_expression(expr_text)
     return mapping
 
 
@@ -420,8 +419,7 @@ def main(argv=None) -> int:
         if getattr(args, "q", None) is not None:
             args.q = _rational(args.q)
         return args.fn(args)
-    except (ParseError, PresentationError, SpecializationError,
-            free3.Free3Error) as e:
+    except (PresentationError, SpecializationError, free3.Free3Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except InternalInconsistencyError as e:

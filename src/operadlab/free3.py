@@ -12,17 +12,18 @@ over ordered slot pairs (f, g) and the "lone" variable l in {x, y, z}
 (cyclic successor order x -> y -> z -> x).  The basis index is
 ``(f * dim + g) * 3 + l``.  Its size is 3 * dim(E)^2.
 
-The extended symmetric group on {0, 1, 2, 3} (output leg 0 plus the
-three inputs) acts on the right by relabelling the external legs of the
-underlying two-vertex tree and re-rooting at the new leg 0; vertex
-labels pick up a transposition action whenever the re-rooting reverses
-the cyclic order of their three flags.  In the canonical basis every
-group element therefore acts as a signed slot permutation.
-
-The left involution ``LAMBDA`` flips every vertex label by the
-transposition; its +1/-1 eigenspaces are the even/odd parts of the
-bracket-parity splitting.  A group element and ``LAMBDA`` are both
-signed slot permutations, realised by `EShape.action`.
+A monomial is a tree of two vertices joined by an edge E, with the
+external legs 0 (the root) and 1, 2, 3 (x, y, z).  A vertex carries a
+slot and the cyclic order (output, input 1, input 2) of its flags;
+rotating it is free, reversing it applies the transposition to its slot.
+`_normalize` makes the vertex holding leg 0 the outer one, rotates leg 0
+or E into each output, and reverses the outer vertex unless E is its
+first input and the inner one unless its inputs are (succ(l),
+succ(succ(l))) for the lone leaf l.  The extended symmetric group on
+{0, 1, 2, 3} acts on the right by relabelling the legs, and the left
+involution ``LAMBDA`` reverses every vertex; both are signed slot
+permutations, realised by `EShape.action`.  The +1/-1 eigenspaces of
+``LAMBDA`` are the even/odd parts of the bracket-parity splitting.
 """
 
 from __future__ import annotations
@@ -110,10 +111,6 @@ class EShape:
     def basis_size(self) -> int:
         return 3 * self.dim * self.dim
 
-    def basis(self):
-        d = self.dim
-        return [(f, g, l) for f in range(d) for g in range(d) for l in range(3)]
-
     def index(self, f: int, g: int, l: int) -> int:
         return (f * self.dim + g) * 3 + l
 
@@ -130,33 +127,32 @@ def basis_vector(shape: EShape, idx: int):
 
 
 # ---------------------------------------------------------------------------
-# monomials: normalisation of two-vertex trees into the canonical basis
+# monomials: two oriented vertices, normalised into the canonical basis
 # ---------------------------------------------------------------------------
 
-def normalize_monomial(shape: EShape, outer_slot: int, arg1, arg2):
-    """Normalise outer(arg1, arg2) to (sign, basis_index).
+EDGE = 4    # the internal edge, a flag of both vertices; legs are 0..3
 
-    Each arg is either ('var', k) with k in {0, 1, 2} or
-    ('app', inner_slot, i, j) with i, j variable indices.
+
+def _normalize(shape: EShape, u, w):
+    """(sign, basis index) of the tree with vertices u and w joined by EDGE.
+
+    A vertex is (slot, flags), its flags being (output, input 1, input 2)
+    in cyclic order; see the module docstring for the rule.
     """
+    (f, fo), (g, go) = (w, u) if 0 in w[1] else (u, w)
+    if sorted(fo + go) != [0, 1, 2, 3, EDGE, EDGE] or fo.count(EDGE) != 1:
+        raise Free3Error("not a two-vertex tree on the legs 0, 1, 2, 3")
+    k = fo.index(0)
+    e, l = fo[k - 2], fo[k - 1]
     sign = 1
-    if arg1[0] == "var" and arg2[0] == "app":
-        outer_slot, s = shape.tau(outer_slot)
+    if e != EDGE:
+        f, sign = shape.tau(f)
+        l = e
+    k = go.index(EDGE)
+    if (go[k - 2], go[k - 1]) != (l % 3 + 1, (l + 1) % 3 + 1):
+        g, s = shape.tau(g)
         sign *= s
-        arg1, arg2 = arg2, arg1
-    if not (arg1[0] == "app" and arg2[0] == "var"):
-        raise Free3Error("monomial must compose exactly two generator applications")
-    _, inner_slot, i, j = arg1
-    lone = arg2[1]
-    if {i, j, lone} != {0, 1, 2}:
-        raise Free3Error("monomial must use each of x, y, z exactly once")
-    a, b = (lone + 1) % 3, (lone + 2) % 3
-    if (i, j) == (b, a):
-        inner_slot, s = shape.tau(inner_slot)
-        sign *= s
-    elif (i, j) != (a, b):
-        raise Free3Error("inner arguments must be the two non-lone variables")
-    return sign, shape.index(outer_slot, inner_slot, lone)
+    return sign, shape.index(f, g, l - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,42 +222,12 @@ SIGMA3_PLUS = tuple(GroupElement(p) for p in itertools.permutations(range(4)))
 def apply_perm_to_basis(shape: EShape, idx: int, g: GroupElement):
     """Right action of g on a canonical basis monomial: (sign, new_index).
 
-    Relabels the four external legs of the two-vertex tree by i -> g(i),
-    re-roots at the new leg 0, and folds the slot transpositions produced
-    by vertex re-orientation and by canonical re-normalisation.
+    Relabels the four external legs of the two-vertex tree by i -> g(i)
+    and normalises the result, which re-roots it at the new leg 0.
     """
     f, gg, l = shape.basis_triple(idx)
-    a, b = (l + 1) % 3, (l + 2) % 3
-    # external labels after relabelling (legs: output 0, leaves k+1)
-    f_out = g(0)
-    f_in2 = g(l + 1)
-    g_in1 = g(a + 1)
-    g_in2 = g(b + 1)
-    sign = 1
-    if f_out == 0:
-        # no re-rooting; plain leaf relabelling
-        inner = ("app", gg, g_in1 - 1, g_in2 - 1)
-        s, i2 = normalize_monomial(shape, f, inner, ("var", f_in2 - 1))
-        return s * sign, i2
-    if f_in2 == 0:
-        # root moves to the outer vertex's leaf flag: outer roles rotate
-        # (a 3-cycle, no transposition), inner vertex keeps its roles
-        inner = ("app", gg, g_in1 - 1, g_in2 - 1)
-        # outer becomes f(leaf, subtree); normalisation flips it back
-        s, i2 = normalize_monomial(shape, f, ("var", f_out - 1), inner)
-        return s * sign, i2
-    # root lands on the inner vertex, which becomes the outer one
-    fs, s1 = shape.tau(f)
-    sign *= s1
-    inner = ("app", fs, f_out - 1, f_in2 - 1)
-    if g_in1 == 0:
-        gs, s2 = shape.tau(gg)
-        sign *= s2
-        s, i2 = normalize_monomial(shape, gs, inner, ("var", g_in2 - 1))
-    else:
-        # g_in2 == 0: roles rotate by a 3-cycle, no flip
-        s, i2 = normalize_monomial(shape, gg, inner, ("var", g_in1 - 1))
-    return s * sign, i2
+    return _normalize(shape, (f, (g(0), EDGE, g(l + 1))),
+                      (gg, (EDGE, g((l + 1) % 3 + 1), g((l + 2) % 3 + 1))))
 
 
 class _Lambda:
@@ -275,7 +241,7 @@ LAMBDA = _Lambda()   # the left involution, as an argument of EShape.action
 
 
 def lambda_basis(shape: EShape, idx: int):
-    """The left involution: flip every vertex label by the transposition."""
+    """The left involution: reverse every vertex (τ on both slots)."""
     f, g, l = shape.basis_triple(idx)
     f2, s1 = shape.tau(f)
     g2, s2 = shape.tau(g)

@@ -34,16 +34,16 @@ RESERVED = {"x", "y", "z", "q", "u", "v", "operad", "gen", "rel", "params",
             "comm", "anti", "none"}
 
 
-class ParseError(ValueError):
+class PresentationError(ValueError):
+    pass
+
+
+class ParseError(PresentationError):
     def __init__(self, msg, line, col):
         super().__init__(f"{msg} at {line}:{col}")
         self.msg = msg
         self.line = line
         self.col = col
-
-
-class PresentationError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ class App(NamedTuple):
     gen: str
     a: object
     b: object
-    pos: tuple = (0, 0)
+    pos: tuple | None = None
 
     def render(self):
         return f"{self.gen}({self.a.render()},{self.b.render()})"
@@ -153,24 +153,44 @@ def relation_vector(shape: EShape, expr: RelationExpr):
 
 
 def _term_index(shape, node):
+    """(sign, basis index) of one monomial.  Its faults are checked first,
+    in a fixed order, each at the application it names."""
     if not isinstance(node, App):
         raise PresentationError("monomial must be a generator application")
+    f, (inner,) = _vertex(shape, node, 1)
+    g, _ = _vertex(shape, inner, 0)
+    leaves = (node.b if node.a is inner else node.a, inner.a, inner.b)
+    bad = [v for v in leaves if not isinstance(v, Var)]
+    if bad:
+        raise PresentationError(f"bad argument {bad[0]!r}")
+    seen = [v.name for v in leaves]
+    if len(set(seen)) != 3:
+        dup = next(v for v in seen if seen.count(v) > 1)
+        raise _fault(node, f"variable {dup!r} used twice in a monomial")
+    l, i, j = (v.idx + 1 for v in leaves)
+    e = free3.EDGE
+    outer = (0, e, l) if node.a is inner else (0, l, e)
+    return free3._normalize(shape, (f, outer), (g, (e, i, j)))
 
-    def conv(x):
-        if isinstance(x, Var):
-            return ("var", x.idx)
-        if isinstance(x, App):
-            if not (isinstance(x.a, Var) and isinstance(x.b, Var)):
-                raise PresentationError(
-                    "every monomial must contain exactly two generator applications")
-            return ("app", shape.slot(x.gen), x.a.idx, x.b.idx)
-        raise PresentationError(f"bad argument {x!r}")
 
+def _vertex(shape, node: App, n: int):
+    """The slot of a monomial's application, and those of its arguments
+    that are applications, checked to be n in number."""
     try:
-        return free3.normalize_monomial(shape, shape.slot(node.gen),
-                                        conv(node.a), conv(node.b))
-    except Free3Error as e:
-        raise PresentationError(str(e)) from None
+        slot = shape.slot(node.gen)
+    except Free3Error:
+        raise _fault(node, f"unknown generator {node.gen!r}") from None
+    apps = [a for a in (node.a, node.b) if isinstance(a, App)]
+    if len(apps) != n:
+        raise _fault(node, "every monomial must contain exactly two "
+                           "generator applications")
+    return slot, apps
+
+
+def _fault(node: App, msg: str) -> PresentationError:
+    """A fault at an application: a ParseError at its source position when
+    it was parsed."""
+    return ParseError(msg, *node.pos) if node.pos else PresentationError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +205,19 @@ class GeneratorDecl(NamedTuple):
 class Presentation:
     """Generators plus a compiled, symmetric-group-closed relation space."""
 
-    def __init__(self, name, generators, relations, params=()):
-        self._declare(name, generators, relations, params)
-        vecs = [relation_vector(self.shape, r) for r in self.relations]
-        self.R = free3.sigma3_closure(self.shape, vecs)
-
-    def _declare(self, name, generators, relations, params=()):
+    def __init__(self, name, generators, relations, params=(), R=None):
+        """R, when given, is the relation space as it is (already closed);
+        otherwise it is compiled from the relations and closed."""
         self.name = str(name)
         self.generators = tuple(GeneratorDecl(*g) for g in generators)
         self.relations = tuple(relations)
         self.shape = EShape(self.generators)
         used_q = any(_scalar_uses_q(c) for r in self.relations for c, _ in r.terms)
         self.params = ("q",) if ("q" in params or used_q) else ()
+        if R is None:
+            vecs = [relation_vector(self.shape, r) for r in self.relations]
+            R = free3.sigma3_closure(self.shape, vecs)
+        self.R = R
 
     def specialize(self, q0) -> "Presentation":
         q0 = Fraction(q0)
@@ -252,15 +273,7 @@ def presentation_from_subspace(name, generators, space) -> Presentation:
     """A presentation whose relations are the reduced basis rows of an
     already symmetric-group-closed subspace, which becomes its R as it is."""
     rels = [expr_from_vector(space.shape, row) for row in space.rows]
-    return _assemble(name, generators, rels, space)
-
-
-def _assemble(name, generators, relations, R, params=()) -> Presentation:
-    """A presentation whose relation space R is given already closed."""
-    p = Presentation.__new__(Presentation)
-    p._declare(name, generators, relations, params)
-    p.R = R
-    return p
+    return Presentation(name, generators, rels, R=space)
 
 
 def polarize_presentation(p: Presentation) -> Presentation:
@@ -300,6 +313,7 @@ class _Tok(NamedTuple):
 
 
 _PUNCT = set("{}();:,=+-*/^")
+_DIGITS = set("0123456789")   # str.isdigit also admits e.g. '²' and '٣'
 
 
 def _tokenize(text):
@@ -322,9 +336,9 @@ def _tokenize(text):
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(_Tok("NUM", text[i:j], line, start_col))
             col += j - i
@@ -550,46 +564,17 @@ class _Parser:
         return base
 
 
-def _validate_relations(rels, gen_names):
-    """Binding / well-formedness pass after the pure syntax pass; every
-    diagnostic carries the source position of the offending application."""
-    for rel in rels:
-        for _, node in rel.terms:
-            line, col = node.pos
-            if node.gen not in gen_names:
-                raise ParseError(f"unknown generator {node.gen!r}", line, col)
-            args = (node.a, node.b)
-            inner = [a for a in args if isinstance(a, App)]
-            if len(inner) != 1:
-                raise ParseError(
-                    "every monomial must contain exactly two generator applications",
-                    line, col)
-            inner = inner[0]
-            if inner.gen not in gen_names:
-                raise ParseError(f"unknown generator {inner.gen!r}", *inner.pos)
-            if isinstance(inner.a, App) or isinstance(inner.b, App):
-                raise ParseError(
-                    "every monomial must contain exactly two generator applications",
-                    *inner.pos)
-            seen = [v.name for v in (node.a, node.b, inner.a, inner.b)
-                    if isinstance(v, Var)]
-            if len(set(seen)) != 3:
-                dup = next(v for v in seen if seen.count(v) > 1)
-                raise ParseError(f"variable {dup!r} used twice in a monomial",
-                                 line, col)
-
-
 def parse_presentation(text: str) -> Presentation:
     name, params, gens, rels = _Parser(text).presentation()
-    _validate_relations(rels, {g for g, _ in gens})
     try:
         return Presentation(name, gens, rels, params)
-    except (PresentationError, Free3Error) as e:
+    except Free3Error as e:
         raise PresentationError(str(e)) from None
 
 
-def parse_relation(text: str, presentation: Presentation) -> RelationExpr:
-    """Parse a single relation expression against an existing presentation."""
+def parse_expression(text: str) -> RelationExpr:
+    """A sum of scalar-weighted applications, optionally followed by
+    '= 0', that makes up the whole text; its monomials are not checked."""
     p = _Parser(text)
     expr = p.sum_expr()
     if p.peek().text == "=":
@@ -600,7 +585,13 @@ def parse_relation(text: str, presentation: Presentation) -> RelationExpr:
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
-    _validate_relations([expr], {g.name for g in presentation.generators})
+    return expr
+
+
+def parse_relation(text: str, presentation: Presentation) -> RelationExpr:
+    """Parse a single relation expression against an existing presentation."""
+    expr = parse_expression(text)
+    relation_vector(presentation.shape, expr)   # checks every monomial
     return expr
 
 
@@ -740,7 +731,7 @@ def builtin(name: str) -> Presentation:
         # the closed space of the source, under the new name
         base, q0 = _DERIVED[name]
         src = builtin(base) if q0 is None else builtin(base).specialize(q0)
-        p = _assemble(name, src.generators, src.relations, src.R, src.params)
+        p = Presentation(name, src.generators, src.relations, src.params, src.R)
     else:
         raise PresentationError(f"unknown builtin presentation {name!r}")
     _cache[name] = p

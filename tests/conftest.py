@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from operadlab import (EShape, RelationExpr, App, Var, app, var, builtin,
                        Scalar)
-from operadlab.free3 import normalize_monomial
+from operadlab.free3 import EDGE, _normalize
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def associator(x, y, z):
 def dot_monomial(shape, text):
     """Index of a dotted monomial like '(x.y).z' in the canonical basis of a
     single no-symmetry generator; returns (sign, index)."""
-    vloc = {"x": 0, "y": 1, "z": 2}
+    leaf = {"x": 1, "y": 2, "z": 3}
 
     def parse(s):
         s = s.strip()
@@ -60,17 +60,15 @@ def dot_monomial(shape, text):
         s = s.strip()
         if s.startswith("(") and s.endswith(")"):
             return parse(s[1:-1])
-        return ("var", vloc[s])
+        return leaf[s]
 
-    def conv(t):
-        if t[0] == "var":
-            return t
-        _, a, b = t
-        assert a[0] == "var" and b[0] == "var"
-        return ("app", 0, a[1], b[1])
+    def leg(t):
+        return EDGE if isinstance(t, tuple) else t
 
     t = parse(text)
-    return normalize_monomial(shape, 0, conv(t[1]), conv(t[2]))
+    inner = next(a for a in t[1:] if isinstance(a, tuple))
+    return _normalize(shape, (0, (0, leg(t[1]), leg(t[2]))),
+                      (0, (EDGE, leg(inner[1]), leg(inner[2]))))
 
 
 @pytest.fixture(scope="session")

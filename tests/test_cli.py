@@ -65,6 +65,18 @@ def test_check_file(tmp_path, capsys):
     assert code == EXIT_OK and "FromFile" in out
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_presentation_file(tmp_path, capsys, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "pres.op"
+        path.write_bytes(b"gen m: none; \xff")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_check_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "check", "rel m(m(x,y),z")
     assert code == EXIT_PARSE
@@ -85,9 +97,11 @@ def test_check_specialization_pole(capsys):
     ("polarize", "operad X { gen m: none; gen m_s: comm; }"),
     ("quantize", "--degree", "-1"),
     ("mlab", "--trials", "-2"),
+    ("check", "gen m: none; rel 2\u00b2*m(m(x,y),z) = 0;"),
 ], ids=["unknown-map-generator", "map-key-not-a-generator",
         "map-key-given-twice", "zero-denominator-q", "non-numeric-q",
-        "polarized-name-clash", "negative-carrier-degree", "negative-trial-count"])
+        "polarized-name-clash", "negative-carrier-degree", "negative-trial-count",
+        "superscript-digit"])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from operadlab import (EShape, Scalar, basis_vector, right_action,
                        TAU23, CYC123, ActionMatrix, Subspace, GroupElement,
                        LAMBDA)
 from operadlab.free3 import (apply_perm_to_basis, lambda_basis, Free3Error,
-                             normalize_monomial)
+                             EDGE, _normalize)
 from conftest import dot_monomial
 
 DATA = Path(__file__).parent / "data"
@@ -45,11 +46,32 @@ def test_comm_basis_monomials():
 
 def test_normalize_monomial_errors():
     shape = EShape([("m", "none")])
+    # m(x, y): the root vertex has no edge
     with pytest.raises(Free3Error):
-        normalize_monomial(shape, 0, ("var", 0), ("var", 1))
+        _normalize(shape, (0, (0, 1, 2)), (0, (EDGE, 3, EDGE)))
+    # m(m(x, x), z)
     with pytest.raises(Free3Error):
-        normalize_monomial(shape, 0, ("app", 0, 0, 0), ("var", 2))
+        _normalize(shape, (0, (0, EDGE, 3)), (0, (EDGE, 1, 1)))
 
+
+
+# the (sign, index) image of every basis monomial under every element of
+# SIGMA3_PLUS (keyed by its images of legs 0..3) and under LAMBDA, on six
+# generator shapes
+def test_action_tables_match_pinned_data():
+    records = json.loads((DATA / "action_tables.json").read_text())
+    assert len(records) == 6
+    for rec in records:
+        shape = EShape(rec["gens"])
+        tables = rec["tables"]
+        assert len(tables) == len(SIGMA3_PLUS) + 1
+        for g in SIGMA3_PLUS:
+            want = tables["".join(map(str, g.images))]
+            got = [list(apply_perm_to_basis(shape, i, g))
+                   for i in range(shape.basis_size)]
+            assert got == want, (rec["gens"], g)
+        got = [list(lambda_basis(shape, i)) for i in range(shape.basis_size)]
+        assert got == tables["lambda"], rec["gens"]
 
 # -- the cyclic generator against the golden table ----------------------------
 

@@ -6,7 +6,8 @@ from operadlab import (builtin, parse_presentation, parse_relation,
                        relation_vector, Presentation, ParseError,
                        PresentationError, BUILTIN_NAMES, Scalar,
                        polarize_presentation, depolarize_presentation,
-                       sigma3_closure, right_action, SIGMA3)
+                       sigma3_closure, right_action, SIGMA3, App,
+                       RelationExpr, check_implies, CheckerError)
 from conftest import associator, E, M, X, Y, Z
 
 # hand-checked relation-space dimensions for every builtin
@@ -111,10 +112,88 @@ def test_parse_error_lexical():
     assert "lexical error" in str(ei.value)
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])   # superscript 2, Arabic-Indic 3
+def test_non_ascii_digit_is_a_lexical_error(digit):
+    with pytest.raises(ParseError) as ei:
+        parse_presentation(f"gen m: none; rel 2{digit}*m(m(x,y),z) = 0;")
+    assert ei.value.msg == f"lexical error: unexpected character {digit!r}"
+    assert (ei.value.line, ei.value.col) == (1, 19)
+    with pytest.raises(ParseError) as ei:
+        parse_relation(f"{digit}*m(m(x,y),z)", builtin("Ass"))
+    assert (ei.value.msg, ei.value.line, ei.value.col) == (
+        f"lexical error: unexpected character {digit!r}", 1, 1)
+
+
 def test_parse_error_three_applications():
     with pytest.raises(ParseError) as ei:
         parse_presentation("gen m: none; rel m(m(m(x,y),z),z) = 0;")
     assert "exactly two generator applications" in str(ei.value)
+
+
+
+# one fault per monomial: the message and the position of the application
+# it names, through the presentation parser (after "gen m: none; rel ") and
+# through parse_relation against Ass
+SINGLE_FAULTS = [
+    ("k(m(x,y),z)", "unknown generator 'k'", 18, 1),
+    ("m(k(x,y),z)", "unknown generator 'k'", 20, 3),
+    ("m(z,k(x,y))", "unknown generator 'k'", 22, 5),
+    ("m(x,y)", "every monomial must contain exactly two generator applications",
+     18, 1),
+    ("m(m(x,y),m(z,x))",
+     "every monomial must contain exactly two generator applications", 18, 1),
+    ("m(m(m(x,y),z),x)",
+     "every monomial must contain exactly two generator applications", 20, 3),
+    ("m(m(x,x),z)", "variable 'x' used twice in a monomial", 18, 1),
+    ("m(x,m(y,y))", "variable 'y' used twice in a monomial", 18, 1),
+    ("m(m(x,y),z) - k(x,m(y,z))", "unknown generator 'k'", 32, 15),
+    ("2*m(m(x,y),z) + m(x, m(x, z))", "variable 'x' used twice in a monomial",
+     34, 17),
+]
+
+# several faults in one monomial: the first in the order outer generator,
+# number of inner applications, inner generator, nested application,
+# repeated variable is reported
+ORDERED_FAULTS = [
+    ("k(n(x,x),z)", "unknown generator 'k'", 18, 1),
+    ("m(n(x,x),z)", "unknown generator 'n'", 20, 3),
+    ("m(m(m(x,x),z),z)",
+     "every monomial must contain exactly two generator applications", 20, 3),
+    ("m(z,m(k(x,y),z))",
+     "every monomial must contain exactly two generator applications", 22, 5),
+]
+
+
+@pytest.mark.parametrize("text,msg,col,rel_col", SINGLE_FAULTS + ORDERED_FAULTS,
+                         ids=[f[0] for f in SINGLE_FAULTS + ORDERED_FAULTS])
+def test_monomial_fault_positions(text, msg, col, rel_col):
+    with pytest.raises(ParseError) as ei:
+        parse_presentation(f"gen m: none; rel {text} = 0;")
+    assert (type(ei.value), ei.value.msg, ei.value.line, ei.value.col) == (
+        ParseError, msg, 1, col)
+    assert str(ei.value) == f"{msg} at 1:{col}"
+    with pytest.raises(ParseError) as ei:
+        parse_relation(text, builtin("Ass"))
+    assert (type(ei.value), ei.value.msg, ei.value.line, ei.value.col) == (
+        ParseError, msg, 1, rel_col)
+
+
+# the same faults in a relation built in code: no position, and check_implies
+# reports them as an alphabet mismatch
+@pytest.mark.parametrize("node,msg", [
+    (App("k", App("m", X, Y), Z), "unknown generator 'k'"),
+    (App("m", X, Y),
+     "every monomial must contain exactly two generator applications"),
+    (App("m", App("m", X, X), Z), "variable 'x' used twice in a monomial"),
+    (X, "monomial must be a generator application"),
+])
+def test_monomial_faults_in_code(node, msg):
+    with pytest.raises(PresentationError) as ei:
+        relation_vector(builtin("Ass").shape, RelationExpr.of(node))
+    assert (type(ei.value), str(ei.value)) == (PresentationError, msg)
+    with pytest.raises(CheckerError) as ei:
+        check_implies(builtin("Ass"), RelationExpr.of(node))
+    assert str(ei.value) == f"alphabet mismatch: {msg}"
 
 
 def test_reserved_generator_names():
