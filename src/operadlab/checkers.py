@@ -125,7 +125,7 @@ class BPoly:
         other = _as_bpoly(other)
         return self.coeffs == other.coeffs
 
-    def render(self, var: str = "B") -> str:
+    def render(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -136,7 +136,7 @@ class BPoly:
             if k == 0:
                 parts.append(f"({c.render()})")
             else:
-                pw = var if k == 1 else f"{var}^{k}"
+                pw = "B" if k == 1 else f"B^{k}"
                 parts.append(pw if c == SC1 else f"({c.render()})*{pw}")
         return " + ".join(parts)
 

@@ -377,8 +377,6 @@ def _rref(vectors, width):
     rows: list = []
     pivots: list = []
     for v in vectors:
-        if len(v) != width:
-            raise Free3Error(f"vector length {len(v)} != ambient {width}")
         _rref_insert(rows, pivots, v, width)
     return tuple(tuple(r) for r in rows), tuple(pivots)
 
@@ -401,6 +399,8 @@ def _rref_insert(rows, pivots, vec, width):
     None when the vector was already in the span.  A pivot entry that is
     already 1 (most of them on rational relations) needs no inverse and
     no scaling."""
+    if len(vec) != width:
+        raise Free3Error(f"vector length {len(vec)} != ambient {width}")
     vec = _eliminate(list(vec), rows, pivots, width)
     piv = next((k for k in range(width) if vec[k]), None)
     if piv is None:

@@ -76,12 +76,12 @@ class MultiMap:
         return cls(d, 1, 1, {((k,), (k,)): 1 for k in range(d)})
 
     @classmethod
-    def random(cls, rng: random.Random, d: int, m: int, n: int,
-               lo: int = -3, hi: int = 3) -> "MultiMap":
+    def random(cls, rng: random.Random, d: int, m: int, n: int) -> "MultiMap":
+        """Coefficients drawn uniformly from -3..3."""
         cc = {}
         for out in itertools.product(range(d), repeat=n):
             for inp in itertools.product(range(d), repeat=m):
-                cc[(out, inp)] = rng.randint(lo, hi)
+                cc[(out, inp)] = rng.randint(-3, 3)
         return cls(d, m, n, cc)
 
     # -- vector-space structure
@@ -313,13 +313,13 @@ def assoc_defect(mu: MultiMap) -> MultiMap:
     """mu(mu(a,b),c) - mu(a,mu(b,c)) as a (3 -> 1) tensor."""
     d = mu.d
     cc = {}
-    for (o1, (s, cidx)), c1 in _items(mu):
-        for (o2, (aidx, bidx)), c2 in _items(mu):
+    for (o1, (s, cidx)), c1 in mu.coeffs.items():
+        for (o2, (aidx, bidx)), c2 in mu.coeffs.items():
             if o2[0] == s:
                 key = (o1, (aidx, bidx, cidx))
                 cc[key] = cc.get(key, 0) + c1 * c2
-    for (o1, (aidx, s)), c1 in _items(mu):
-        for (o2, (bidx, cidx)), c2 in _items(mu):
+    for (o1, (aidx, s)), c1 in mu.coeffs.items():
+        for (o2, (bidx, cidx)), c2 in mu.coeffs.items():
             if o2[0] == s:
                 key = (o1, (aidx, bidx, cidx))
                 cc[key] = cc.get(key, 0) - c1 * c2
@@ -330,13 +330,13 @@ def coassoc_defect(delta: MultiMap) -> MultiMap:
     """(delta x id)delta - (id x delta)delta as a (1 -> 3) tensor."""
     d = delta.d
     cc = {}
-    for ((s, w3), (a,)), c1 in _items(delta):
-        for ((w1, w2), (t,)), c2 in _items(delta):
+    for ((s, w3), (a,)), c1 in delta.coeffs.items():
+        for ((w1, w2), (t,)), c2 in delta.coeffs.items():
             if t == s:
                 key = ((w1, w2, w3), (a,))
                 cc[key] = cc.get(key, 0) + c1 * c2
-    for ((w1, s), (a,)), c1 in _items(delta):
-        for ((w2, w3), (t,)), c2 in _items(delta):
+    for ((w1, s), (a,)), c1 in delta.coeffs.items():
+        for ((w2, w3), (t,)), c2 in delta.coeffs.items():
             if t == s:
                 key = ((w1, w2, w3), (a,))
                 cc[key] = cc.get(key, 0) - c1 * c2
@@ -347,18 +347,18 @@ def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
     """delta(mu(u,v)) - u_(1) (x) mu(u_(2), v) - mu(u, v_(1)) (x) v_(2)."""
     d = mu.d
     cc = {}
-    for ((w1, w2), (s,)), c1 in _items(delta):
-        for ((t,), (uu, vv)), c2 in _items(mu):
+    for ((w1, w2), (s,)), c1 in delta.coeffs.items():
+        for ((t,), (uu, vv)), c2 in mu.coeffs.items():
             if t == s:
                 key = ((w1, w2), (uu, vv))
                 cc[key] = cc.get(key, 0) + c1 * c2
-    for ((u1, u2), (uu,)), c1 in _items(delta):
-        for ((t,), (s, vv)), c2 in _items(mu):
+    for ((u1, u2), (uu,)), c1 in delta.coeffs.items():
+        for ((t,), (s, vv)), c2 in mu.coeffs.items():
             if s == u2:
                 key = ((u1, t), (uu, vv))
                 cc[key] = cc.get(key, 0) - c1 * c2
-    for ((v1, v2), (vv,)), c1 in _items(delta):
-        for ((t,), (uu, s)), c2 in _items(mu):
+    for ((v1, v2), (vv,)), c1 in delta.coeffs.items():
+        for ((t,), (uu, s)), c2 in mu.coeffs.items():
             if s == v1:
                 key = ((t, v2), (uu, vv))
                 cc[key] = cc.get(key, 0) - c1 * c2
@@ -369,7 +369,3 @@ def infinitesimal_bialgebra_axioms(mu: MultiMap, delta: MultiMap):
     """The three axiom tensors (associativity, coassociativity,
     compatibility), computed by direct contraction."""
     return assoc_defect(mu), coassoc_defect(delta), compatibility_defect(mu, delta)
-
-
-def _items(mm: MultiMap):
-    return mm.coeffs.items()

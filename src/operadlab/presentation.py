@@ -16,6 +16,12 @@ Scalar literals are integers, fractions ``a/b``, the symbols ``q``,
 expression over those, e.g. ``((q-1)/(q+3))``.  The names
 x, y, z, q, u, v are reserved.
 
+Lexical rules: ``#`` starts a comment that runs to the end of the line;
+numbers are runs of the ASCII digits 0-9; identifiers start with a
+letter or ``_`` and go on with ``_`` and the characters for which
+``str.isalnum()`` holds.  Anything else, a leading non-ASCII digit such
+as ``²`` included, is a lexical error.
+
 Relations compile to exact vectors in the canonical basis of the
 arity-3 free-operad component; the stored relation space R is always
 closed under the inner symmetric-group action.
@@ -23,6 +29,7 @@ closed under the inner symmetric-group action.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,10 +59,6 @@ class ParseError(PresentationError):
 
 class Var(NamedTuple):
     name: str
-
-    @property
-    def idx(self):
-        return "xyz".index(self.name)
 
     def render(self):
         return self.name
@@ -164,10 +167,13 @@ def _term_index(shape, node):
     if bad:
         raise PresentationError(f"bad argument {bad[0]!r}")
     seen = [v.name for v in leaves]
+    unknown = [v for v in seen if v not in VARS]
+    if unknown:
+        raise _fault(node, f"unknown variable {unknown[0]!r}")
     if len(set(seen)) != 3:
         dup = next(v for v in seen if seen.count(v) > 1)
         raise _fault(node, f"variable {dup!r} used twice in a monomial")
-    l, i, j = (v.idx + 1 for v in leaves)
+    l, i, j = (VARS.index(v) + 1 for v in seen)
     e = free3.EDGE
     outer = (0, e, l) if node.a is inner else (0, l, e)
     return free3._normalize(shape, (f, outer), (g, (e, i, j)))
@@ -312,56 +318,36 @@ class _Tok(NamedTuple):
     col: int
 
 
-_PUNCT = set("{}();:,=+-*/^")
-_DIGITS = set("0123456789")   # str.isdigit also admits e.g. '²' and '٣'
+# one alternative per token kind; whitespace and comments are unnamed.
+# \w is exactly str.isalnum() plus '_', so an identifier runs as far as
+# isalnum() allows, and one that starts with a non-letter (a non-ASCII
+# digit such as '²' or '٣') is rejected at its first character.
+_TOKEN = re.compile(r"(?P<NL>\n)|(?:[ \t\r]+|#[^\n]*)|(?P<NUM>[0-9]+)"
+                    r"|(?P<IDENT>\w+)|(?P<PUNCT>[{}();:,=+\-*/^])|(?P<BAD>.)")
 
 
 def _tokenize(text):
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Tok("NUM", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"lexical error: unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD" or (kind == "IDENT"
+                               and not (tok[0].isalpha() or tok[0] == "_")):
+            raise ParseError(f"lexical error: unexpected character {tok[0]!r}",
+                             line, col)
+        elif kind:
+            toks.append(_Tok(kind, tok, line, col))
     last_line = toks[-1].line if toks else 1
     last_col = toks[-1].col + len(toks[-1].text) - 1 if toks else 1
     toks.append(_Tok("EOF", "", last_line, last_col))
     return toks
+
+
+# the scalar symbols: q, sqrt 2 and sqrt q
+_ATOMS = {"q": Scalar.q, "u": Scalar.u, "v": Scalar.v}
 
 
 class _Parser:
@@ -381,11 +367,22 @@ class _Parser:
     def expect(self, text, what=None):
         t = self.peek()
         if t.text != text:
-            if text in ")," and (t.kind == "EOF" or t.text in ";=}"):
+            if text in (")", ",") and (t.kind == "EOF" or t.text in (";", "=", "}")):
                 raise ParseError("unbalanced parentheses", t.line, t.col)
             raise ParseError(what or f"expected {text!r}, found {t.text!r}",
                              t.line, t.col)
         return self.next()
+
+    def equals_zero(self):
+        self.expect("=")
+        t = self.next()
+        if t.text != "0":
+            raise ParseError("relations must end in '= 0'", t.line, t.col)
+
+    def end(self):
+        t = self.peek()
+        if t.kind != "EOF":
+            raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
 
     # -- grammar ------------------------------------------------------------
 
@@ -425,42 +422,32 @@ class _Parser:
         while self.peek().text == "rel":
             self.next()
             rels.append(self.sum_expr())
-            self.expect("=")
-            t = self.next()
-            if t.text != "0":
-                raise ParseError("relations must end in '= 0'", t.line, t.col)
+            self.equals_zero()
             self.expect(";")
         if braced:
             self.expect("}")
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
+        self.end()
         return name, params, gens, rels
 
     def sum_expr(self):
         terms = []
-        sign = 1
-        t = self.peek()
-        if t.text in "+-":
-            self.next()
-            sign = 1 if t.text == "+" else -1
+        sign = self.sign()
         while True:
             c, node = self.term()
             terms.append((c if sign == 1 else -c, node))
-            t = self.peek()
-            if t.text == "+":
-                sign = 1
-                self.next()
-            elif t.text == "-":
-                sign = -1
-                self.next()
-            else:
-                break
-        return RelationExpr(terms)
+            if self.peek().text not in ("+", "-"):
+                return RelationExpr(terms)
+            sign = self.sign()
+
+    def sign(self):
+        """-1 after reading '-', 1 after '+' or nothing."""
+        if self.peek().text in ("+", "-"):
+            return -1 if self.next().text == "-" else 1
+        return 1
 
     def term(self):
         t = self.peek()
-        if (t.kind == "NUM" or t.text in ("q", "u", "v", "(")):
+        if t.kind == "NUM" or t.text in _ATOMS or t.text == "(":
             c = self.scalar_atom()
             self.expect("*", "expected '*' between scalar and application")
             return c, self.app()
@@ -510,27 +497,17 @@ class _Parser:
                     raise ParseError("zero denominator", t.line, t.col)
                 return Scalar.from_fraction(Fraction(num, den))
             return Scalar.from_fraction(num)
-        if t.text == "q":
+        if t.text in _ATOMS:
             self.next()
-            return Scalar.q()
-        if t.text == "u":
-            self.next()
-            return Scalar.u()
-        if t.text == "v":
-            self.next()
-            return Scalar.v()
+            return _ATOMS[t.text]()
         raise ParseError(f"expected scalar, found {t.text!r}", t.line, t.col)
 
     def scalar_sum(self):
-        t = self.peek()
-        neg = False
-        if t.text in "+-":
-            self.next()
-            neg = t.text == "-"
+        sign = self.sign()
         val = self.scalar_product()
-        if neg:
+        if sign == -1:
             val = -val
-        while self.peek().text in "+-":
+        while self.peek().text in ("+", "-"):
             op = self.next().text
             rhs = self.scalar_product()
             val = val + rhs if op == "+" else val - rhs
@@ -538,7 +515,7 @@ class _Parser:
 
     def scalar_product(self):
         val = self.scalar_power()
-        while self.peek().text in "*/":
+        while self.peek().text in ("*", "/"):
             op = self.next().text
             rhs = self.scalar_power()
             if op == "*":
@@ -578,13 +555,8 @@ def parse_expression(text: str) -> RelationExpr:
     p = _Parser(text)
     expr = p.sum_expr()
     if p.peek().text == "=":
-        p.next()
-        t = p.next()
-        if t.text != "0":
-            raise ParseError("relations must end in '= 0'", t.line, t.col)
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
+        p.equals_zero()
+    p.end()
     return expr
 
 

@@ -146,7 +146,8 @@ def _exquo(a, b):
     return tuple(out)
 
 
-def prender(a, var: str = "q") -> str:
+def prender(a) -> str:
+    """An integer polynomial in q, highest power first."""
     if not a:
         return "0"
     parts = []
@@ -157,7 +158,7 @@ def prender(a, var: str = "q") -> str:
         if k == 0:
             mono = str(abs(c))
         else:
-            pw = var if k == 1 else f"{var}^{k}"
+            pw = "q" if k == 1 else f"q^{k}"
             mono = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
         if not parts:
             parts.append(mono if c > 0 else f"-{mono}")

@@ -248,6 +248,34 @@ def test_iso_named_maps_on_polarized_inputs(capsys, argv, iso):
     assert out.rstrip().endswith(": isomorphism" if iso else "NOT an isomorphism")
 
 
+@pytest.mark.parametrize("p2, verdict", [("Ass", "isomorphism"),
+                                         ("G3", "NOT an isomorphism")])
+def test_iso_identity_map(capsys, p2, verdict):
+    code, out, err = run(capsys, "iso", "Ass", p2, "--map", "identity")
+    assert (code, out, err) == (EXIT_OK,
+                                f"Ass -> {p2} via 'identity': {verdict}\n", "")
+
+
+def test_iso_map_pieces(capsys):
+    # a trailing ';' leaves an empty piece, which is skipped
+    code, out, _ = run(capsys, "iso", "Ass", "Ass", "--map", "m=m(y,x);")
+    assert code == EXIT_OK and out == "Ass -> Ass via 'm=m(y,x);': isomorphism\n"
+    for text, piece in [("m(x,y)", "m(x,y)"), ("m=m(x,y); k", "k")]:
+        code, out, err = run(capsys, "iso", "Ass", "Ass", "--map", text)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: expected gen=expression, got {piece!r} at 1:1\n"
+
+
+def test_decompose_relations_not_invariant(capsys, schema):
+    code, out, _ = run(capsys, "decompose", "G2")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == ("  relations  ( 3): not invariant under the "
+                                    "extended action; no character")
+    code, doc = run_json(capsys, schema, "decompose", "G2", "--json")
+    assert code == EXIT_OK
+    assert doc["relations"] == {"dim": 3, "decomposition": None}
+
+
 def test_iso_degenerate_map_errors(capsys):
     code, _, err = run(capsys, "iso", "LLq", "Ass", "--map", "star", "--q", "0")
     assert code == EXIT_PARSE and "not invertible" in err

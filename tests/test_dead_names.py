@@ -1,0 +1,62 @@
+"""Every module-level private name in the package is used somewhere in the
+package outside its own definition: a private helper, table or constant
+that nothing reads any more is dead code."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "operadlab"
+
+
+def _defined(stmt):
+    """The private names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _mentions(tree):
+    """(identifier, node) for every name, attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name, node
+
+
+def dead_private_names(modules):
+    """module name -> parsed source; returns 'module.name' for each
+    private definition that is mentioned nowhere outside itself."""
+    mentions = [(ident, node) for tree in modules.values()
+                for ident, node in _mentions(tree)]
+    dead = []
+    for mod, tree in sorted(modules.items()):
+        for stmt in tree.body:
+            inside = {id(n) for n in ast.walk(stmt)}
+            for name in _defined(stmt):
+                if not any(ident == name and id(node) not in inside
+                           for ident, node in mentions):
+                    dead.append(f"{mod}.{name}")
+    return dead
+
+
+def test_every_private_name_is_used():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(modules) == []
+
+
+def test_the_guard_finds_a_leftover():
+    tree = ast.parse("import re\n"
+                     "_PUNCT = set('{}')\n"
+                     "_TOKEN = re.compile('x')\n"
+                     "def _walk(n):\n    return _walk(n - 1)\n"
+                     "def scan(t):\n    return _TOKEN.finditer(t)\n")
+    assert dead_private_names({"m": tree}) == ["m._PUNCT", "m._walk"]

@@ -330,6 +330,18 @@ def test_subspace_dimension_mismatch(t3_shape):
         Subspace(t3_shape, [(Scalar.one(),)])
 
 
+@pytest.mark.parametrize("length", [11, 13])
+@pytest.mark.parametrize("close", [lambda sh, vs: span_closure(sh, vs),
+                                   sigma3_closure], ids=["span", "sigma3"])
+def test_closure_rejects_a_vector_of_the_wrong_length(t3_shape, length, close):
+    # a 13-entry vector whose only nonzero entry lies past the ambient
+    vec = [Scalar.zero()] * length
+    vec[-1] = Scalar.one()
+    assert t3_shape.basis_size == 12
+    with pytest.raises(Free3Error, match=f"vector length {length} != ambient 12"):
+        close(t3_shape, [tuple(vec)])
+
+
 def test_closure_of_single_vector_under_trivial_group(t3_shape):
     from conftest import associator
     from operadlab import relation_vector

@@ -7,7 +7,7 @@ from operadlab import (builtin, parse_presentation, parse_relation,
                        PresentationError, BUILTIN_NAMES, Scalar,
                        polarize_presentation, depolarize_presentation,
                        sigma3_closure, right_action, SIGMA3, App,
-                       RelationExpr, check_implies, CheckerError)
+                       RelationExpr, Var, check_implies, CheckerError)
 from conftest import associator, E, M, X, Y, Z
 
 # hand-checked relation-space dimensions for every builtin
@@ -130,6 +130,71 @@ def test_parse_error_three_applications():
     assert "exactly two generator applications" in str(ei.value)
 
 
+def test_comments_and_a_leading_minus():
+    text = ("# Ass, negated\n\tgen m: none;   # one generator\n"
+            "rel -m(m(x,y),z) + m(x,m(y,z)) = 0;  # no newline at the end")
+    p = parse_presentation(text)
+    assert p.R == builtin("Ass").R
+    assert p.relations[0].render() == "-m(m(x,y),z) + m(x,m(y,z))"
+    # a comment swallows the rest of its line, '(' included, and positions
+    # on the following lines count from their own start
+    with pytest.raises(ParseError) as ei:
+        parse_presentation("# c\n\tgen m: none; # (\nrel -k(m(x,y),z) = 0;")
+    assert (ei.value.msg, ei.value.line, ei.value.col) == (
+        "unknown generator 'k'", 3, 6)
+
+
+# (text, message, line, col) of faults outside the monomials
+GRAMMAR_FAULTS = [
+    ("operad t { params: p; gen m: none; }",
+     "the only supported parameter is q", 1, 20),
+    ("operad { gen m: none; }", "expected presentation name", 1, 8),
+    ("gen m: assoc;", "unknown symmetry 'assoc'", 1, 8),
+    ("gen m: none; rel 1/0*m(m(x,y),z) = 0;", "zero denominator", 1, 18),
+    ("gen m: none; rel (1/(q-q))*m(m(x,y),z) = 0;",
+     "division by zero scalar", 1, 26),
+    ("gen m: none; rel (q^x)*m(m(x,y),z) = 0;", "expected integer exponent",
+     1, 21),
+    # a top-level scalar is one atom: '^' needs parentheses
+    ("gen m: none; rel q^2*m(m(x,y),z) = 0;",
+     "expected '*' between scalar and application", 1, 19),
+    ("gen m: none; rel m(m(x,y),z) = 1;", "relations must end in '= 0'", 1, 32),
+    ("gen m: none; rel m(m(x,y),z) = 0; }", "unexpected '}'", 1, 35),
+    ("operad t { gen m: none; } x", "unexpected 'x'", 1, 27),
+    ("gen m: none; rel -m(m(x,y),z) = 0 # no ;", "expected ';', found ''",
+     1, 33),
+    # an unclosed scalar at the end of the input is unbalanced, like an
+    # unclosed application
+    ("gen m: none; rel (1/3", "unbalanced parentheses", 1, 21),
+    ("gen m: none;\r\n rel (q-1\n", "unbalanced parentheses", 2, 9),
+    ("gen m: none; rel m(m(x,y),z", "unbalanced parentheses", 1, 27),
+]
+
+
+@pytest.mark.parametrize("text,msg,line,col", GRAMMAR_FAULTS,
+                         ids=[f[1] for f in GRAMMAR_FAULTS])
+def test_grammar_fault_positions(text, msg, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse_presentation(text)
+    assert (ei.value.msg, ei.value.line, ei.value.col) == (msg, line, col)
+
+
+def test_parse_relation_tails():
+    ass = builtin("Ass")
+    bare = parse_relation("m(m(x,y),z) - m(x,m(y,z))", ass)
+    tailed = parse_relation("m(m(x,y),z) - m(x,m(y,z)) = 0", ass)
+    assert tailed.render() == bare.render() == "m(m(x,y),z) - m(x,m(y,z))"
+    for text, msg, col in [
+            ("m(m(x,y),z) - m(x,m(y,z)) = 1", "relations must end in '= 0'", 29),
+            ("m(m(x,y),z) - m(x,m(y,z)) = 0;", "unexpected ';'", 30),
+            ("m(m(x,y),z) m(x,m(y,z))", "unexpected 'm'", 13),
+            ("m(m(x,y),z) =", "relations must end in '= 0'", 13),
+            ("(1/3", "unbalanced parentheses", 4)]:
+        with pytest.raises(ParseError) as ei:
+            parse_relation(text, ass)
+        assert (ei.value.msg, ei.value.line, ei.value.col) == (msg, 1, col)
+
+
 
 # one fault per monomial: the message and the position of the application
 # it names, through the presentation parser (after "gen m: none; rel ") and
@@ -186,6 +251,8 @@ def test_monomial_fault_positions(text, msg, col, rel_col):
      "every monomial must contain exactly two generator applications"),
     (App("m", App("m", X, X), Z), "variable 'x' used twice in a monomial"),
     (X, "monomial must be a generator application"),
+    (App("m", App("m", X, Y), Var("w")), "unknown variable 'w'"),
+    (App("m", App("m", Var("w"), X), Var("w")), "unknown variable 'w'"),
 ])
 def test_monomial_faults_in_code(node, msg):
     with pytest.raises(PresentationError) as ei:

@@ -112,6 +112,16 @@ def test_classical_limit_is_poisson():
     assert br0(f, g) == direct
 
 
+def test_poisson_check_rejects_broken_axioms():
+    dot0, br0 = classical_limit(moyal_star(3))
+    # a bracket whose {x, p} coefficient is corrupted breaks the Leibniz rule
+    bad = LLData(1, dot0, br0).mutate_bracket((1, 0), (0, 1), (0, 0, 0), 1)
+    assert not poisson_check(dot0, bad.br, 2)
+    # a symmetric bracket, and a product that is not commutative
+    assert not poisson_check(dot0, dot0, 2)
+    assert not poisson_check(lambda u, v: u * v.dx(), br0, 2)
+
+
 def test_polarize_star_requires_commutativity():
     def rule(u, v):
         # p-weighted asymmetric order-zero term
