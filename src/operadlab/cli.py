@@ -217,18 +217,33 @@ def _parse_map(text: str, p: Presentation, p2: Presentation, q=None):
     if text in NAMED_MAPS:
         return _named_map(text, p, p2, q)
     mapping = {}
+    start = 0
     for piece in text.split(";"):
-        piece = piece.strip()
-        if not piece:
+        at, start = start, start + len(piece) + 1
+        if not piece.strip():
             continue
         if "=" not in piece:
-            raise ParseError(f"expected gen=expression, got {piece!r}", 1, 1)
+            line, col = _position(text, at + len(piece) - len(piece.lstrip()))
+            raise ParseError(f"expected gen=expression, got {piece.strip()!r}",
+                             line, col)
         gname, expr_text = piece.split("=", 1)
         gname = gname.strip()
         if gname in mapping:
             raise CheckerError(f"generator {gname!r} is mapped twice")
-        mapping[gname] = parse_expression(expr_text)
+        try:
+            mapping[gname] = parse_expression(expr_text)
+        except ParseError as e:
+            # the expression's own position, counted from where it starts
+            line, col = _position(text, at + piece.index("=") + 1)
+            raise ParseError(e.msg, line + e.line - 1,
+                             col + e.col - 1 if e.line == 1 else e.col) from None
     return mapping
+
+
+def _position(text: str, offset: int):
+    """(line, column) of a character offset, both counted from 1."""
+    line = text.count("\n", 0, offset) + 1
+    return line, offset - text.rfind("\n", 0, offset)
 
 
 def cmd_iso(args) -> int:

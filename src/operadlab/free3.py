@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from .scalar import as_scalar, SC0, SC1, INV_SQRT2
+from .scalar import as_scalar, SC0, SC1, INV_SQRT2, RESIDUE_P
 
 VARS = ("x", "y", "z")
 
@@ -337,10 +337,17 @@ class Subspace:
         Only this space's rows are reduced, and the elimination that finds
         the null space is k columns wide (k = self.dim), never 2n.  Pass the
         space with the simpler coefficients (e.g. a rational one) as
-        `other`, so that the reduction stays cheap."""
+        `other`, so that the reduction stays cheap.
+
+        The remainders' rank mod P comes first: rank k proves a k x k minor
+        nonzero over the tower (`Scalar.residue` is a ring homomorphism), so
+        the intersection is 0.  A shorter rank or a pole proves nothing, and
+        the exact elimination runs unchanged."""
         _compat(self, other)
         k = self.dim
         rems = [other.reduce(r) for r in self.rows]
+        if _rank_mod_p(rems) == k:
+            return Subspace(self.shape)
         # a coordinate of the remainders is one linear condition on c
         rows: list = []
         pivots: list = []
@@ -419,6 +426,32 @@ def _rref_insert(rows, pivots, vec, width):
     rows.insert(at, vec)
     pivots.insert(at, piv)
     return piv
+
+
+def _rank_mod_p(vectors):
+    """The rank of the vectors' residues (`Scalar.residue`) in Z/P, or None
+    when an entry has a pole.  The residue map is a ring homomorphism, so a
+    minor nonzero mod P is nonzero over the tower: this is a lower bound
+    for the exact rank, equal to it unless the point is unlucky."""
+    rows: list = []
+    pivots: list = []
+    for vec in vectors:
+        row = []
+        for c in vec:
+            r = c.residue() if c else 0
+            if r is None:
+                return None
+            row.append(r)
+        for prow, p in zip(rows, pivots):
+            c = row[p]
+            if c:
+                row = [(a - c * b) % RESIDUE_P for a, b in zip(row, prow)]
+        piv = next((i for i, a in enumerate(row) if a), None)
+        if piv is not None:
+            inv = pow(row[piv], -1, RESIDUE_P)
+            rows.append([a * inv % RESIDUE_P for a in row])
+            pivots.append(piv)
+    return len(rows)
 
 
 def span_closure(shape: EShape, vectors, actions=()) -> Subspace:

@@ -534,9 +534,14 @@ class _Parser:
             t = self.next()
             if t.kind != "NUM":
                 raise ParseError("expected integer exponent", t.line, t.col)
-            out = SC1
-            for _ in range(int(t.text)):
-                out = out * base
+            # square and multiply, one bit of the exponent at a time
+            out, n = SC1, int(t.text)
+            while n:
+                if n & 1:
+                    out = out * base
+                n >>= 1
+                if n:
+                    base = base * base
             return out
         return base
 

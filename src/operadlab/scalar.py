@@ -562,6 +562,22 @@ class Scalar:
         return Scalar(RatFunc.const(vals[0] + r * vals[2]),
                       RatFunc.const(vals[1] + r * vals[3]))
 
+    def residue(self):
+        """The image in Z/P (P = 2^61 - 1) under q ↦ V0^2, v ↦ V0 and u ↦ a
+        root of 2 mod P, as an int in [0, P); None at a pole (a denominator
+        that vanishes at V0^2 mod P).  On elements without a pole this is a
+        ring homomorphism, since the images keep u^2 = 2 and v^2 = q: a
+        minor with a nonzero residue is nonzero over the tower."""
+        out = 0
+        for r, w in zip(self.c, _RESIDUE_BASIS):
+            if r.num:
+                d = _presidue(r.den)
+                if not d:
+                    return None
+                n = _presidue(r.num)
+                out += n * w if d == 1 else n * pow(d, -1, RESIDUE_P) * w
+        return out % RESIDUE_P
+
     # -- rendering
 
     def render(self) -> str:
@@ -601,6 +617,23 @@ def as_scalar(x):
     if isinstance(x, RatFunc):
         return Scalar(x)
     return NotImplemented
+
+
+# The residue map Scalar.residue: P = 2^61 - 1 is prime, P ≡ 7 mod 8 makes
+# 2 a square mod P, and P ≡ 3 mod 4 gives its root as 2^((P+1)/4).
+RESIDUE_P = (1 << 61) - 1
+RESIDUE_V0 = 3_141_592_653
+_RESIDUE_Q0 = RESIDUE_V0 * RESIDUE_V0 % RESIDUE_P
+_RESIDUE_U0 = pow(2, (RESIDUE_P + 1) // 4, RESIDUE_P)
+_RESIDUE_BASIS = (1, _RESIDUE_U0, RESIDUE_V0, _RESIDUE_U0 * RESIDUE_V0 % RESIDUE_P)
+
+
+def _presidue(a) -> int:
+    """An integer polynomial at q = V0^2, mod P."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * _RESIDUE_Q0 + c) % RESIDUE_P
+    return acc
 
 
 def _rational_sqrt(a: Fraction):

@@ -260,10 +260,14 @@ def test_iso_map_pieces(capsys):
     # a trailing ';' leaves an empty piece, which is skipped
     code, out, _ = run(capsys, "iso", "Ass", "Ass", "--map", "m=m(y,x);")
     assert code == EXIT_OK and out == "Ass -> Ass via 'm=m(y,x);': isomorphism\n"
-    for text, piece in [("m(x,y)", "m(x,y)"), ("m=m(x,y); k", "k")]:
+    # positions are columns of the --map text
+    for text, msg in [("m(x,y)", "expected gen=expression, got 'm(x,y)' at 1:1"),
+                      ("m=m(x,y); k", "expected gen=expression, got 'k' at 1:11"),
+                      ("m=m(x,y) + m(y,x;", "unbalanced parentheses at 1:16"),
+                      ("m=m(x,y\n+ m(y,x)", "expected ')', found '+' at 2:1")]:
         code, out, err = run(capsys, "iso", "Ass", "Ass", "--map", text)
         assert (code, out) == (EXIT_PARSE, "")
-        assert err == f"error: expected gen=expression, got {piece!r} at 1:1\n"
+        assert err == f"error: {msg}\n"
 
 
 def test_decompose_relations_not_invariant(capsys, schema):

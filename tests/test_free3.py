@@ -12,8 +12,10 @@ from operadlab import (EShape, Scalar, basis_vector, right_action,
                        depolarize_map, SIGMA3, SIGMA3_PLUS, GAMMA3, TAU12,
                        TAU23, CYC123, ActionMatrix, Subspace, GroupElement,
                        LAMBDA)
+from operadlab import free3
 from operadlab.free3 import (apply_perm_to_basis, lambda_basis, Free3Error,
-                             EDGE, _normalize)
+                             EDGE, _normalize, _rank_mod_p, _rref)
+from operadlab.scalar import RESIDUE_V0
 from conftest import dot_monomial
 
 DATA = Path(__file__).parent / "data"
@@ -275,8 +277,7 @@ entries = st.one_of(
         lambda cs: sum((g * c for g, c in zip(TOWER_GENS, cs)), Scalar.zero())))
 
 
-def sparse_vector(support):
-    size = EShape([("m", "none")]).basis_size
+def sparse_vector(support, size=12):
     return st.dictionaries(st.integers(0, size - 1), entries,
                            min_size=1, max_size=support).map(
         lambda d: tuple(d.get(i, Scalar.zero()) for i in range(size)))
@@ -323,6 +324,65 @@ def test_intersect_edge_cases(t3_shape):
                                 tuple(a - b for a, b in zip(vecs[1], vecs[2]))])
     sum01 = tuple(a + b for a, b in zip(vecs[0], vecs[1]))
     assert check_intersection(mixed, part) == Subspace(t3_shape, [sum01])
+
+
+# -- the rank mod P before the exact elimination ---------------------------------
+
+def exact_intersect(a, b):
+    """a.intersect(b) by the exact elimination alone."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(free3, "_rank_mod_p", lambda vectors: None)
+        return a.intersect(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(sparse_vector(3, size=4), min_size=1, max_size=4), st.data())
+def test_rank_mod_p_is_at_most_the_exact_rank(vs, data):
+    # a combination of two of them makes some lists dependent
+    if data.draw(st.booleans()):
+        c = data.draw(entries)
+        vs.append(tuple(a + c * b for a, b in zip(vs[0], vs[-1])))
+    rank = _rank_mod_p(vs)
+    assert rank is None or rank <= len(_rref(vs, 4)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(pool=st.lists(sparse_vector(3), min_size=1, max_size=4),
+       picks=st.tuples(*[st.sets(st.integers(0, 3))] * 2),
+       gamma=st.booleans())
+def test_intersect_equals_the_exact_path(t3_shape, pool, picks, gamma):
+    a, b = (Subspace(t3_shape, [pool[i] for i in sorted(p) if i < len(pool)])
+            for p in picks)
+    if gamma:       # the rational Γ± of check_dihedral as the other space
+        b = gamma_plus_split(t3_shape)[len(pool) % 2]
+    assert a.intersect(b) == exact_intersect(a, b)
+
+
+def test_intersect_at_an_unlucky_point(t3_shape):
+    zero, one, q = Scalar.zero(), Scalar.one(), Scalar.q()
+    v0sq = Scalar.from_fraction(RESIDUE_V0 ** 2)
+    at_point = q - v0sq                                   # residue 0
+
+    def vec(entries):
+        return tuple(entries.get(i, zero) for i in range(t3_shape.basis_size))
+
+    # a pole at the point: no bound, the exact path answers
+    b = Subspace(t3_shape, [vec({2: one})])
+    a = Subspace(t3_shape, [vec({0: one, 3: one / at_point}), vec({1: one, 3: one})])
+    rems = [b.reduce(r) for r in a.rows]
+    assert _rank_mod_p(rems) is None
+    assert a.intersect(b) == exact_intersect(a, b) == Subspace(t3_shape)
+    # remainders e3 - e1/V0^2 and e1 + q e3 are independent, with a
+    # determinant (q - V0^2)/V0^2 that vanishes at the point
+    b = Subspace(t3_shape, [vec({0: one, 1: -one / v0sq})])
+    a = Subspace(t3_shape, [vec({0: one, 3: one}), vec({1: one, 3: q})])
+    rems = [b.reduce(r) for r in a.rows]
+    assert _rank_mod_p(rems) == 1
+    assert a.intersect(b) == exact_intersect(a, b) == Subspace(t3_shape)
+    # and a nonzero intersection at the point
+    c = Subspace(t3_shape, [vec({0: one, 3: one}), vec({1: one, 3: at_point})])
+    d = Subspace(t3_shape, [vec({0: one, 1: one, 3: at_point + one})])
+    assert c.intersect(d) == exact_intersect(c, d) == d
 
 
 def test_subspace_dimension_mismatch(t3_shape):

@@ -8,6 +8,7 @@ from operadlab import (builtin, parse_presentation, parse_relation,
                        polarize_presentation, depolarize_presentation,
                        sigma3_closure, right_action, SIGMA3, App,
                        RelationExpr, Var, check_implies, CheckerError)
+from operadlab.presentation import parse_expression
 from conftest import associator, E, M, X, Y, Z
 
 # hand-checked relation-space dimensions for every builtin
@@ -79,6 +80,21 @@ def test_parse_scalar_literals():
     sx = {c.render() for c in vec if c}
     assert "2" in sx and "-1/3" in sx and "(q - 1)/(q + 3)" in sx
     assert "u" in sx and "((-1/2))*v" in sx or "(-1/2)*v" in sx
+
+
+def _power(text):
+    (coef, _), = parse_expression(f"({text})*m(x,y)").terms
+    return coef
+
+
+def test_scalar_power_by_squaring():
+    assert _power("2^100000") == Scalar.from_fraction(2 ** 100000)
+    assert _power("(1/3)^0") == Scalar.one()
+    for atom in ("q", "u", "v", "(u+v)", "((q-1)/(u*v+3))"):
+        base, want = _power(atom), Scalar.one()
+        for k in range(10):
+            assert _power(f"{atom}^{k}") == want, (atom, k)
+            want = want * base
 
 
 def test_parse_error_unbalanced():

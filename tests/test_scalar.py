@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operadlab.scalar import Scalar, RatFunc, ScalarError, SpecializationError
+from operadlab.scalar import (Scalar, RatFunc, ScalarError, SpecializationError,
+                              RESIDUE_P, RESIDUE_V0)
 
 
 def S(x):
@@ -196,3 +197,41 @@ def test_specialize_pole_of_a_denominator_with_content():
     assert s.specialize(0) == S(Fraction(1, 6))
     with pytest.raises(SpecializationError):
         s.specialize(-3)
+
+
+# -- the residue map to Z/P -----------------------------------------------------
+
+P = RESIDUE_P
+
+
+def test_residues_of_the_generators():
+    u, v, q = U.residue(), V.residue(), Q.residue()
+    assert u * u % P == 2
+    assert v * v % P == q
+    assert v == RESIDUE_V0 and q == RESIDUE_V0 ** 2 % P
+    assert S(Fraction(-2, 3)).residue() * 3 % P == P - 2
+    assert Scalar.zero().residue() == 0
+
+
+def test_residue_is_none_at_a_pole():
+    at_point = RatFunc([-RESIDUE_V0 ** 2, 1])            # q - V0^2
+    assert Scalar(at_point).residue() == 0
+    assert Scalar(1 / at_point).residue() is None
+    assert Scalar(1, 1, 0, 1 / at_point).residue() is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars(), scalars())
+def test_residue_is_a_ring_homomorphism(a, b):
+    ra, rb = a.residue(), b.residue()
+    for value, want in ((a + b, lambda: (ra + rb) % P),
+                        (a - b, lambda: (ra - rb) % P),
+                        (a * b, lambda: ra * rb % P),
+                        (-a, lambda: -ra % P)):
+        got = value.residue()
+        if ra is not None and rb is not None and got is not None:
+            assert got == want()
+    if a and ra is not None:
+        inv = a.inverse().residue()
+        if inv is not None:
+            assert ra * inv % P == 1
