@@ -46,14 +46,17 @@ class InternalInconsistencyError(AssertionError):
 # ---------------------------------------------------------------------------
 
 def check_cyclic(p: Presentation) -> bool:
-    """R preserved by the generator of the cyclic extension."""
+    """R preserved by the generator of the cyclic extension.  A "no" is
+    usually proved mod P (`Subspace.is_invariant`)."""
     return p.R.is_invariant(p.shape.action(GAMMA3))
 
 
 def check_dihedral(p: Presentation) -> bool:
     """R preserved by the left involution.  Cross-checked against the
     splitting R = (R ∩ Γ+) ⊕ (R ∩ Γ-), each part found from the rows of R
-    modulo the rational space Γ±, so that only R's rows are reduced."""
+    modulo the rational space Γ±, so that only R's rows are reduced.  Each
+    route tries its residue certificate first (`Subspace.is_invariant`,
+    `Subspace.intersect`); they share R's residue view, not a result."""
     by_lambda = p.R.is_invariant(lambda v: left_lambda(p.shape, v))
     gp, gm = gamma_plus_split(p.shape)
     rp = p.R.intersect(gp)

@@ -28,6 +28,7 @@ permutations, realised by `EShape.action`.  The +1/-1 eigenspaces of
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .scalar import as_scalar, SC0, SC1, INV_SQRT2, RESIDUE_P
@@ -330,6 +331,16 @@ class Subspace:
         _compat(self, other)
         return Subspace(self.shape, list(self.rows) + list(other.rows))
 
+    @functools.cached_property
+    def residues(self):
+        """The residue view: the rows' entries mapped to Z/P by
+        `Scalar.residue`, as int lists, or None if an entry has a pole.
+        Computed at most once per instance.  The rows have pivot 1 and 0 at
+        the other pivots, so the exact remainder of a vector a modulo this
+        space is a - sum a[p] row_p, and its residue follows from these rows
+        alone (`_residue_remainder`)."""
+        return _residues(self.rows)
+
     def intersect(self, other: "Subspace") -> "Subspace":
         """The combinations sum c_i a_i of this space's rows that `other`
         contains: the null space of the remainders r_i = other.reduce(a_i).
@@ -339,15 +350,20 @@ class Subspace:
         space with the simpler coefficients (e.g. a rational one) as
         `other`, so that the reduction stays cheap.
 
-        The remainders' rank mod P comes first: rank k proves a k x k minor
-        nonzero over the tower (`Scalar.residue` is a ring homomorphism), so
-        the intersection is 0.  A shorter rank or a pole proves nothing, and
-        the exact elimination runs unchanged."""
+        Certificate first: the residues of the r_i come from the two
+        residue views alone, and their rank mod P = k proves a k x k minor
+        nonzero over the tower (`Scalar.residue` is a ring homomorphism),
+        so the intersection is 0 and no exact remainder is computed.  A
+        pole in either space or a shorter rank proves nothing, and the
+        exact elimination runs unchanged."""
         _compat(self, other)
         k = self.dim
+        mine, theirs = self.residues, other.residues
+        if mine is not None and theirs is not None:
+            rems = [_residue_remainder(a, theirs, other.pivots) for a in mine]
+            if _rank_mod_p(rems) == k:
+                return Subspace(self.shape)
         rems = [other.reduce(r) for r in self.rows]
-        if _rank_mod_p(rems) == k:
-            return Subspace(self.shape)
         # a coordinate of the remainders is one linear condition on c
         rows: list = []
         pivots: list = []
@@ -368,7 +384,21 @@ class Subspace:
         return Subspace(self.shape, inter)
 
     def is_invariant(self, action) -> bool:
-        return all(self.contains(action(r)) for r in self.rows)
+        """Whether `action` (vec -> vec) maps every row into this space.
+
+        Certificate first: the residue of each image's exact remainder
+        comes from the residue view; one that is nonzero proves that image
+        outside the space (`Scalar.residue` is a ring homomorphism), and
+        the answer is False with no exact reduction.  A pole in the rows or
+        an image, or zero residues throughout, prove nothing, and every
+        image is then reduced exactly."""
+        images = [action(r) for r in self.rows]
+        rows = self.residues
+        if rows is not None:
+            for a in _residues(images) or ():
+                if any(_residue_remainder(a, rows, self.pivots)):
+                    return False
+        return all(self.contains(v) for v in images)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -428,30 +458,48 @@ def _rref_insert(rows, pivots, vec, width):
     return piv
 
 
-def _rank_mod_p(vectors):
-    """The rank of the vectors' residues (`Scalar.residue`) in Z/P, or None
-    when an entry has a pole.  The residue map is a ring homomorphism, so a
-    minor nonzero mod P is nonzero over the tower: this is a lower bound
-    for the exact rank, equal to it unless the point is unlucky."""
-    rows: list = []
-    pivots: list = []
+def _residues(vectors):
+    """The vectors' entries mapped to Z/P by `Scalar.residue`, as int
+    lists, or None when an entry has a pole."""
+    out = []
     for vec in vectors:
-        row = []
-        for c in vec:
-            r = c.residue() if c else 0
-            if r is None:
-                return None
-            row.append(r)
-        for prow, p in zip(rows, pivots):
+        row = [c.residue() for c in vec]
+        if None in row:
+            return None
+        out.append(row)
+    return out
+
+
+def _residue_remainder(a, rows, pivots):
+    """a - sum a[p] row_p mod P, for residue rows of an echelon form whose
+    rows have pivot 1 and 0 at the other pivots: the residue of the exact
+    remainder of a vector modulo that form, from residues alone."""
+    out = a
+    for row, p in zip(rows, pivots):
+        c = a[p]
+        if c:
+            out = [x - c * y for x, y in zip(out, row)]
+    return [x % RESIDUE_P for x in out]
+
+
+def _rank_mod_p(rows):
+    """The rank in Z/P of int rows (residues, see `_residues`).  The
+    residue map is a ring homomorphism, so a minor nonzero mod P is nonzero
+    over the tower: this is a lower bound for the exact rank of the
+    vectors the rows came from, equal to it unless the point is unlucky."""
+    echelon: list = []
+    pivots: list = []
+    for row in rows:
+        for prow, p in zip(echelon, pivots):
             c = row[p]
             if c:
                 row = [(a - c * b) % RESIDUE_P for a, b in zip(row, prow)]
         piv = next((i for i, a in enumerate(row) if a), None)
         if piv is not None:
             inv = pow(row[piv], -1, RESIDUE_P)
-            rows.append([a * inv % RESIDUE_P for a in row])
+            echelon.append([a * inv % RESIDUE_P for a in row])
             pivots.append(piv)
-    return len(rows)
+    return len(echelon)
 
 
 def span_closure(shape: EShape, vectors, actions=()) -> Subspace:

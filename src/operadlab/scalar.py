@@ -22,14 +22,16 @@ pseudo-remainders) is taken only when a denominator has positive degree.
 ``*`` and truth testing.
 
 Most coefficients are plain rationals or lie in Q(q), so the arithmetic
-returns early for them, inside the same methods: `RatFunc` sums and
-products of two constants (num of length <= 1, den of length 1) are one
-integer cross product cancelled by one `math.gcd`, and `Scalar` sums,
-differences, products and inverses of elements without a u, v or uv part
-work on the first component alone.  The early returns build exactly the
-canonical values of the general code (den > 0, gcd 1, zero is num = ()),
-so equality stays structural and nothing downstream can tell the paths
-apart.
+returns early for them, inside the same methods: `RatFunc` sums,
+differences and products of two constants (num of length <= 1, den of
+length 1) are one integer cross product cancelled by one `math.gcd`,
+`Scalar` sums, differences, products and inverses of elements without a
+u, v or uv part work on the first component alone, and the residue of a
+plain rational is one modular inverse.  The early returns build exactly
+the canonical values of the general code (den > 0, gcd 1, zero is
+num = ()), so equality stays structural and nothing downstream can tell
+the paths apart.  A `RatFunc` difference negates only the numerator
+tuple of its operand, not a whole `RatFunc`.
 
 Rendering divides through by the leading coefficient of the denominator
 and writes `u` for sqrt(2) and `v` for sqrt(q), e.g.
@@ -38,6 +40,7 @@ and writes `u` for sqrt(2) and `v` for sqrt(q), e.g.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -147,23 +150,29 @@ def _exquo(a, b):
 
 
 def prender(a) -> str:
-    """An integer polynomial in q, highest power first."""
+    """An integer polynomial in q, highest power first.  A coefficient with
+    more decimal digits than `str` writes (`sys.get_int_max_str_digits`)
+    raises ScalarError."""
     if not a:
         return "0"
     parts = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if not c:
-            continue
-        if k == 0:
-            mono = str(abs(c))
-        else:
-            pw = "q" if k == 1 else f"q^{k}"
-            mono = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
-        if not parts:
-            parts.append(mono if c > 0 else f"-{mono}")
-        else:
-            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+    try:
+        for k in range(len(a) - 1, -1, -1):
+            c = a[k]
+            if not c:
+                continue
+            if k == 0:
+                mono = str(abs(c))
+            else:
+                pw = "q" if k == 1 else f"q^{k}"
+                mono = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
+            if not parts:
+                parts.append(mono if c > 0 else f"-{mono}")
+            else:
+                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+    except ValueError:
+        raise ScalarError("coefficient too large to print (over "
+                          f"{sys.get_int_max_str_digits()} decimal digits)") from None
     return " ".join(parts)
 
 
@@ -241,15 +250,7 @@ class RatFunc:
             b = d1[0] * d2[0]
             g = gcd(a, b)
             return _raw((a // g,), (b // g,))
-        if d1 == d2:
-            return _content_free(*_cancel(padd(n1, n2), d1))
-        g = pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else _P1
-        if g == _P1:
-            return _content_free(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
-        e1, e2 = _exquo(d1, g), _exquo(d2, g)
-        # the new numerator is coprime to e1 and e2: only factors of g cancel
-        num, g = _cancel(padd(pmul(n1, e2), pmul(n2, e1)), g)
-        return _content_free(num, pmul(pmul(e1, e2), g))
+        return _sum(n1, d1, n2, d2)
 
     __radd__ = __add__
 
@@ -260,10 +261,23 @@ class RatFunc:
         return _raw((-n[0],), self.den) if n else self
 
     def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not RatFunc:
+            other = _as_ratfunc(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n2:
+            return self
+        if not n1:
+            return _raw(tuple(-c for c in n2), d2)
+        if len(n1) == len(n2) == len(d1) == len(d2) == 1:     # constants
+            a = n1[0] * d2[0] - n2[0] * d1[0]
+            if not a:
+                return _R0
+            b = d1[0] * d2[0]
+            g = gcd(a, b)
+            return _raw((a // g,), (b // g,))
+        return _sum(n1, d1, tuple(-c for c in n2), d2)
 
     def __rsub__(self, other):
         return _as_ratfunc(other) - self
@@ -329,6 +343,20 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
+
+
+def _sum(n1, d1, n2, d2) -> RatFunc:
+    """n1/d1 + n2/d2 for normalised fractions with nonzero numerators, not
+    both constants."""
+    if d1 == d2:
+        return _content_free(*_cancel(padd(n1, n2), d1))
+    g = pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else _P1
+    if g == _P1:
+        return _content_free(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
+    e1, e2 = _exquo(d1, g), _exquo(d2, g)
+    # the new numerator is coprime to e1 and e2: only factors of g cancel
+    num, g = _cancel(padd(pmul(n1, e2), pmul(n2, e1)), g)
+    return _content_free(num, pmul(pmul(e1, e2), g))
 
 
 def _raw(num, den) -> RatFunc:
@@ -568,6 +596,15 @@ class Scalar:
         that vanishes at V0^2 mod P).  On elements without a pole this is a
         ring homomorphism, since the images keep u^2 = 2 and v^2 = q: a
         minor with a nonzero residue is nonzero over the tower."""
+        c0, c1, c2, c3 = self.c
+        if not (c1.num or c2.num or c3.num) and len(c0.num) <= 1 and len(c0.den) == 1:
+            if not c0.num:
+                return 0
+            d = c0.den[0] % RESIDUE_P
+            if not d:
+                return None
+            n = c0.num[0]
+            return (n if d == 1 else n * pow(d, -1, RESIDUE_P)) % RESIDUE_P
         out = 0
         for r, w in zip(self.c, _RESIDUE_BASIS):
             if r.num:

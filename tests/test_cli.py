@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -106,6 +107,17 @@ def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_coefficient_too_long_to_print_is_a_one_line_error(capsys):
+    text = "operad A { gen m: none; rel (2^100000)*m(m(x,y),z) - m(x,m(y,z)) = 0; }"
+    code, out, err = run(capsys, "check", text)
+    assert code == EXIT_PARSE and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: coefficient too large to print (over {limit} decimal digits)\n"
+    # the verdicts that print no coefficient still answer
+    code, out, _ = run(capsys, "check", text, "--cyclic", "--dihedral")
+    assert code == EXIT_OK and "cyclic:   no" in out and "dihedral: no" in out
 
 
 def test_check_keeps_decided_verdicts_when_hopf_is_unsupported(capsys, schema):

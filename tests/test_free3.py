@@ -14,7 +14,8 @@ from operadlab import (EShape, Scalar, basis_vector, right_action,
                        LAMBDA)
 from operadlab import free3
 from operadlab.free3 import (apply_perm_to_basis, lambda_basis, Free3Error,
-                             EDGE, _normalize, _rank_mod_p, _rref)
+                             EDGE, _normalize, _rank_mod_p, _residues,
+                             _rref)
 from operadlab.scalar import RESIDUE_V0
 from conftest import dot_monomial
 
@@ -342,8 +343,8 @@ def test_rank_mod_p_is_at_most_the_exact_rank(vs, data):
     if data.draw(st.booleans()):
         c = data.draw(entries)
         vs.append(tuple(a + c * b for a, b in zip(vs[0], vs[-1])))
-    rank = _rank_mod_p(vs)
-    assert rank is None or rank <= len(_rref(vs, 4)[0])
+    rows = _residues(vs)
+    assert rows is None or _rank_mod_p(rows) <= len(_rref(vs, 4)[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -369,20 +370,74 @@ def test_intersect_at_an_unlucky_point(t3_shape):
     # a pole at the point: no bound, the exact path answers
     b = Subspace(t3_shape, [vec({2: one})])
     a = Subspace(t3_shape, [vec({0: one, 3: one / at_point}), vec({1: one, 3: one})])
-    rems = [b.reduce(r) for r in a.rows]
-    assert _rank_mod_p(rems) is None
+    assert a.residues is None and _residues([b.reduce(r) for r in a.rows]) is None
     assert a.intersect(b) == exact_intersect(a, b) == Subspace(t3_shape)
     # remainders e3 - e1/V0^2 and e1 + q e3 are independent, with a
     # determinant (q - V0^2)/V0^2 that vanishes at the point
     b = Subspace(t3_shape, [vec({0: one, 1: -one / v0sq})])
     a = Subspace(t3_shape, [vec({0: one, 3: one}), vec({1: one, 3: q})])
-    rems = [b.reduce(r) for r in a.rows]
-    assert _rank_mod_p(rems) == 1
+    assert _rank_mod_p(_residues([b.reduce(r) for r in a.rows])) == 1
     assert a.intersect(b) == exact_intersect(a, b) == Subspace(t3_shape)
     # and a nonzero intersection at the point
     c = Subspace(t3_shape, [vec({0: one, 3: one}), vec({1: one, 3: at_point})])
     d = Subspace(t3_shape, [vec({0: one, 1: one, 3: at_point + one})])
     assert c.intersect(d) == exact_intersect(c, d) == d
+
+
+def test_exact_intersect_skips_the_certificate(t3_shape, monkeypatch):
+    a, b = (Subspace(t3_shape, [basis_vector(t3_shape, i)]) for i in (0, 1))
+    calls = []
+    reduce = Subspace.reduce
+    monkeypatch.setattr(Subspace, "reduce",
+                        lambda self, v: calls.append(v) or reduce(self, v))
+    assert a.intersect(b) == Subspace(t3_shape) and not calls
+    assert exact_intersect(a, b) == Subspace(t3_shape) and len(calls) == 1
+
+
+# -- invariance: a nonzero residue remainder proves "not invariant" -------------
+
+def exact_is_invariant(space, action):
+    """space.is_invariant(action) by the exact reduction alone."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(free3.Subspace, "residues", property(lambda self: None))
+        return space.is_invariant(action)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vecs=st.lists(sparse_vector(3), min_size=1, max_size=3),
+       element=st.sampled_from((GAMMA3, LAMBDA) + SIGMA3), close=st.booleans())
+def test_is_invariant_equals_the_exact_path(t3_shape, vecs, element, close):
+    act = t3_shape.action(element)
+    space = span_closure(t3_shape, vecs, [act]) if close else Subspace(t3_shape, vecs)
+    assert space.is_invariant(act) == exact_is_invariant(space, act)
+    assert space.is_invariant(act) or not close
+
+
+def test_invariance_at_an_unlucky_point(t3_shape, monkeypatch):
+    zero, one, q, v = Scalar.zero(), Scalar.one(), Scalar.q(), Scalar.v()
+    v0 = Scalar.from_fraction(RESIDUE_V0)
+
+    def vec(entries):
+        return tuple(entries.get(i, zero) for i in range(t3_shape.basis_size))
+
+    # γ swaps e2 and e6, λ swaps e0 and e9.  With a = v/V0 (residue 1), the
+    # image of e_i + a e_j leaves the remainder (1 - a^2) e_j =
+    # ((V0^2 - q)/V0^2) e_j: zero at the point, nonzero over the tower
+    a = v / v0
+    for element, (i, j) in ((GAMMA3, (2, 6)), (LAMBDA, (0, 9))):
+        act = t3_shape.action(element)
+        space = Subspace(t3_shape, [vec({i: one, j: a})])
+        rem = space.reduce(act(space.rows[0]))
+        assert rem == vec({j: one - a * a}) and _residues([rem]) == [[0] * 12]
+        assert space.is_invariant(act) is False
+        assert exact_is_invariant(space, act) is False
+    # a pole at the point: no residue view, the exact route answers both ways
+    b = one / (q - Scalar.from_fraction(RESIDUE_V0 ** 2))
+    act = t3_shape.action(GAMMA3)
+    half = Subspace(t3_shape, [vec({2: one, 3: one, 6: b})])
+    both = Subspace(t3_shape, [vec({2: one, 3: one, 6: b}), vec({2: b, 6: one, 11: one})])
+    assert half.residues is None and both.residues is None
+    assert half.is_invariant(act) is False and both.is_invariant(act) is True
 
 
 def test_subspace_dimension_mismatch(t3_shape):

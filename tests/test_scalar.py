@@ -218,6 +218,9 @@ def test_residue_is_none_at_a_pole():
     assert Scalar(at_point).residue() == 0
     assert Scalar(1 / at_point).residue() is None
     assert Scalar(1, 1, 0, 1 / at_point).residue() is None
+    # a rational whose denominator P divides
+    assert S(Fraction(3, 2 * P)).residue() is None
+    assert S(Fraction(2 * P, 3)).residue() == 0
 
 
 @settings(max_examples=150, deadline=None)
