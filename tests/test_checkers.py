@@ -125,7 +125,7 @@ def pool_draws(seed, count):
 # 1.8 to 101 s before the rank mod P was tried (233 s in all), with dim R
 # and the dihedral verdict recorded then.  Draws 10 and 24, on which the
 # exact γ and λ reductions took 18 s and 3 s, are pinned by the tests after
-# this one; their checks are now fast, and their time (about 1.3 s each)
+# this one; their checks are now fast, and their time (about 1.4 s each)
 # goes to parsing.
 SLOW_POOL_DRAWS = {11: (6, False), 12: (6, False), 18: (6, False),
                    20: (6, False), 23: (6, False), 27: (6, False),
