@@ -386,18 +386,22 @@ class Subspace:
     def is_invariant(self, action) -> bool:
         """Whether `action` (vec -> vec) maps every row into this space.
 
-        Certificate first: the residue of each image's exact remainder
-        comes from the residue view; one that is nonzero proves that image
-        outside the space (`Scalar.residue` is a ring homomorphism), and
-        the answer is False with no exact reduction.  A pole in the rows or
-        an image, or zero residues throughout, prove nothing, and every
-        image is then reduced exactly."""
-        images = [action(r) for r in self.rows]
+        Certificate first: each image, as it is built, is checked by the
+        residue of its exact remainder, which comes from the residue view
+        alone; one that is nonzero proves that image outside the space
+        (`Scalar.residue` is a ring homomorphism), and the answer is False
+        with no exact reduction and no further image.  A pole in the rows
+        or in an image, or zero residues throughout, prove nothing, and the
+        images are then reduced exactly."""
         rows = self.residues
-        if rows is not None:
-            for a in _residues(images) or ():
-                if any(_residue_remainder(a, rows, self.pivots)):
+        images = []
+        for r in self.rows:
+            v = action(r)
+            if rows is not None:
+                a = _residues([v])
+                if a is not None and any(_residue_remainder(a[0], rows, self.pivots)):
                     return False
+            images.append(v)
         return all(self.contains(v) for v in images)
 
     def __repr__(self):
@@ -463,7 +467,7 @@ def _residues(vectors):
     lists, or None when an entry has a pole."""
     out = []
     for vec in vectors:
-        row = [c.residue() for c in vec]
+        row = [c.residue() if c else 0 for c in vec]
         if None in row:
             return None
         out.append(row)

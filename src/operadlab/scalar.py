@@ -24,14 +24,13 @@ pseudo-remainders) is taken only when a denominator has positive degree.
 Most coefficients are plain rationals or lie in Q(q), so the arithmetic
 returns early for them, inside the same methods: `RatFunc` sums,
 differences and products of two constants (num of length <= 1, den of
-length 1) are one integer cross product cancelled by one `math.gcd`,
+length 1) are one integer cross product cancelled by one `math.gcd`, and
 `Scalar` sums, differences, products and inverses of elements without a
-u, v or uv part work on the first component alone, and the residue of a
-plain rational is one modular inverse.  The early returns build exactly
-the canonical values of the general code (den > 0, gcd 1, zero is
-num = ()), so equality stays structural and nothing downstream can tell
-the paths apart.  A `RatFunc` difference negates only the numerator
-tuple of its operand, not a whole `RatFunc`.
+u, v or uv part work on the first component alone.  The early returns
+build exactly the canonical values of the general code (den > 0, gcd 1,
+zero is num = ()), so equality stays structural and nothing downstream
+can tell the paths apart.  A `RatFunc` difference is the sum with the
+operand's numerator negated (`_sum`), with no negated `RatFunc` built.
 
 Rendering divides through by the leading coefficient of the denominator
 and writes `u` for sqrt(2) and `v` for sqrt(q), e.g.
@@ -238,19 +237,11 @@ class RatFunc:
             other = _as_ratfunc(other)
             if other is NotImplemented:
                 return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n1:
+        if not self.num:
             return other
-        if not n2:
+        if not other.num:
             return self
-        if len(n1) == len(n2) == len(d1) == len(d2) == 1:     # constants
-            a = n1[0] * d2[0] + n2[0] * d1[0]
-            if not a:
-                return _R0
-            b = d1[0] * d2[0]
-            g = gcd(a, b)
-            return _raw((a // g,), (b // g,))
-        return _sum(n1, d1, n2, d2)
+        return _sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -265,19 +256,11 @@ class RatFunc:
             other = _as_ratfunc(other)
             if other is NotImplemented:
                 return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n2:
+        n = other.num
+        if not n:
             return self
-        if not n1:
-            return _raw(tuple(-c for c in n2), d2)
-        if len(n1) == len(n2) == len(d1) == len(d2) == 1:     # constants
-            a = n1[0] * d2[0] - n2[0] * d1[0]
-            if not a:
-                return _R0
-            b = d1[0] * d2[0]
-            g = gcd(a, b)
-            return _raw((a // g,), (b // g,))
-        return _sum(n1, d1, tuple(-c for c in n2), d2)
+        n = (-n[0],) if len(n) == 1 else tuple(-c for c in n)
+        return _sum(self.num, self.den, n, other.den)
 
     def __rsub__(self, other):
         return _as_ratfunc(other) - self
@@ -346,8 +329,19 @@ class RatFunc:
 
 
 def _sum(n1, d1, n2, d2) -> RatFunc:
-    """n1/d1 + n2/d2 for normalised fractions with nonzero numerators, not
-    both constants."""
+    """n1/d1 + n2/d2 for normalised fractions with n2 nonzero.  `__add__`
+    and `__sub__` return an operand itself when the other is zero, before
+    calling this: a new RatFunc for each zero operand made a `full_tower`
+    pass about 10 % slower."""
+    if not n1:
+        return _raw(n2, d2)
+    if len(n1) == len(n2) == len(d1) == len(d2) == 1:     # constants
+        a = n1[0] * d2[0] + n2[0] * d1[0]
+        if not a:
+            return _R0
+        b = d1[0] * d2[0]
+        g = gcd(a, b)
+        return _raw((a // g,), (b // g,))
     if d1 == d2:
         return _content_free(*_cancel(padd(n1, n2), d1))
     g = pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else _P1
@@ -596,15 +590,6 @@ class Scalar:
         that vanishes at V0^2 mod P).  On elements without a pole this is a
         ring homomorphism, since the images keep u^2 = 2 and v^2 = q: a
         minor with a nonzero residue is nonzero over the tower."""
-        c0, c1, c2, c3 = self.c
-        if not (c1.num or c2.num or c3.num) and len(c0.num) <= 1 and len(c0.den) == 1:
-            if not c0.num:
-                return 0
-            d = c0.den[0] % RESIDUE_P
-            if not d:
-                return None
-            n = c0.num[0]
-            return (n if d == 1 else n * pow(d, -1, RESIDUE_P)) % RESIDUE_P
         out = 0
         for r, w in zip(self.c, _RESIDUE_BASIS):
             if r.num:

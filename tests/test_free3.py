@@ -332,7 +332,7 @@ def test_intersect_edge_cases(t3_shape):
 def exact_intersect(a, b):
     """a.intersect(b) by the exact elimination alone."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(free3, "_rank_mod_p", lambda vectors: None)
+        m.setattr(free3.Subspace, "residues", property(lambda self: None))
         return a.intersect(b)
 
 
