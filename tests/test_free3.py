@@ -413,6 +413,15 @@ def test_is_invariant_equals_the_exact_path(t3_shape, vecs, element, close):
     assert space.is_invariant(act) or not close
 
 
+def test_is_invariant_stops_at_the_first_image_proved_outside(t3_shape):
+    # γ e0 = e5 leaves span(e0, e1) mod P: the image of e1 is never built
+    space = Subspace(t3_shape, [basis_vector(t3_shape, i) for i in (0, 1)])
+    act = t3_shape.action(GAMMA3)
+    built = []
+    assert space.is_invariant(lambda v: built.append(v) or act(v)) is False
+    assert built == [space.rows[0]]
+
+
 def test_invariance_at_an_unlucky_point(t3_shape, monkeypatch):
     zero, one, q, v = Scalar.zero(), Scalar.one(), Scalar.q(), Scalar.v()
     v0 = Scalar.from_fraction(RESIDUE_V0)
