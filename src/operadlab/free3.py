@@ -295,17 +295,14 @@ class ActionMatrix:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """Row-reduced subspace of the arity-3 component; the representation is
-    canonical, so equality of subspaces is equality of data."""
+    """Row-reduced span of the vectors, closed under the actions (see
+    `_rref`), in the arity-3 component; the representation is canonical,
+    so equality of subspaces is equality of data."""
 
-    def __init__(self, shape: EShape, vectors=(), _reduced=None):
+    def __init__(self, shape: EShape, vectors=(), actions=()):
         self.shape = shape
         self.ambient = shape.basis_size
-        if _reduced is not None:
-            self.rows = _reduced[0]
-            self.pivots = _reduced[1]
-        else:
-            self.rows, self.pivots = _rref(list(vectors), self.ambient)
+        self.rows, self.pivots = _rref(vectors, self.ambient, actions)
 
     @property
     def dim(self) -> int:
@@ -365,13 +362,7 @@ class Subspace:
                 return Subspace(self.shape)
         rems = [other.reduce(r) for r in self.rows]
         # a coordinate of the remainders is one linear condition on c
-        rows: list = []
-        pivots: list = []
-        for cond in zip(*rems):
-            if len(rows) == k:
-                break
-            if any(cond):
-                _rref_insert(rows, pivots, cond, k)
+        rows, pivots = _rref([c for c in zip(*rems) if any(c)], k)
         # each free column f gives c_f = 1 and c_p = -row_p[f] at the pivots
         inter = []
         for f in sorted(set(range(k)) - set(pivots)):
@@ -413,12 +404,25 @@ def _compat(a: Subspace, b: Subspace):
         raise Free3Error("subspace shapes differ")
 
 
-def _rref(vectors, width):
-    """Incremental reduced echelon form: rows and their pivot columns."""
+def _rref(vectors, width, actions=()):
+    """Reduced echelon form of the span of the vectors, closed under the
+    actions (callables vec -> tuple): rows and their pivot columns.
+
+    One worklist, read once from the vectors: each item is inserted, and
+    each one kept (not already in the span) appends its images to the list,
+    except an image equal to one appended before.  The kept vectors span
+    the result and each of their images is inserted, so the span is closed
+    when the list runs out.  The form is canonical: the order does not show."""
     rows: list = []
     pivots: list = []
-    for v in vectors:
-        _rref_insert(rows, pivots, v, width)
+    work, seen = list(vectors), set()
+    for v in work:      # work grows while it is read
+        if _rref_insert(rows, pivots, v, width) is not None:
+            for ap in actions:
+                w = ap(v)
+                if w not in seen:
+                    seen.add(w)
+                    work.append(w)
     return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
@@ -507,22 +511,9 @@ def _rank_mod_p(rows):
 
 
 def span_closure(shape: EShape, vectors, actions=()) -> Subspace:
-    """Span of the vectors, closed under the given actions (matrices or
-    callables vec -> vec): images are inserted until the span is stable."""
-    width = shape.basis_size
-    rows: list = []
-    pivots: list = []
-    for v in vectors:
-        _rref_insert(rows, pivots, v, width)
-    changed = bool(rows)
-    while changed:
-        changed = False
-        for r in [tuple(r) for r in rows]:
-            for ap in actions:
-                if _rref_insert(rows, pivots, ap(r), width) is not None:
-                    changed = True
-    return Subspace(shape, (),
-                    _reduced=(tuple(tuple(r) for r in rows), tuple(pivots)))
+    """Span of the vectors, closed under the actions (matrices or callables
+    vec -> vec), which see each kept vector once: len(actions) * dim calls."""
+    return Subspace(shape, vectors, actions)
 
 
 def sigma3_closure(shape: EShape, vectors) -> Subspace:

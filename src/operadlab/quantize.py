@@ -52,12 +52,16 @@ def _min_order(a, b):
 
 def exact(c):
     """A coefficient in its smallest exact type: int, non-integral
-    Fraction, or a Scalar that is not rational."""
+    Fraction, or a Scalar that is not rational.  A number outside the
+    tower, such as a float, goes through `Fraction`."""
     if not isinstance(c, (int, Fraction)):
-        c = as_scalar(c)
-        if not c.is_rational():
-            return c
-        c = c.as_fraction()
+        s = as_scalar(c)
+        if s is NotImplemented:
+            c = Fraction(c)
+        elif s.is_rational():
+            c = s.as_fraction()
+        else:
+            return s
     return c.numerator if c.denominator == 1 else c
 
 

@@ -263,7 +263,8 @@ class RatFunc:
         return _sum(self.num, self.den, n, other.den)
 
     def __rsub__(self, other):
-        return _as_ratfunc(other) - self
+        other = _as_ratfunc(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if type(other) is not RatFunc:
@@ -293,7 +294,8 @@ class RatFunc:
         return self * _content_free(other.den, other.num)
 
     def __rtruediv__(self, other):
-        return _as_ratfunc(other) / self
+        other = _as_ratfunc(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def __eq__(self, other):
         if type(other) is not RatFunc:
@@ -503,7 +505,8 @@ class Scalar:
         return _scalar(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
     def __rsub__(self, other):
-        return as_scalar(other) - self
+        other = as_scalar(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other):
         other = as_scalar(other)
@@ -555,7 +558,8 @@ class Scalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return as_scalar(other) / self
+        other = as_scalar(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def __eq__(self, other):
         other = as_scalar(other)

@@ -17,7 +17,8 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar, RatFunc
                        BUILTIN_NAMES)
 from operadlab.checkers import (BPoly, _solve_constraints, _T3, _COMM_TABLE,
                                 _delta2_table, _hopf_constraints, _render_row,
-                                _row_constraints, _sigma3_generators)
+                                _row_constraints, _sigma3_generators,
+                                InternalInconsistencyError)
 from operadlab.free3 import _rref
 from conftest import associator, E, M, C, B, X, Y, Z
 from test_scalar import small_fracs
@@ -40,6 +41,13 @@ def test_cyclic_dihedral_verdicts(name):
     p = builtin(name)
     assert check_cyclic(p) == TAB[name][0]
     assert check_dihedral(p) == TAB[name][1]
+
+
+def test_dihedral_routes_that_disagree_raise(monkeypatch):
+    # a zero R ∩ Γ± splits nothing, while Ass is λ-invariant
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: Subspace(self.shape))
+    with pytest.raises(InternalInconsistencyError, match="dihedral methods disagree on Ass"):
+        check_dihedral(builtin("Ass"))
 
 
 def test_g5_offending_vector():

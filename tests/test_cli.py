@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from operadlab.cli import main, EXIT_OK, EXIT_PARSE, EXIT_INCONSISTENT
+from operadlab.free3 import Subspace
 from operadlab.presentation import BUILTIN_NAMES
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -107,6 +108,13 @@ def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_dihedral_routes_that_disagree_exit_inconsistent(capsys, monkeypatch):
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: Subspace(self.shape))
+    code, out, err = run(capsys, "check", "Ass", "--dihedral")
+    assert code == EXIT_INCONSISTENT == 3 and out == ""
+    assert err.startswith("internal inconsistency: ") and err.count("\n") == 1
 
 
 def test_a_coefficient_too_long_to_print_is_a_one_line_error(capsys):

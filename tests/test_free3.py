@@ -12,7 +12,7 @@ from operadlab import (EShape, Scalar, basis_vector, right_action,
                        depolarize_map, SIGMA3, SIGMA3_PLUS, GAMMA3, TAU12,
                        TAU23, CYC123, ActionMatrix, Subspace, GroupElement,
                        LAMBDA)
-from operadlab import free3
+from operadlab import builtin, free3, relation_vector
 from operadlab.free3 import (apply_perm_to_basis, lambda_basis, Free3Error,
                              EDGE, _normalize, _rank_mod_p, _residues,
                              _rref)
@@ -278,8 +278,8 @@ entries = st.one_of(
         lambda cs: sum((g * c for g, c in zip(TOWER_GENS, cs)), Scalar.zero())))
 
 
-def sparse_vector(support, size=12):
-    return st.dictionaries(st.integers(0, size - 1), entries,
+def sparse_vector(support, size=12, values=entries):
+    return st.dictionaries(st.integers(0, size - 1), values,
                            min_size=1, max_size=support).map(
         lambda d: tuple(d.get(i, Scalar.zero()) for i in range(size)))
 
@@ -449,6 +449,11 @@ def test_invariance_at_an_unlucky_point(t3_shape, monkeypatch):
     assert half.is_invariant(act) is False and both.is_invariant(act) is True
 
 
+def test_intersect_rejects_another_shape():
+    with pytest.raises(Free3Error, match="subspace shapes differ"):
+        builtin("Ass").R.intersect(builtin("Lie").R)
+
+
 def test_subspace_dimension_mismatch(t3_shape):
     with pytest.raises(Free3Error):
         Subspace(t3_shape, [(Scalar.one(),)])
@@ -468,9 +473,55 @@ def test_closure_rejects_a_vector_of_the_wrong_length(t3_shape, length, close):
 
 def test_closure_of_single_vector_under_trivial_group(t3_shape):
     from conftest import associator
-    from operadlab import relation_vector
     v = relation_vector(t3_shape, associator(*"xyz"))
     assert span_closure(t3_shape, [v]).dim == 1
+
+
+# -- closure: each kept vector's images are inserted once ------------------------
+
+def fixed_point_closure(shape, vectors, actions):
+    """The closure by passes: every action on every row, until a pass
+    leaves the span as it was."""
+    rows = _rref(vectors, shape.basis_size)[0]
+    while True:
+        images = [ap(r) for r in rows for ap in actions]
+        grown = _rref(list(rows) + images, shape.basis_size)[0]
+        if grown == rows:
+            return rows
+        rows = grown
+
+
+@pytest.mark.parametrize("name, offered", [("Ass", 12), ("G3", 6)])
+def test_closure_offers_each_kept_vectors_images_once(name, offered, monkeypatch):
+    p = builtin(name)
+    (rel,) = p.relations
+    v = relation_vector(p.shape, rel)
+    calls, inserted = [], []
+    acts = [lambda w, g=g: calls.append(g) or right_action(p.shape, w, g)
+            for g in (TAU12, CYC123)]
+    insert = free3._rref_insert
+    monkeypatch.setattr(free3, "_rref_insert",
+                        lambda *args: inserted.append(args[2]) or insert(*args))
+    space = span_closure(p.shape, [v], acts)
+    assert space == p.R and len(calls) == len(acts) * space.dim == offered
+    # v, then each vector of its Σ3-orbit (v among them) once
+    orbit = {right_action(p.shape, v, g) for g in SIGMA3}
+    assert len(inserted) == 1 + len(orbit) and set(inserted) == orbit
+
+
+@settings(max_examples=40, deadline=None)
+@given(polarized=st.booleans(),
+       vecs=st.lists(sparse_vector(4, values=small.map(Scalar.from_fraction)),
+                     min_size=1, max_size=3),
+       elements=st.lists(st.sampled_from((GAMMA3, LAMBDA, TAU12, CYC123)),
+                         min_size=1, max_size=2, unique=True))
+def test_closure_equals_the_fixed_point_reference(t3_shape, pol_shape, polarized,
+                                                  vecs, elements):
+    shape = pol_shape if polarized else t3_shape
+    acts = [shape.action(e) for e in elements]
+    space = Subspace(shape, vecs, acts)
+    assert space.rows == fixed_point_closure(shape, vecs, acts)
+    assert all(space.is_invariant(a) for a in acts)
 
 
 def test_action_built_once_per_shape_instance(t3_shape):

@@ -9,7 +9,7 @@ from operadlab import Scalar
 from operadlab.quantize import (TPoly, StarProduct, LLData, QuantizeError,
                                 moyal_star, polarize_star, star_from_LL,
                                 check_LL, classical_limit, poisson_check,
-                                basis_monomials)
+                                basis_monomials, exact)
 
 U = Scalar.u()
 HALF_U = U * Fraction(1, 2)
@@ -70,6 +70,11 @@ def test_coefficient_types_are_canonical():
     assert all(type(f.coeffs[(0, 1, 0)]) is int for f in ones)
     assert all(type(f.coeffs[(1, 0, 2)]) is Fraction for f in halves)
     assert mono(1, 0, HALF_U).coeffs[(0, 1, 0)] == HALF_U
+
+
+def test_a_float_coefficient_is_made_exact():
+    assert exact(0.5) == Fraction(1, 2) and type(exact(2.0)) is int
+    assert mono(1, 0).scale(0.5) == mono(1, 0, Fraction(1, 2))
 
 
 # -- the worked star product --------------------------------------------------------
@@ -171,6 +176,15 @@ def test_check_ll_zero_bracket_case():
     data = LLData(3, dot, br, name="trivial")
     ok, _ = check_LL(data, degree=2)
     assert ok
+
+
+def test_check_ll_reports_the_associator_defect():
+    # the symmetric Moyal product is associative only up to t^2 {y, {x, z}}
+    data = polarize_star(moyal_star(4))
+    zero = LLData(data.order, data.ops[0], lambda u, v: TPoly.zero(),
+                  bracket_order=data.bracket_order)
+    ok, failure = check_LL(zero, degree=2)
+    assert not ok and failure.startswith("associator-defect fails on (")
 
 
 def test_star_from_ll_trivial_bracket():

@@ -147,6 +147,23 @@ def test_zero_tests_agree_on_zeros_reached_by_subtraction(a, b):
     assert bool(d) == (not d.is_zero()) == (d != zero) == (a != b)
 
 
+@pytest.mark.parametrize("op", [lambda: 0.5 - Scalar.one(), lambda: "x" / Scalar.one(),
+                                lambda: "x" - RatFunc.q(), lambda: "x" / RatFunc.q(),
+                                lambda: RatFunc.q() - "x"],
+                         ids=["float-Scalar", "str/Scalar", "str-RatFunc",
+                              "str/RatFunc", "RatFunc-str"])
+def test_an_operand_outside_the_tower_is_a_type_error(op):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op()
+
+
+def test_ratfunc_minus_a_rational():
+    q = RatFunc.q()
+    assert q - 1 == RatFunc([-1, 1]) == -(1 - q)
+    assert q - Fraction(1, 2) == RatFunc([Fraction(-1, 2), 1])
+    assert 2 / q == RatFunc([2], [0, 1])
+
+
 # -- specialization -----------------------------------------------------------
 
 def test_specialize_square_root():
