@@ -6,8 +6,10 @@ stored sparsely as {(out_index_tuple, in_index_tuple): coefficient}.
 Every coefficient is nonzero and kept in its smallest exact type by
 `_exact`: an int when it is integral, else a Fraction, so integer maps
 compose in int arithmetic (`==` and `hash` agree across 3 and
-Fraction(3)).  Every MultiMap built checks the shape and index range of
-its keys.
+Fraction(3)).  The public constructor checks the shape and index range
+of its keys; every map this module computes from given maps (a sum, a
+multiple, a composition, a defect) is built by `_built`, which skips that
+check, since its keys are spliced from the keys of maps already checked.
 
 The partial composition comp_ij plugs the j-th output of g into the i-th
 input of f; the remaining lines keep their blocks in place:
@@ -25,6 +27,12 @@ The signed total composition is
 for f with b inputs and g with c outputs.  circ, circ_plain and
 alternating_associator_sum add their signed terms into one coefficient
 dict and build one MultiMap from it at the end.
+
+The alternating sum of the associator over the six orders of (f, g, h) is
+the Jacobiator [[f,g],h] + [[g,h],f] + [[h,f],g] of the commutator
+[x,y] = x o y - y o x whenever o is bilinear, as circ and circ_plain are:
+it vanishes exactly where o is Lie-admissible, and it costs 12
+compositions instead of the six associators' 18.
 """
 
 from __future__ import annotations
@@ -55,16 +63,8 @@ class MultiMap:
     def __init__(self, d: int, m: int, n: int, coeffs=None):
         if d < 1 or m < 1 or n < 1:
             raise MultiMapError("base dimension and arities must be >= 1")
-        cc = {}
-        for key, v in (coeffs or {}).items():
-            v = _exact(v)
-            if v:
-                cc[key] = v
-        _check_keys(cc, d, m, n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", cc)
+        _fill(self, d, m, n, coeffs or {})
+        _check_keys(self.coeffs, d, m, n)
 
     def __setattr__(self, *a):
         raise AttributeError("MultiMap is immutable")
@@ -86,29 +86,28 @@ class MultiMap:
 
     # -- vector-space structure
 
-    def _like(self, other):
-        if not isinstance(other, MultiMap):
-            raise MultiMapError("expected a MultiMap")
+    def _plus(self, other, s):
+        """self + s * other for a map other of the same shape."""
+        _check_maps(other)
         if (self.d, self.m, self.n) != (other.d, other.m, other.n):
             raise MultiMapError("shape mismatch")
+        cc = dict(self.coeffs)
+        _accumulate(cc, other.coeffs, s)
+        return _built(self.d, self.m, self.n, cc)
 
     def __add__(self, other):
-        self._like(other)
-        cc = dict(self.coeffs)
-        _accumulate(cc, other.coeffs, 1)
-        return MultiMap(self.d, self.m, self.n, cc)
-
-    def __neg__(self):
-        return MultiMap(self.d, self.m, self.n,
-                        {k: -v for k, v in self.coeffs.items()})
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def scale(self, s) -> "MultiMap":
         s = _exact(s)
-        return MultiMap(self.d, self.m, self.n,
-                        {k: s * v for k, v in self.coeffs.items()})
+        return _built(self.d, self.m, self.n,
+                      {k: s * v for k, v in self.coeffs.items()})
 
     def __mul__(self, s):
         return self.scale(s)
@@ -146,6 +145,34 @@ class MultiMap:
             if w:
                 out[o] = out.get(o, 0) + w
         return {k: _exact(v) for k, v in out.items() if v}
+
+
+def _fill(mm: MultiMap, d: int, m: int, n: int, coeffs: dict) -> MultiMap:
+    """Store d, m, n and the nonzero coefficients of coeffs, each made
+    exact by `_exact`, in mm."""
+    cc = {}
+    for key, v in coeffs.items():
+        if type(v) is not int:
+            v = _exact(v)
+        if v:
+            cc[key] = v
+    object.__setattr__(mm, "d", d)
+    object.__setattr__(mm, "m", m)
+    object.__setattr__(mm, "n", n)
+    object.__setattr__(mm, "coeffs", cc)
+    return mm
+
+
+def _built(d: int, m: int, n: int, coeffs: dict) -> MultiMap:
+    """The MultiMap of coeffs without `_check_keys`: for results whose keys
+    are spliced from the keys of MultiMaps that were already checked."""
+    return _fill(object.__new__(MultiMap), d, m, n, coeffs)
+
+
+def _check_maps(*maps) -> None:
+    for x in maps:
+        if not isinstance(x, MultiMap):
+            raise MultiMapError("expected a MultiMap")
 
 
 def _check_keys(cc: dict, d: int, m: int, n: int) -> None:
@@ -189,6 +216,7 @@ def _accumulate(acc: dict, coeffs: dict, s) -> None:
 
 def comp_ij(f: MultiMap, g: MultiMap, i: int, j: int) -> MultiMap:
     """Plug the j-th output of g into the i-th input of f (1-based)."""
+    _check_maps(f, g)
     if f.d != g.d:
         raise MultiMapError("base dimensions differ")
     b, a = f.m, f.n
@@ -209,7 +237,7 @@ def comp_ij(f: MultiMap, g: MultiMap, i: int, j: int) -> MultiMap:
         for ghead, gtail, gi, cg in by_out.get(fi[i], ()):
             key = (ghead + fo + gtail, head + gi + tail)
             cc[key] = get(key, 0) + cf * cg
-    return MultiMap(f.d, b + dd - 1, a + c - 1, cc)
+    return _built(f.d, b + dd - 1, a + c - 1, cc)
 
 
 def insertion_sign(i: int, b: int, j: int, c: int) -> int:
@@ -217,13 +245,14 @@ def insertion_sign(i: int, b: int, j: int, c: int) -> int:
 
 
 def _insertion_sum(f: MultiMap, g: MultiMap, signed: bool) -> MultiMap:
+    _check_maps(f, g)
     b, c = f.m, g.n
     acc = {}
     for i in range(1, b + 1):
         for j in range(1, c + 1):
             s = insertion_sign(i, b, j, c) if signed else 1
             _accumulate(acc, comp_ij(f, g, i, j).coeffs, s)
-    return MultiMap(f.d, b + g.m - 1, f.n + c - 1, acc)
+    return _built(f.d, b + g.m - 1, f.n + c - 1, acc)
 
 
 def circ(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -261,24 +290,16 @@ def alternating_associator_sum(f: MultiMap, g: MultiMap, h: MultiMap,
     """Alternating sum of the composition associator over all argument
     orders (zero iff the composition is Lie-admissible on these inputs).
 
-    Each of the six ordered inner compositions compose(x, y) is computed
-    once and serves two associators."""
+    compose must be bilinear (circ and circ_plain are): the sum is then the
+    Jacobiator [[f,g],h] + [[g,h],f] + [[h,f],g] of the commutator
+    [x,y] = compose(x, y) - compose(y, x), which takes 12 compositions."""
     compose = compose or circ
-    maps = (f, g, h)
-    inner = {(a, b): compose(maps[a], maps[b])
-             for a, b in itertools.permutations(range(3), 2)}
     acc = {}
-    for a, b, c in itertools.permutations(range(3)):
-        sgn = _perm_sign((a, b, c))
-        _accumulate(acc, compose(inner[a, b], maps[c]).coeffs, sgn)
-        _accumulate(acc, compose(maps[a], inner[b, c]).coeffs, -sgn)
-    return MultiMap(f.d, f.m + g.m + h.m - 2, f.n + g.n + h.n - 2, acc)
-
-
-def _perm_sign(perm):
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-              if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
+    for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
+        xy = compose(x, y) - compose(y, x)
+        _accumulate(acc, compose(xy, z).coeffs, 1)
+        _accumulate(acc, compose(z, xy).coeffs, -1)
+    return _built(f.d, f.m + g.m + h.m - 2, f.n + g.n + h.n - 2, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +313,7 @@ def master_residual(mu: MultiMap, delta: MultiMap) -> dict:
     the self-bracket is twice the signed self-composition and splits into
     the (3 -> 1), (2 -> 2) and (1 -> 3) pieces returned here.
     """
-    if (mu.m, mu.n) != (2, 1):
-        raise MultiMapError("mu must be a (2 -> 1) map")
-    if (delta.m, delta.n) != (1, 2):
-        raise MultiMapError("delta must be a (1 -> 2) map")
+    _check_pair(mu, delta)
     return {
         (3, 1): circ(mu, mu).scale(2),
         (2, 2): (circ(mu, delta) + circ(delta, mu)).scale(2),
@@ -307,10 +325,23 @@ def master_residual_is_zero(mu: MultiMap, delta: MultiMap) -> bool:
     return all(t.is_zero() for t in master_residual(mu, delta).values())
 
 
+def _check_pair(mu, delta) -> None:
+    """mu must be a (2 -> 1) map and delta a (1 -> 2) map on the same space
+    (either may be None, to check only the other)."""
+    for x, name, shape in ((mu, "mu", (2, 1)), (delta, "delta", (1, 2))):
+        if x is not None:
+            _check_maps(x)
+            if (x.m, x.n) != shape:
+                raise MultiMapError(f"{name} must be a ({shape[0]} -> {shape[1]}) map")
+    if mu is not None and delta is not None and mu.d != delta.d:
+        raise MultiMapError("base dimensions differ")
+
+
 # -- the independent axiom oracle (direct tensor contractions) --------------
 
 def assoc_defect(mu: MultiMap) -> MultiMap:
     """mu(mu(a,b),c) - mu(a,mu(b,c)) as a (3 -> 1) tensor."""
+    _check_pair(mu, None)
     d = mu.d
     cc = {}
     for (o1, (s, cidx)), c1 in mu.coeffs.items():
@@ -323,11 +354,12 @@ def assoc_defect(mu: MultiMap) -> MultiMap:
             if o2[0] == s:
                 key = (o1, (aidx, bidx, cidx))
                 cc[key] = cc.get(key, 0) - c1 * c2
-    return MultiMap(d, 3, 1, cc)
+    return _built(d, 3, 1, cc)
 
 
 def coassoc_defect(delta: MultiMap) -> MultiMap:
     """(delta x id)delta - (id x delta)delta as a (1 -> 3) tensor."""
+    _check_pair(None, delta)
     d = delta.d
     cc = {}
     for ((s, w3), (a,)), c1 in delta.coeffs.items():
@@ -340,11 +372,12 @@ def coassoc_defect(delta: MultiMap) -> MultiMap:
             if t == s:
                 key = ((w1, w2, w3), (a,))
                 cc[key] = cc.get(key, 0) - c1 * c2
-    return MultiMap(d, 1, 3, cc)
+    return _built(d, 1, 3, cc)
 
 
 def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
     """delta(mu(u,v)) - u_(1) (x) mu(u_(2), v) - mu(u, v_(1)) (x) v_(2)."""
+    _check_pair(mu, delta)
     d = mu.d
     cc = {}
     for ((w1, w2), (s,)), c1 in delta.coeffs.items():
@@ -362,10 +395,11 @@ def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
             if s == v1:
                 key = ((t, v2), (uu, vv))
                 cc[key] = cc.get(key, 0) - c1 * c2
-    return MultiMap(d, 2, 2, cc)
+    return _built(d, 2, 2, cc)
 
 
 def infinitesimal_bialgebra_axioms(mu: MultiMap, delta: MultiMap):
     """The three axiom tensors (associativity, coassociativity,
     compatibility), computed by direct contraction."""
+    _check_pair(mu, delta)
     return assoc_defect(mu), coassoc_defect(delta), compatibility_defect(mu, delta)

@@ -38,6 +38,16 @@ def test_comp_index_ranges():
         comp_ij(f, g, 1, 3)
 
 
+def test_compositions_reject_what_is_not_a_multimap():
+    f = rmap(random.Random(0), 2, 2, 1)
+    for bad in (5, f.coeffs, None):
+        for args in ((f, bad), (bad, f)):
+            with pytest.raises(MultiMapError, match="expected a MultiMap"):
+                comp_ij(*args, 1, 1)
+            with pytest.raises(MultiMapError, match="expected a MultiMap"):
+                circ(*args)
+
+
 def test_identity_contraction():
     rng = random.Random(1)
     ident = MultiMap.identity(2)
@@ -160,6 +170,12 @@ def ref_compose(signed):
     return compose
 
 
+def ref_sum(x, y, s):
+    total = dict(x[2])
+    ref_add(total, y[2], s)
+    return (x[0], x[1], total)
+
+
 def ref_associator(f, g, h, compose):
     left, right = compose(compose(f, g), h), compose(f, compose(g, h))
     total = dict(left[2])
@@ -204,12 +220,20 @@ def sparse_triples(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(maps=sparse_triples())
-def test_compositions_match_the_double_sum_definition(maps):
+@given(maps=sparse_triples(), s=NONINTEGRAL)
+def test_compositions_match_the_double_sum_definition(maps, s):
     f, g, h = maps
     refs = [ref(x) for x in maps]
+    assert_matches(f.scale(s), (f.m, f.n, {k: s * v for k, v in refs[0][2].items()}))
+    assert_matches(-f, (f.m, f.n, {k: -v for k, v in refs[0][2].items()}))
     for compose, reference in ((circ, ref_compose(True)), (circ_plain, ref_compose(False))):
-        assert_matches(compose(f, g), reference(refs[0], refs[1]))
+        x, y = compose(f, g), compose(g, f)
+        xy, yx = reference(refs[0], refs[1]), reference(refs[1], refs[0])
+        assert_matches(x, xy)
+        assert_matches(x + y, ref_sum(xy, yx, 1))
+        assert_matches(x - y, ref_sum(xy, yx, -1))
+        if compose is circ:
+            assert_matches(bracket(f, g), ref_sum(xy, yx, -1))
         assert_matches(circ_associator(f, g, h, compose=compose),
                        ref_associator(*refs, reference))
         assert_matches(alternating_associator_sum(f, g, h, compose=compose),
@@ -291,6 +315,27 @@ def test_jacobi_on_single_output_maps_plain():
         assert jac.is_zero()
 
 
+@pytest.mark.parametrize("compose", [circ, circ_plain], ids=["circ", "circ_plain"])
+def test_alternating_sum_is_a_jacobiator_of_twelve_compositions(compose):
+    # the six signed associators take 18 compositions; the Jacobiator of
+    # the commutator takes 12 and gives the same tensor
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return compose(x, y)
+
+    rng = random.Random(12)
+    maps = [rmap(rng, 2, 2, 1), rmap(rng, 2, 1, 2), rmap(rng, 2, 2, 2)]
+    total = alternating_associator_sum(*maps, compose=counted)
+    assert len(calls) == 12
+    direct = MultiMap(2, 3, 3, {})
+    for perm, sgn in PERM_SIGN.items():
+        direct = direct + circ_associator(*(maps[k] for k in perm),
+                                          compose=compose).scale(sgn)
+    assert total == direct and not total.is_zero()
+
+
 def test_alternating_sum_not_identically_zero():
     """The fully alternating associator sum has, for each choice of core,
     one disjoint-double-insertion term per output-nesting order, each
@@ -345,6 +390,29 @@ def test_master_shape_validation():
         master_residual(rmap(rng, 2, 1, 1), coassoc_delta())
     with pytest.raises(MultiMapError):
         master_residual(assoc_mu(), rmap(rng, 2, 2, 1))
+
+
+def test_axiom_oracle_rejects_mismatched_inputs():
+    rng = random.Random(10)
+    mu3 = rmap(rng, 3, 2, 1)
+    with pytest.raises(MultiMapError, match="base dimensions differ"):
+        infinitesimal_bialgebra_axioms(mu3, coassoc_delta())
+    with pytest.raises(MultiMapError, match="base dimensions differ"):
+        compatibility_defect(mu3, coassoc_delta())
+    with pytest.raises(MultiMapError, match="base dimensions differ"):
+        master_residual(mu3, coassoc_delta())
+    one_one, two_one = rmap(rng, 2, 1, 1), rmap(rng, 2, 2, 1)
+    with pytest.raises(MultiMapError, match=r"mu must be a \(2 -> 1\) map"):
+        assoc_defect(one_one)
+    with pytest.raises(MultiMapError, match=r"delta must be a \(1 -> 2\) map"):
+        coassoc_defect(two_one)
+    for bad_mu, bad_delta in ((one_one, coassoc_delta()), (assoc_mu(), two_one)):
+        for check in (infinitesimal_bialgebra_axioms, compatibility_defect,
+                      master_residual):
+            with pytest.raises(MultiMapError, match="must be a"):
+                check(bad_mu, bad_delta)
+    with pytest.raises(MultiMapError, match="expected a MultiMap"):
+        infinitesimal_bialgebra_axioms(assoc_mu(), 5)
 
 
 def test_master_components_match_defects():
