@@ -10,15 +10,22 @@ Hopf existence is decided inside the counital normalized family
 the only shape a coassociative counital diagonal can take: the induced
 arity-3 map into the tensor square of the quotient must kill the
 relations, which collects polynomial constraints of degree <= 2 on B.
-The map is Σ3-equivariant and R (x) Γ + Γ (x) R is Σ3-stable, so only
-rows of R that generate it as a Σ3-module are pushed through, and each
-image is reduced as three Scalar matrices, the coefficients of B^2, B
-and 1.  The constraints' common roots are those of the last row of the
-reduced echelon form of their span, taken as vectors in the columns
-B^2, B, 1 over the coefficient tower (a field): no constraint admits
-every B, a constant last row admits none, a linear one (which must also
-kill the row above it) or the square of one a unique B, and any other
-quadratic leaves the verdict undecided.
+The map is Σ3-equivariant and R (x) Γ + Γ (x) R is Σ3-stable, so a row's
+constraints are linear and Σ3-equivariant in it: only rows of R that
+generate it as a Σ3-module are pushed through, and each image is reduced
+as three Scalar matrices, the coefficients of B^2, B and 1.  The
+constraints' common roots are those of the last row of the reduced
+echelon form of their span, taken as vectors in the columns B^2, B, 1
+over the coefficient tower (a field): no constraint admits every B, a
+constant last row admits none, a linear one (which must also kill the
+row above it) or the square of one a unique B, and any other quadratic
+leaves the verdict undecided.
+
+`_sigma3_generators` takes, in R.rows order, each row outside the
+Σ3-closure of those taken before it, and no row in the closure of
+constraint-free generators has a constraint.  So the first row of R with
+one, which a `none` diagnostic names, is the first generator with one,
+the source row of the first constraint `_hopf_constraints` lists.
 """
 
 from __future__ import annotations
@@ -277,58 +284,43 @@ class HopfResult(NamedTuple):
         return str(self.witness)
 
 
+_COMM_TABLE = {0: ((_BP1, (0, 0)),)}    # the counit forces Delta(c) = c (x) c
+_T3_TABLE = _delta2_table(DiagonalCandidate.normalized_family())
+
+
 def hopf_analyze(p: Presentation) -> HopfResult:
     """Existence of a coassociative counital diagonal on Γ(E)/(R).
 
     Accepts presentations generated by a single operation: one generator of
     any symmetry type, or the polarized form of a type-(3) operation (exactly
     one commutative and one anticommutative generator), which is depolarized
-    internally.
-    """
+    internally."""
     p = depolarize_presentation(p)
     syms = [g.symmetry for g in p.generators]
     if syms == ["anti"]:
         return HopfResult("none", None,
                           "the only equivariant counit on an anticommutative "
                           "generator is the zero map")
-    if syms == ["comm"]:
-        return _hopf_comm(p)
     if syms == ["none"]:
-        return _hopf_type3(p.shape, p.R)
-    raise CheckerError("unsupported multi-generator presentation")
-
-
-_COMM_TABLE = {0: ((_BP1, (0, 0)),)}    # Delta(c) = c (x) c
-
-
-def _hopf_comm(p: Presentation) -> HopfResult:
-    """Case of a commutative generator: the counit forces Delta(c) = c (x) c;
-    it remains to test that the relations are preserved."""
+        return _solve_constraints(
+            p.shape, _hopf_constraints(p.shape, p.R, _T3_TABLE))
+    if syms != ["comm"]:
+        raise CheckerError("unsupported multi-generator presentation")
     constraints = _hopf_constraints(p.shape, p.R, _COMM_TABLE)
     if constraints:
-        row = _first_failing_row(p.shape, p.R, _COMM_TABLE, constraints)
         return HopfResult("none", None,
                           f"relation image survives in the quotient: "
-                          f"{_render_row(p.shape, row)}")
+                          f"{_render_row(p.shape, constraints[0][1])}")
     return HopfResult("unique", {"A": 1}, None)
-
-
-def _hopf_type3(shape: EShape, R: Subspace) -> HopfResult:
-    tbl = _delta2_table(DiagonalCandidate.normalized_family())
-    constraints = _hopf_constraints(shape, R, tbl)
-    return _solve_constraints(
-        shape, constraints,
-        lambda: _first_failing_row(shape, R, tbl, constraints))
 
 
 def _hopf_constraints(shape: EShape, R: Subspace, tbl):
     """Push Σ3-generators of R through the arity-3 map induced by the slot
     table `tbl`, and reduce each image modulo R in both tensor factors.
-    The constraints of g.r lie in the tower span of those of r (see the
-    module docstring), so these span the constraints of every row.
-    Returns the distinct surviving coefficients as (BPoly, source row)
-    pairs, each with the row that first gives it, in generator order; the
-    relations are preserved iff the list is empty."""
+    Returns the distinct surviving coefficients, which span those of every
+    row, as (BPoly, source row) pairs, each with the row that first gives
+    it, in generator order: the first pair's row is R's first failing row
+    (module docstring).  The relations are preserved iff the list is empty."""
     first = {}
     for r in _sigma3_generators(shape, R):
         for c, row in _row_constraints(shape, R, tbl, r):
@@ -380,17 +372,7 @@ def _row_constraints(shape: EShape, R: Subspace, tbl, r):
     return constraints
 
 
-def _first_failing_row(shape: EShape, R: Subspace, tbl, constraints):
-    """The first row of R with a surviving constraint, named by the `none`
-    diagnostic.  The generators start at R.rows[0], so it is that row
-    whenever its constraints are nonempty; otherwise the rows are
-    scanned."""
-    if constraints[0][1] == R.rows[0]:
-        return R.rows[0]
-    return next(r for r in R.rows if _row_constraints(shape, R, tbl, r))
-
-
-def _solve_constraints(shape: EShape, constraints, failing_row) -> HopfResult:
+def _solve_constraints(shape: EShape, constraints) -> HopfResult:
     """The verdict on B from the (BPoly, source row) constraints.  Every
     constraint has degree <= 2, being a product of two table entries of
     degree <= 1, so the constraints span a subspace of the polynomials
@@ -403,7 +385,7 @@ def _solve_constraints(shape: EShape, constraints, failing_row) -> HopfResult:
     tower, and the verdict is left undecided.  The constraints are
     inserted smallest first: the echelon form is the same in any order,
     but the order decides which tower elements get inverted.  The `none`
-    diagnostic names the row that `failing_row()` returns."""
+    diagnostic names the first constraint's row, R's first failing row."""
     if not constraints:
         return HopfResult("all", "any B", None)
     order = sorted((c for c, _ in constraints),
@@ -421,7 +403,7 @@ def _solve_constraints(shape: EShape, constraints, failing_row) -> HopfResult:
     if g.degree == 0 or any(h(root) for h in above):
         return HopfResult("none", None,
                           f"no admissible B; first failing relation: "
-                          f"{_render_row(shape, failing_row())}")
+                          f"{_render_row(shape, constraints[0][1])}")
     assert all(c(root).is_zero() for c in order)
     return HopfResult("unique", root, None)
 

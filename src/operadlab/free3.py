@@ -578,16 +578,24 @@ def _collect(imgs, dim):
     return tuple(out)
 
 
+def _polarized_pairs(shape: EShape) -> dict:
+    """Each no-symmetry name n -> its (comm, anti) names n_s, n_a, or the
+    first free n_s2, n_a2, ... if a kept name or an earlier pair took one."""
+    taken, pairs = {n for n, s in shape.gens if s != "none"}, {}
+    for n in [n for n, s in shape.gens if s == "none"]:
+        sfx = ""
+        while {n + "_s" + sfx, n + "_a" + sfx} & taken:
+            sfx = str(int(sfx or 1) + 1)
+        pairs[n] = (n + "_s" + sfx, n + "_a" + sfx)
+        taken.update(pairs[n])
+    return pairs
+
+
 def polarized_shape(shape: EShape) -> EShape:
-    """Replace each no-symmetry generator m by the (comm, anti) pair m_s, m_a."""
-    gens = []
-    for n, s in shape.gens:
-        if s == "none":
-            gens.append((n + "_s", "comm"))
-            gens.append((n + "_a", "anti"))
-        else:
-            gens.append((n, s))
-    return EShape(gens)
+    """Replace each no-symmetry generator by its `_polarized_pairs` pair."""
+    pairs = _polarized_pairs(shape)
+    return EShape([g for n, s in shape.gens for g in (
+        zip(pairs[n], ("comm", "anti")) if s == "none" else [(n, s)])])
 
 
 def _polarization(src: EShape, dst: EShape, pairs) -> SlotMap:
@@ -615,7 +623,7 @@ def polarize_map(shape: EShape, dst: EShape | None = None, pairing=None) -> Slot
     if dst is None:
         dst = polarized_shape(shape)
     if pairing is None:
-        pairing = {n: (n + "_s", n + "_a") for n, s in shape.gens if s == "none"}
+        pairing = _polarized_pairs(shape)
     return _polarization(shape, dst, [
         ((shape.slot(n), shape.slot(n, 1)), (dst.slot(cn), dst.slot(an)))
         for n, (cn, an) in pairing.items()])

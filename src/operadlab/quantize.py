@@ -423,8 +423,9 @@ def check_LL(data: LLData, degree: int = 4):
         {x, y.z} = {x,y}.z + y.{x,z}
         (x.y).z - x.(y.z) = t^2 {y,{x,z}}
 
-    Bracket-only axioms are verified to the bracket's own precision; the
-    last one modulo t^order.  Returns (ok, first_failure_description).
+    Each axiom is verified to the power of t its defect is trusted to, the
+    same on every triple of exact monomials (read on 1, 1, 1); one trusted
+    only mod t^0 raises QuantizeError.  Returns (ok, first failure or None).
     Runs on the unscaled operations: each axiom is homogeneous of degree
     two in them, so the common factor cannot change the result.
     """
@@ -434,6 +435,14 @@ def check_LL(data: LLData, degree: int = 4):
     n = len(basis)
     dotP = [[dot(u, v) for v in basis] for u in basis]
     brP = [[br(u, v) for v in basis] for u in basis]
+    one, d1, b1 = basis[0], dotP[0][0], brP[0][0]
+    for axiom, defect, modulus in (
+            ("jacobi", br(one, b1), n_br),
+            ("distributive", br(one, d1) - dot(b1, one), n_br),
+            ("associator-defect", dot(d1, one) - br(one, b1).times_t(2),
+             min(n_dot, n_br + 2))):
+        if _min_order(defect.order, modulus) <= 0:
+            raise QuantizeError(f"{axiom} axiom is trusted only mod t^0 at order {n_dot}")
     for a in range(n):
         xx = basis[a]
         for b in range(n):

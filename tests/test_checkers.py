@@ -16,8 +16,8 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar, RatFunc
                        parse_presentation, Subspace, depolarize_presentation,
                        BUILTIN_NAMES)
 from operadlab.checkers import (BPoly, _solve_constraints, _T3, _COMM_TABLE,
-                                _delta2_table, _hopf_constraints, _render_row,
-                                _row_constraints, _sigma3_generators,
+                                _T3_TABLE, _delta2_table, _hopf_constraints,
+                                _render_row, _row_constraints, _sigma3_generators,
                                 InternalInconsistencyError)
 from operadlab.free3 import _rref
 from conftest import associator, E, M, C, B, X, Y, Z
@@ -298,7 +298,7 @@ def _hopf_table(p):
     if syms == ["comm"]:
         return _COMM_TABLE
     if syms == ["none"]:
-        return _delta2_table(DiagonalCandidate.normalized_family())
+        return _T3_TABLE
     return None
 
 
@@ -315,10 +315,17 @@ FIRST_ROW_PRESERVED = (
     " + m(m(z,x),y) - m(z,m(x,y)) = 0; }")
 C3 = ("operad C3 { gen c: comm; "
       "rel c(c(x,y),z) + c(c(y,z),x) + c(c(z,x),y) = 0; }")
+# dim R = 9; the first failing row is R.rows[3]
+EXTWO_PLUS = {
+    "N1": ("operad N1 { gen m: none; rel m(m(x,y),z) - m(z,m(y,x)) = 0;"
+           " rel m(x,m(z,y)) + m(m(y,x),z) = 0; }"),
+    "N2": ("operad N2 { gen m: none; rel m(m(x,y),z) - m(z,m(y,x)) = 0;"
+           " rel m(y,m(z,x)) + m(z,m(y,x)) = 0; }"),
+}
 
 
 def _presentation(name):
-    texts = {"T": MIXED_TOWER_T, "X": FIRST_ROW_PRESERVED, "C3": C3}
+    texts = {"T": MIXED_TOWER_T, "X": FIRST_ROW_PRESERVED, "C3": C3, **EXTWO_PLUS}
     p = parse_presentation(texts[name]) if name in texts else builtin(name)
     return depolarize_presentation(p)
 
@@ -356,7 +363,8 @@ def test_hopf_constraints_keep_the_first_of_equal_ones(name):
 
 
 NONE_VERDICTS = ("G2", "G2_polarized", "G3", "G4", "G4_polarized", "G5",
-                 "G5_polarized", "G6", "LLinf", "PreLie", "Vinberg", "T", "X", "C3")
+                 "G5_polarized", "G6", "LLinf", "PreLie", "Vinberg", "T", "X", "C3",
+                 "N1", "N2")
 
 
 @pytest.mark.parametrize("name", NONE_VERDICTS)
@@ -364,8 +372,10 @@ def test_none_diagnostic_names_the_first_failing_row(name):
     p = _presentation(name)
     tbl = _hopf_table(p)
     first = next(r for r in p.R.rows if _row_constraints(p.shape, p.R, tbl, r))
-    if name == "X":     # found by the scan, not by the generators
+    if name in ("X", "N1", "N2"):    # R.rows[0] has no surviving constraint
         assert first != p.R.rows[0]
+    if name in EXTWO_PLUS:
+        assert (p.R.dim, p.R.rows.index(first)) == (9, 3)
     prefix = ("relation image survives in the quotient: " if name == "C3"
               else "no admissible B; first failing relation: ")
     h = hopf_analyze(p)
@@ -375,7 +385,7 @@ def test_none_diagnostic_names_the_first_failing_row(name):
 
 def _solve(*polys):
     row = basis_vector(_T3, 0)
-    return _solve_constraints(_T3, [(c, row) for c in polys], lambda: row)
+    return _solve_constraints(_T3, [(c, row) for c in polys])
 
 
 def test_constraint_order_does_not_change_the_verdict():

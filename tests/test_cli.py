@@ -96,14 +96,17 @@ def test_check_specialization_pole(capsys):
     ("iso", "Ass", "Ass", "--map", "m=m(x,y); m=m(y,x)"),
     ("check", "Ass", "--q", "1/0"),
     ("check", "LLq", "--q", "abc"),
-    ("polarize", "operad X { gen m: none; gen m_s: comm; }"),
+    ("polarize", "operad X { gen m: none; gen m: comm; }"),
     ("quantize", "--degree", "-1"),
+    ("quantize", "--order", "1"),
+    ("quantize", "--order", "1", "--mutate"),
     ("mlab", "--trials", "-2"),
     ("check", "gen m: none; rel 2\u00b2*m(m(x,y),z) = 0;"),
 ], ids=["unknown-map-generator", "map-key-not-a-generator",
         "map-key-given-twice", "zero-denominator-q", "non-numeric-q",
-        "polarized-name-clash", "negative-carrier-degree", "negative-trial-count",
-        "superscript-digit"])
+        "duplicate-generator-name", "negative-carrier-degree",
+        "axiom-unchecked-at-order-1", "mutated-axiom-unchecked-at-order-1",
+        "negative-trial-count", "superscript-digit"])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
@@ -154,6 +157,16 @@ def test_verdicts_do_not_depend_on_generator_names(capsys, schema):
     assert code == EXIT_OK and doc["presentation"] == "X"
     del doc["presentation"], ref["presentation"]
     assert doc == ref
+    # polarizing m next to a generator named m_s picks free pair names
+    from operadlab import parse_presentation, check_cyclic, check_dihedral
+    code, out, _ = run(capsys, "polarize", M_AND_M_S)
+    assert code == EXIT_OK
+    pol = parse_presentation(out)
+    assert len({g.name for g in pol.generators}) == 3
+    _, ref_out, _ = run(capsys, "polarize", "CyclicNotDihedral")
+    ref = parse_presentation(ref_out)
+    assert ((pol.R.dim, check_cyclic(pol), check_dihedral(pol))
+            == (ref.R.dim, check_cyclic(ref), check_dihedral(ref)))
 
 
 # -- table --------------------------------------------------------------------

@@ -66,7 +66,7 @@ def _bpoly(p):
 @given(constraint_lists())
 def test_verdict_matches_the_sympy_gcd(polys):
     row = basis_vector(_T3, 0)
-    h = _solve_constraints(_T3, [(_bpoly(p), row) for p in polys], lambda: row)
+    h = _solve_constraints(_T3, [(_bpoly(p), row) for p in polys])
     g = reduce(sympy.gcd, polys).monic()
     cs = [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
     if g.degree() == 0:

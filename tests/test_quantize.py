@@ -165,6 +165,15 @@ def test_check_ll_moyal_small():
     assert ok and failure is None
 
 
+def test_check_ll_refuses_an_axiom_it_cannot_check():
+    # at order 1 the product is known only mod t, so each distributive term
+    # holds a bracket of a product trusted mod t^0; at order 2, mod t
+    with pytest.raises(QuantizeError, match=r"^distributive axiom is trusted "
+                                            r"only mod t\^0 at order 1$"):
+        check_LL(polarize_star(moyal_star(1)), degree=1)
+    assert check_LL(polarize_star(moyal_star(2)), degree=2) == (True, None)
+
+
 def test_check_ll_zero_bracket_case():
     # an exactly associative commutative product with zero bracket passes
     def dot(u, v):
