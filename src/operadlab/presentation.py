@@ -284,8 +284,8 @@ def presentation_from_subspace(name, generators, space) -> Presentation:
 
 def polarize_presentation(p: Presentation) -> Presentation:
     """Replace every no-symmetry generator m by the commutative/
-    anticommutative pair m_s, m_a and rewrite the relation space
-    accordingly."""
+    anticommutative pair m_s, m_a (or the first free m_s2, m_a2, ...) and
+    rewrite the relation space accordingly."""
     if all(g.symmetry != "none" for g in p.generators):
         return p
     pm = free3.polarize_map(p.shape)

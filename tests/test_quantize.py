@@ -170,7 +170,7 @@ def test_check_ll_refuses_an_axiom_it_cannot_check():
     # holds a bracket of a product trusted mod t^0; at order 2, mod t
     with pytest.raises(QuantizeError, match=r"^distributive axiom is trusted "
                                             r"only mod t\^0 at order 1$"):
-        check_LL(polarize_star(moyal_star(1)), degree=1)
+        check_LL(polarize_star(moyal_star(1)))
     assert check_LL(polarize_star(moyal_star(2)), degree=2) == (True, None)
 
 
