@@ -294,7 +294,7 @@ def hopf_analyze(p: Presentation) -> HopfResult:
     Accepts presentations generated by a single operation: one generator of
     any symmetry type, or the polarized form of a type-(3) operation (exactly
     one commutative and one anticommutative generator), which is depolarized
-    internally."""
+    internally; any other presentation is "unsupported"."""
     p = depolarize_presentation(p)
     syms = [g.symmetry for g in p.generators]
     if syms == ["anti"]:
@@ -305,7 +305,7 @@ def hopf_analyze(p: Presentation) -> HopfResult:
         return _solve_constraints(
             p.shape, _hopf_constraints(p.shape, p.R, _T3_TABLE))
     if syms != ["comm"]:
-        raise CheckerError("unsupported multi-generator presentation")
+        return HopfResult("unsupported", None, "unsupported multi-generator presentation")
     constraints = _hopf_constraints(p.shape, p.R, _COMM_TABLE)
     if constraints:
         return HopfResult("none", None,

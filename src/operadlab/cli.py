@@ -1,5 +1,6 @@
 """Command-line front end: verdicts, the results table, decompositions,
-polarization, isomorphism checks and the randomized suites.
+polarization, isomorphism checks and the randomized suites.  --q
+specializes q (and v = sqrt q) in the presentations and in iso's --map.
 
 Exit codes: 0 success, 2 bad input (a presentation, map or --q value
 that does not parse or does not fit) or a failed check, 3 internal
@@ -16,12 +17,12 @@ import sys
 from fractions import Fraction
 
 from . import free3, rep, mlab, quantize
-from .scalar import Scalar, ScalarError, SpecializationError
+from .scalar import ScalarError
 from .presentation import (Presentation, ParseError, PresentationError,
                            builtin, parse_presentation, polarize_presentation,
                            depolarize_presentation, BUILTIN_NAMES,
-                           parse_expression, RelationExpr, App, Var)
-from .checkers import (check_cyclic, check_dihedral, hopf_analyze, HopfResult,
+                           parse_expression)
+from .checkers import (check_cyclic, check_dihedral, hopf_analyze,
                        check_substitution_iso, verdict_report,
                        InternalInconsistencyError, CheckerError)
 
@@ -29,22 +30,17 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INCONSISTENT = 3
 
-# Koszulness is quoted from the literature, never computed here.
-KOSZUL_CITED = {
-    "Ass": "yes", "Poiss": "yes", "LLq": "yes", "LLinf": "yes",
-    "Vinberg": "yes", "PreLie": "yes", "G4": "no", "G5": "no", "G6": "yes",
-}
-
+# (operad, algebras, Koszulness quoted from the literature, never computed)
 TABLE_ROWS = (
-    ("Ass", "associative"),
-    ("Poiss", "Poisson"),
-    ("LLq", "LL_q (generic q)"),
-    ("LLinf", "LL_infinity"),
-    ("Vinberg", "Vinberg"),
-    ("PreLie", "pre-Lie"),
-    ("G4", "G4-associative"),
-    ("G5", "G5-associative"),
-    ("G6", "Lie-admissible"),
+    ("Ass", "associative", "yes"),
+    ("Poiss", "Poisson", "yes"),
+    ("LLq", "LL_q (generic q)", "yes"),
+    ("LLinf", "LL_infinity", "yes"),
+    ("Vinberg", "Vinberg", "yes"),
+    ("PreLie", "pre-Lie", "yes"),
+    ("G4", "G4-associative", "no"),
+    ("G5", "G5-associative", "no"),
+    ("G6", "Lie-admissible", "yes"),
 )
 
 
@@ -86,10 +82,8 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 def cmd_check(args) -> int:
     p = _load_presentation(args.presentation, args.q)
-    wanted = [f for f in ("cyclic", "dihedral", "hopf")
-              if getattr(args, f)]
-    if not wanted:
-        wanted = ["cyclic", "dihedral", "hopf"]
+    wanted = ([f for f in ("cyclic", "dihedral", "hopf") if getattr(args, f)]
+              or ["cyclic", "dihedral", "hopf"])
     payload = {"command": "check", "presentation": p.name}
     lines = [f"presentation {p.name} (dim R = {p.R.dim})"]
     if "cyclic" in wanted:
@@ -99,11 +93,7 @@ def cmd_check(args) -> int:
         payload["dihedral"] = check_dihedral(p)
         lines.append(f"  dihedral: {'yes' if payload['dihedral'] else 'no'}")
     if "hopf" in wanted:
-        try:
-            h = hopf_analyze(p)
-        except CheckerError as e:
-            # the other verdicts are decided; only this one is out of reach
-            h = HopfResult("unsupported", None, str(e))
+        h = hopf_analyze(p)
         payload["hopf"] = {"verdict": h.verdict, "witness": h.witness_str()}
         w = f" (B = {h.witness_str()})" if h.witness is not None else ""
         lines.append(f"  hopf:     {h.verdict}{w}")
@@ -115,18 +105,18 @@ def cmd_check(args) -> int:
 
 def cmd_table(args) -> int:
     rows = []
-    width = max(len(t) for _, t in TABLE_ROWS)
+    width = max(len(t) for _, t, _ in TABLE_ROWS)
     lines = [f"{'operad':<8} {'algebras':<{width}} "
              f"{'Koszul*':<8} {'cyclic':<7} {'dihedral':<9} hopf",
              "-" * (8 + width + 35)]
-    for name, algebras in TABLE_ROWS:
+    for name, algebras, koszul in TABLE_ROWS:
         p = builtin(name)
         r = verdict_report(p)
         h = r["hopf"]
         rows.append({
             "operad": name,
             "algebras": algebras,
-            "koszul": {"value": KOSZUL_CITED[name], "source": "cited, not computed"},
+            "koszul": {"value": koszul, "source": "cited, not computed"},
             "cyclic": r["cyclic"],
             "dihedral": r["dihedral"],
             "hopf": h,
@@ -136,7 +126,7 @@ def cmd_table(args) -> int:
         if h["witness"] is not None:
             hopf_col += f" (B = {h['witness']})"
         lines.append(f"{name:<8} {algebras:<{width}} "
-                     f"{KOSZUL_CITED[name]:<8} "
+                     f"{koszul:<8} "
                      f"{'yes' if r['cyclic'] else 'no':<7} "
                      f"{'yes' if r['dihedral'] else 'no':<9} {hopf_col}")
     lines.append("* Koszul column cited from the literature, not computed.")
@@ -147,10 +137,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    spec = args.presentation or args.builtin_name
-    if spec is None:
-        raise PresentationError("give a presentation or --builtin NAME")
-    p = _load_presentation(spec, args.q)
+    if (args.presentation is None) == (args.builtin_name is None):
+        raise PresentationError("give either a presentation or --builtin NAME")
+    p = (_load_presentation(args.presentation) if args.builtin_name is None
+         else builtin(args.builtin_name))
+    if args.q is not None:
+        p = p.specialize(args.q)
     gp, gm = free3.gamma_plus_split(p.shape)
     dp = rep.decompose_subspace(gp)
     dm = rep.decompose_subspace(gm)
@@ -189,33 +181,23 @@ def cmd_polarize(args) -> int:
 NAMED_MAPS = ("star", "opposite", "identity", "signflip")
 
 
-def _named_map(name: str, p: Presentation, p2: Presentation, q=None):
+def _named_map(name: str, p: Presentation, p2: Presentation):
+    """The named map from p's generators to p2's, written as --map text."""
     if name == "star":
-        g = p.generators[0].name
-        t = p2.generators[0].name
-        half = Fraction(1, 2)
-        v = Scalar.v() if q is None else Scalar.v().specialize(q)
-        return {g: RelationExpr([((Scalar.one() + v) * half, App(t, Var("x"), Var("y"))),
-                                 ((Scalar.one() - v) * half, App(t, Var("y"), Var("x")))])}
-    if name == "opposite":
-        g = p.generators[0].name
-        t = p2.generators[0].name
-        return {g: RelationExpr([(Scalar.one(), App(t, Var("y"), Var("x")))])}
-    if name == "identity":
-        return {g.name: RelationExpr([(Scalar.one(), App(g2.name, Var("x"), Var("y")))])
-                for g, g2 in zip(p.generators, p2.generators)}
-    if name == "signflip":
-        out = {}
-        for g, g2 in zip(p.generators, p2.generators):
-            c = -Scalar.one() if g.symmetry == "anti" else Scalar.one()
-            out[g.name] = RelationExpr([(c, App(g2.name, Var("x"), Var("y")))])
-        return out
-    raise CheckerError(f"unknown named map {name!r}")
+        g, t = p.generators[0].name, p2.generators[0].name
+        text = f"{g}=((1+v)/2)*{t}(x,y) + ((1-v)/2)*{t}(y,x)"
+    elif name == "opposite":
+        text = f"{p.generators[0].name}={p2.generators[0].name}(y,x)"
+    elif name in ("identity", "signflip"):
+        flip = {"anti": "-"} if name == "signflip" else {}
+        text = "; ".join(f"{g.name}={flip.get(g.symmetry, '')}{g2.name}(x,y)"
+                         for g, g2 in zip(p.generators, p2.generators))
+    else:
+        raise CheckerError(f"unknown named map {name!r}")
+    return _parse_map(text)
 
 
-def _parse_map(text: str, p: Presentation, p2: Presentation, q=None):
-    if text in NAMED_MAPS:
-        return _named_map(text, p, p2, q)
+def _parse_map(text: str):
     mapping = {}
     start = 0
     for piece in text.split(";"):
@@ -254,14 +236,14 @@ def cmd_iso(args) -> int:
     if (args.map in ("star", "opposite") or [g.symmetry for g in p.generators]
             != [g.symmetry for g in p2.generators]):
         p, p2 = depolarize_presentation(p), depolarize_presentation(p2)
-    if args.map == "star":
-        # the star formula defines the second product from the first, so the
-        # generator substitution runs from the second presentation's side
-        mapping = _parse_map(args.map, p2, p, args.q)
-        result = check_substitution_iso(p2, p, mapping)
-    else:
-        mapping = _parse_map(args.map, p, p2, args.q)
-        result = check_substitution_iso(p, p2, mapping)
+    # the star formula defines the second product from the first, so the
+    # generator substitution runs from the second presentation's side
+    src, dst = (p2, p) if args.map == "star" else (p, p2)
+    mapping = (_named_map(args.map, src, dst) if args.map in NAMED_MAPS
+               else _parse_map(args.map))
+    if args.q is not None:
+        mapping = {g: e.specialize(args.q) for g, e in mapping.items()}
+    result = check_substitution_iso(src, dst, mapping)
     payload = {"command": "iso", "source": p.name, "target": p2.name,
                "map": args.map, "isomorphic": result}
     _emit(args, payload, [f"{p.name} -> {p2.name} via {args.map!r}: "
@@ -376,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         if with_q:
             p.add_argument("--q", default=None,
-                           help="specialize the parameter q to a rational")
+                           help="specialize the parameter q (and v = sqrt q) "
+                                "to a rational, in iso also in the --map")
 
     c = sub.add_parser("check", help="cyclicity / dihedrality / Hopf verdicts")
     c.add_argument("presentation", help="builtin name, file, or literal text")
@@ -434,14 +417,11 @@ def main(argv=None) -> int:
         if getattr(args, "q", None) is not None:
             args.q = _rational(args.q)
         return args.fn(args)
-    except (PresentationError, SpecializationError, free3.Free3Error) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     except InternalInconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (CheckerError, ScalarError, quantize.QuantizeError,
-            mlab.MultiMapError) as e:
+    except (PresentationError, ScalarError, free3.Free3Error, CheckerError,
+            quantize.QuantizeError, mlab.MultiMapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import isfinite
 
 
 class MultiMapError(ValueError):
@@ -47,8 +48,11 @@ class MultiMapError(ValueError):
 
 
 def _exact(v):
-    """v as an int when it is integral, else as a Fraction."""
+    """v (an int, Fraction or finite float) as an int if integral, else a Fraction."""
     if type(v) is not int:
+        if not (isinstance(v, (int, Fraction))
+                or isinstance(v, float) and isfinite(v)):
+            raise MultiMapError(f"coefficient {v!r} is not an int, Fraction or finite float")
         v = Fraction(v)
         if v.denominator == 1:
             return v.numerator

@@ -124,6 +124,10 @@ class RelationExpr:
 
         return RelationExpr([(c, sub(t)) for c, t in self.terms])
 
+    def specialize(self, q0) -> "RelationExpr":
+        """Every coefficient under Scalar.specialize(q0)."""
+        return RelationExpr([(c.specialize(q0), t) for c, t in self.terms])
+
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -227,8 +231,7 @@ class Presentation:
 
     def specialize(self, q0) -> "Presentation":
         q0 = Fraction(q0)
-        rels = [RelationExpr([(c.specialize(q0), t) for c, t in r.terms])
-                for r in self.relations]
+        rels = [r.specialize(q0) for r in self.relations]
         return Presentation(f"{self.name}[q={q0}]", self.generators, rels)
 
     def render(self) -> str:

@@ -33,9 +33,9 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, perm
+from math import comb, isfinite, perm
 
-from .scalar import as_scalar, INV_SQRT2
+from .scalar import Scalar, as_scalar, INV_SQRT2
 
 
 class QuantizeError(ValueError):
@@ -52,16 +52,18 @@ def _min_order(a, b):
 
 def exact(c):
     """A coefficient in its smallest exact type: int, non-integral
-    Fraction, or a Scalar that is not rational.  A number outside the
-    tower, such as a float, goes through `Fraction`."""
+    Fraction, or a Scalar that is not rational.  c must be an int, a
+    Fraction, a finite float or a Scalar."""
     if not isinstance(c, (int, Fraction)):
-        s = as_scalar(c)
-        if s is NotImplemented:
+        if isinstance(c, Scalar):
+            if not c.is_rational():
+                return c
+            c = c.as_fraction()
+        elif isinstance(c, float) and isfinite(c):
             c = Fraction(c)
-        elif s.is_rational():
-            c = s.as_fraction()
         else:
-            return s
+            raise QuantizeError(f"coefficient {c!r} is not an int, Fraction, "
+                                "finite float or Scalar")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -92,6 +94,8 @@ class TPoly:
 
     @classmethod
     def monomial(cls, xdeg: int, pdeg: int, coeff=1) -> "TPoly":
+        if xdeg < 0 or pdeg < 0:
+            raise QuantizeError(f"negative degree in x^{xdeg} p^{pdeg}")
         return cls({(0, xdeg, pdeg): coeff})
 
     @classmethod

@@ -305,7 +305,11 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        num, den = self.num, self.den
+        if len(num) > 1 or len(den) > 1:
+            return hash((num, den))
+        # a constant hashes as the equal int or Fraction does
+        return hash(num[0] if den[0] == 1 else Fraction(num[0], den[0])) if num else 0
 
     def __bool__(self):
         return bool(self.num)
@@ -568,7 +572,11 @@ class Scalar:
         return self.c == other.c
 
     def __hash__(self):
-        return hash(self.c)
+        c0, c1, c2, c3 = self.c
+        if not (c1.num or c2.num or c3.num):
+            return hash(c0)                     # as the equal RatFunc does
+        return hash(((c0.num, c0.den), (c1.num, c1.den), (c2.num, c2.den),
+                     (c3.num, c3.den)))
 
     # -- substitution
 

@@ -456,8 +456,11 @@ def test_common_linear_factor_is_found_in_any_order(r, lins):
 
 
 def test_hopf_rejects_multi_generator():
-    with pytest.raises(CheckerError):
-        hopf_analyze(builtin("CyclicNotDihedral"))
+    p = builtin("CyclicNotDihedral")
+    h = hopf_analyze(p)
+    assert (h.verdict, h.witness) == ("unsupported", None)
+    assert h.diagnostic == "unsupported multi-generator presentation"
+    assert verdict_report(p)["hopf"] == {"verdict": "unsupported", "witness": None}
 
 
 def test_hopf_polarized_pair_accepted():

@@ -1,14 +1,17 @@
 import json
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from operadlab.cli import main, EXIT_OK, EXIT_PARSE, EXIT_INCONSISTENT
+from operadlab.checkers import slotmap_from_exprs
+from operadlab.cli import main, _named_map, EXIT_OK, EXIT_PARSE, EXIT_INCONSISTENT
 from operadlab.free3 import Subspace
-from operadlab.presentation import BUILTIN_NAMES
+from operadlab.presentation import BUILTIN_NAMES, builtin, depolarize_presentation
+from operadlab.scalar import Scalar
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -102,11 +105,16 @@ def test_check_specialization_pole(capsys):
     ("quantize", "--order", "1", "--mutate"),
     ("mlab", "--trials", "-2"),
     ("check", "gen m: none; rel 2\u00b2*m(m(x,y),z) = 0;"),
+    ("decompose", "--builtin", "gen m: none;"),
+    ("decompose", "--builtin", "NoSuch"),
+    ("decompose", "Ass", "--builtin", "G2"),
+    ("decompose",),
 ], ids=["unknown-map-generator", "map-key-not-a-generator",
         "map-key-given-twice", "zero-denominator-q", "non-numeric-q",
         "duplicate-generator-name", "negative-carrier-degree",
         "axiom-unchecked-at-order-1", "mutated-axiom-unchecked-at-order-1",
-        "negative-trial-count", "superscript-digit"])
+        "negative-trial-count", "superscript-digit", "builtin-given-text",
+        "unknown-builtin", "builtin-and-positional", "no-presentation"])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
@@ -316,6 +324,58 @@ def test_decompose_relations_not_invariant(capsys, schema):
 def test_iso_degenerate_map_errors(capsys):
     code, _, err = run(capsys, "iso", "LLq", "Ass", "--map", "star", "--q", "0")
     assert code == EXIT_PARSE and "not invertible" in err
+
+
+STAR_TEXT = "m=((1+v)/2)*m(x,y) + ((1-v)/2)*m(y,x)"
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    # q = 0 makes the written map zero
+    (("Ass", "Ass", "--q", "0", "--map", "m=q*m(x,y)"), EXIT_PARSE, "not invertible"),
+    (("Ass", "Ass", "--q", "1", "--map", "m=q*m(x,y)"), EXIT_OK, ": isomorphism\n"),
+    # the star formula written out is an isomorphism at v = 2 ...
+    (("Ass", "LLq_depolarized", "--q", "4", "--map", STAR_TEXT), EXIT_OK,
+     ": isomorphism\n"),
+    # ... and needs a rational square root of q, as the named map does
+    (("Ass", "LLq_depolarized", "--q", "2", "--map", STAR_TEXT), EXIT_PARSE,
+     "sqrt(2) is irrational"),
+    (("LLq", "Ass", "--q", "2", "--map", "star"), EXIT_PARSE, "sqrt(2) is irrational"),
+    (("LLq", "Ass", "--q", "4", "--map", "star"), EXIT_OK, ": isomorphism\n"),
+], ids=["written-q0", "written-q1", "written-star-q4", "written-star-q2",
+        "named-star-q2", "named-star-q4"])
+def test_iso_q_specializes_the_map(capsys, argv, code, text):
+    got, out, err = run(capsys, "iso", *argv)
+    assert got == code and text in (out if code == EXIT_OK else err)
+
+
+HALF = Fraction(1, 2)
+V = Scalar.v()
+
+
+# slot images of each named map, from the source to the target presentation
+# as iso compares them (star runs from the second presentation's side, and
+# star and opposite compare depolarized presentations)
+@pytest.mark.parametrize("name, src, dst, q, images", [
+    ("star", "Ass", "LLq", None, {0: [(HALF + HALF * V, 0), (HALF - HALF * V, 1)],
+                                  1: [(HALF + HALF * V, 1), (HALF - HALF * V, 0)]}),
+    ("star", "Ass", "LLq", 4, {0: [(Fraction(3, 2), 0), (-HALF, 1)],
+                               1: [(Fraction(3, 2), 1), (-HALF, 0)]}),
+    ("opposite", "PreLie", "Vinberg", None, {0: [(1, 1)], 1: [(1, 0)]}),
+    ("identity", "Ass", "G3", None, {0: [(1, 0)], 1: [(1, 1)]}),
+    ("signflip", "G2_polarized", "G2_polarized", None, {0: [(1, 0)], 1: [(-1, 1)]}),
+    ("signflip", "LLq", "LLq", None, {0: [(1, 0)], 1: [(-1, 1)]}),
+], ids=["star", "star-q4", "opposite", "identity", "signflip-G2", "signflip-LLq"])
+def test_named_map_slot_images(name, src, dst, q, images):
+    p, p2 = builtin(src), builtin(dst)
+    if q is not None:
+        p, p2 = p.specialize(q), p2.specialize(q)
+    if name in ("star", "opposite"):
+        p, p2 = depolarize_presentation(p), depolarize_presentation(p2)
+    mapping = _named_map(name, p, p2)
+    if q is not None:
+        mapping = {g: e.specialize(q) for g, e in mapping.items()}
+    sm = slotmap_from_exprs(p, p2, mapping)
+    assert {s: list(img) for s, img in sm.images.items()} == images
 
 
 # -- quantize / mlab -----------------------------------------------------------------

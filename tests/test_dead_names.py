@@ -1,6 +1,7 @@
 """Every module-level private name in the package is used somewhere in the
 package outside its own definition: a private helper, table or constant
-that nothing reads any more is dead code."""
+that nothing reads any more is dead code.  Every name a module imports is
+used in that module (the package's __init__ only re-exports)."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,34 @@ def test_the_guard_finds_a_leftover():
                      "def _walk(n):\n    return _walk(n - 1)\n"
                      "def scan(t):\n    return _TOKEN.finditer(t)\n")
     assert dead_private_names({"m": tree}) == ["m._PUNCT", "m._walk"]
+
+
+def unused_imports(tree):
+    """The names the module's imports bind that the module never reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(name)
+    return unused
+
+
+def test_every_import_is_used():
+    unused = {p.stem: unused_imports(ast.parse(p.read_text(encoding="utf-8")))
+              for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert {mod: names for mod, names in unused.items() if names} == {}
+
+
+def test_the_import_guard_finds_a_leftover():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "import re as regex\n"
+                     "from .scalar import Scalar, as_scalar\n"
+                     "def f(x):\n"
+                     "    import math\n"
+                     "    return as_scalar(x)\n")
+    assert unused_imports(tree) == ["os", "regex", "Scalar", "math"]

@@ -12,6 +12,7 @@ from operadlab.mlab import (MultiMap, MultiMapError, comp_ij, circ, circ_plain,
                             infinitesimal_bialgebra_axioms, assoc_defect,
                             coassoc_defect, compatibility_defect,
                             insertion_sign)
+from operadlab.scalar import Scalar
 
 
 def rmap(rng, d, m, n):
@@ -36,6 +37,15 @@ def test_comp_index_ranges():
         comp_ij(f, g, 3, 1)
     with pytest.raises(MultiMapError):
         comp_ij(f, g, 1, 3)
+
+
+@pytest.mark.parametrize("c", [Scalar.one(), "1/2", float("nan"), float("-inf")],
+                         ids=["Scalar", "str", "nan", "-inf"])
+def test_a_coefficient_outside_the_rationals_is_a_multimap_error(c):
+    with pytest.raises(MultiMapError, match="is not an int, Fraction or finite float"):
+        MultiMap(2, 1, 1, {((0,), (0,)): c})
+    with pytest.raises(MultiMapError, match="is not an int, Fraction or finite float"):
+        MultiMap(2, 1, 1, {((0,), (0,)): 1}).scale(c)
 
 
 def test_compositions_reject_what_is_not_a_multimap():

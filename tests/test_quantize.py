@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operadlab import Scalar
+from operadlab import RatFunc, Scalar
 from operadlab.quantize import (TPoly, StarProduct, LLData, QuantizeError,
                                 moyal_star, polarize_star, star_from_LL,
                                 check_LL, classical_limit, poisson_check,
@@ -24,9 +24,9 @@ def mono(i, j, c=1):
 def test_tpoly_arithmetic():
     x, p = mono(1, 0), mono(0, 1)
     xp = x * p
-    assert xp.coeffs == {(0, 1, 1): Scalar.one()}
+    assert xp.coeffs == {(0, 1, 1): 1}
     assert (x + p) * (x - p) == x * x - p * p
-    assert x.times_t(2).coeffs == {(2, 1, 0): Scalar.one()}
+    assert x.times_t(2).coeffs == {(2, 1, 0): 1}
     assert x.times_t().divide_t() == x
     with pytest.raises(QuantizeError):
         x.divide_t()
@@ -75,6 +75,21 @@ def test_coefficient_types_are_canonical():
 def test_a_float_coefficient_is_made_exact():
     assert exact(0.5) == Fraction(1, 2) and type(exact(2.0)) is int
     assert mono(1, 0).scale(0.5) == mono(1, 0, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("c", ["1/2", None, RatFunc.q(), float("nan"), float("inf")],
+                         ids=["str", "None", "RatFunc", "nan", "inf"])
+def test_a_coefficient_outside_the_tower_is_a_quantize_error(c):
+    with pytest.raises(QuantizeError, match="is not an int, Fraction, finite float"):
+        exact(c)
+    with pytest.raises(QuantizeError, match="is not an int, Fraction, finite float"):
+        TPoly({(0, 1, 0): c})
+
+
+def test_a_negative_degree_is_a_quantize_error():
+    for xdeg, pdeg in ((-1, 0), (0, -1)):
+        with pytest.raises(QuantizeError, match="negative degree"):
+            TPoly.monomial(xdeg, pdeg)
 
 
 # -- the worked star product --------------------------------------------------------

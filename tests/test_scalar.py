@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operadlab.scalar import (Scalar, RatFunc, ScalarError, SpecializationError,
-                              RESIDUE_P, RESIDUE_V0)
+                              RESIDUE_P, RESIDUE_V0, as_scalar)
 
 
 def S(x):
@@ -145,6 +145,34 @@ def test_zero_tests_agree_on_zeros_reached_by_subtraction(a, b):
         assert z.c == zero.c and hash(z) == hash(zero)
     d = a - b
     assert bool(d) == (not d.is_zero()) == (d != zero) == (a != b)
+
+
+def _forms(x):
+    """x as a Scalar and in each narrower type, of RatFunc, Fraction and
+    int, that holds its value."""
+    s = as_scalar(x)
+    forms = [s]
+    if not (s.c[1] or s.c[2] or s.c[3]):
+        forms.append(s.c[0])
+        if s.c[0].is_constant():
+            f = s.as_fraction()
+            forms += [f, f.numerator] if f.denominator == 1 else [f]
+    return forms
+
+
+def test_equal_tower_values_collapse_in_a_set():
+    assert len({Scalar.one(), 1, Fraction(1), RatFunc.const(1)}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_fracs, big_fracs, st.integers(-5, 5), ratfuncs, scalars()),
+       st.one_of(small_fracs, ratfuncs, scalars()))
+def test_equal_values_hash_equally(x, y):
+    forms = _forms(x) + _forms(y)
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
 
 
 @pytest.mark.parametrize("op", [lambda: 0.5 - Scalar.one(), lambda: "x" / Scalar.one(),
