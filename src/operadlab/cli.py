@@ -45,7 +45,7 @@ TABLE_ROWS = (
 
 
 def _load_presentation(spec: str, q=None) -> Presentation:
-    if spec in BUILTIN_NAMES:
+    if spec in BUILTIN_NAMES or (spec.isidentifier() and not os.path.exists(spec)):
         p = builtin(spec)
     elif os.path.exists(spec):
         try:

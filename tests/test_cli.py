@@ -93,6 +93,10 @@ def test_check_specialization_pole(capsys):
     assert code == EXIT_PARSE and "pole" in err
 
 
+MISTYPED_BUILTIN = [("check", "LLQ"), ("polarize", "LLQ"),
+                    ("iso", "Ass", "LLQ", "--map", "star"), ("decompose", "LLQ")]
+
+
 @pytest.mark.parametrize("argv", [
     ("iso", "Ass", "Ass", "--map", "m=k(x,y)"),
     ("iso", "Ass", "Ass", "--map", "m=m(x,y); k=m(y,x)"),
@@ -109,16 +113,25 @@ def test_check_specialization_pole(capsys):
     ("decompose", "--builtin", "NoSuch"),
     ("decompose", "Ass", "--builtin", "G2"),
     ("decompose",),
+    *MISTYPED_BUILTIN,
 ], ids=["unknown-map-generator", "map-key-not-a-generator",
         "map-key-given-twice", "zero-denominator-q", "non-numeric-q",
         "duplicate-generator-name", "negative-carrier-degree",
         "axiom-unchecked-at-order-1", "mutated-axiom-unchecked-at-order-1",
         "negative-trial-count", "superscript-digit", "builtin-given-text",
-        "unknown-builtin", "builtin-and-positional", "no-presentation"])
+        "unknown-builtin", "builtin-and-positional", "no-presentation",
+        "check-mistyped-builtin", "polarize-mistyped-builtin",
+        "iso-mistyped-builtin", "decompose-mistyped-builtin"])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", MISTYPED_BUILTIN, ids=lambda argv: argv[0])
+def test_a_mistyped_builtin_is_named_as_one(capsys, argv):
+    # a bare identifier that is neither a builtin nor a file is not parsed as text
+    assert run(capsys, *argv)[2] == "error: unknown builtin presentation 'LLQ'\n"
 
 
 def test_dihedral_routes_that_disagree_exit_inconsistent(capsys, monkeypatch):

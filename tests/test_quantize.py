@@ -313,6 +313,16 @@ def test_pair_table_is_filled_once_per_instance():
     assert first == len(set(calls)) + 1
     assert s.is_associative(2) and len(calls) == first
     assert StarProduct(4, rule).is_associative(2) and len(calls) == 2 * first
+    # the symmetrised and antisymmetrised views behind the polarized dot
+    # and br are read off the pair table and call the rule no more
+    data = polarize_star(StarProduct(4, rule))
+    for u, v in itertools.product(basis_monomials(3), repeat=2):
+        data.dot(u, v), data.br(u, v)
+    fresh = calls[2 * first:]
+    assert len(fresh) == len(set(fresh)) + 1
+    for u, v in itertools.product(basis_monomials(3), repeat=2):
+        data.dot(u, v), data.br(u, v)
+    assert len(calls) == 2 * first + len(fresh)
 
 
 def test_pair_with_another_order_is_rejected():
@@ -354,11 +364,29 @@ def tpolys(draw):
 def test_table_expansion_equals_the_rule(make, u, v):
     s = make()
     direct = s.rule(u, v)
-    expanded = s.expand(u, v)
-    assert (expanded.coeffs, expanded.order) == (direct.coeffs, direct.order)
+    for twist in (0, 1, -1):
+        want = direct + s.rule(v, u).scale(twist) if twist else direct
+        got = s.expand(u, v, twist=twist)
+        assert (got.coeffs, got.order) == (want.coeffs, want.order)
+        assert ({k: type(c) for k, c in got.coeffs.items()}
+                == {k: type(c) for k, c in want.coeffs.items()})
     assert s(u, v) == direct.truncated(s.order)
     for k in range(s.order):
         assert s.component(k, u, v) == direct.t_component(k)
+
+
+def test_expand_takes_only_the_twists_0_and_plus_minus_1():
+    s = moyal_star(4)
+    x, p, t = mono(1, 0), mono(0, 1), mono(0, 0).times_t()
+    assert s.expand(p, x, twist=1) == mono(1, 1, 2) + t
+    assert s.expand(p, x, twist=-1) == t
+    # sqrt 2 * sqrt 2 is stored as the int 2
+    w = s.expand(mono(0, 1, U), mono(1, 0, U), twist=1)
+    assert w.coeffs == {(0, 1, 1): 4, (1, 0, 0): 2}
+    assert all(type(c) is int for c in w.coeffs.values())
+    for twist in (2, -2, Fraction(1, 2), "1", [1]):
+        with pytest.raises(QuantizeError, match=r"^twist .* is not 0, 1 or -1$"):
+            s.expand(p, x, twist=twist)
 
 
 POLARIZED = polarize_star(moyal_star(4))
@@ -378,3 +406,60 @@ def test_check_ll_ignores_a_common_factor(c, mutation):
     scaled = LLData(data.order, lambda u, v: data.dot(u, v).scale(c),
                     lambda u, v: data.br(u, v).scale(c), data.bracket_order)
     assert check_LL(scaled, degree=2) == check_LL(data, degree=2)
+
+
+# -- the axiom checks against a plain reference -------------------------------------
+
+def reference_check_ll(data, degree):
+    """Every triple, and the three axioms of `check_LL` exactly as written,
+    each defect built as a TPoly."""
+    dot, br = data.ops
+    n_br = min(data.order, data.bracket_order)
+    moduli = {"jacobi": n_br, "distributive": n_br,
+              "associator-defect": min(data.order, n_br + 2)}
+    for x, y, z in itertools.product(basis_monomials(degree), repeat=3):
+        for axiom, defect in (
+                ("jacobi", br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))),
+                ("distributive", br(x, dot(y, z)) - dot(br(x, y), z) - dot(y, br(x, z))),
+                ("associator-defect",
+                 dot(dot(x, y), z) - dot(x, dot(y, z)) - br(y, br(x, z)).times_t(2))):
+            if not defect.is_zero_mod(moduli[axiom]):
+                return False, f"{axiom} fails on ({x.render()}, {y.render()}, {z.render()})"
+    return True, None
+
+
+# a product bent at t^2 and a bracket whose values are trusted mod t^2,
+# below its declared order: the associator terms t^2 {y, {x, z}} are
+# trusted mod t^3, so the bend shows there and not in the distributive law
+BENT = LLData(4, lambda u, v: POLARIZED.dot(u, v) + (u.dx().dx() * v.dx().dx()).times_t(2),
+              lambda u, v: POLARIZED.br(u, v).truncated(2))
+
+
+@pytest.mark.parametrize("data, degree", [
+    (POLARIZED, 3),
+    (polarize_star(moyal_star(5)), 4),
+    (POLARIZED.mutate_bracket((1, 0), (0, 1), (0, 0, 0), 1), 2),
+    (BENT, 2),
+], ids=["moyal4", "moyal5", "mutated", "bent"])
+def test_check_ll_equals_the_reference(data, degree):
+    assert check_LL(data, degree) == reference_check_ll(data, degree)
+    if data is BENT:
+        assert check_LL(data, degree)[1].startswith("associator-defect fails on (")
+
+
+@settings(max_examples=25, deadline=None)
+@given(mutation=mutations)
+def test_check_ll_equals_the_reference_on_corruptions(mutation):
+    data = POLARIZED.mutate_bracket(*mutation)
+    assert check_LL(data, 2) == reference_check_ll(data, 2)
+
+
+def test_is_associative_equals_the_defect_of_every_triple():
+    mutated = POLARIZED.mutate_bracket((1, 0), (0, 1), (0, 0, 1), Fraction(1, 2))
+    verdicts = []
+    for s in (moyal_star(4), star_from_LL(mutated, check=False)):
+        basis = basis_monomials(2)
+        verdicts.append(all(s.associativity_defect(u, v, w).is_zero_mod(s.order)
+                            for u, v, w in itertools.product(basis, repeat=3)))
+        assert s.is_associative(2) == verdicts[-1]
+    assert verdicts == [True, False]
