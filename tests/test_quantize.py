@@ -411,8 +411,8 @@ def test_check_ll_ignores_a_common_factor(c, mutation):
 # -- the axiom checks against a plain reference -------------------------------------
 
 def reference_check_ll(data, degree):
-    """Every triple, and the three axioms of `check_LL` exactly as written,
-    each defect built as a TPoly."""
+    """Every triple, and the three axioms as `check_LL`'s docstring writes
+    them, each defect built as a TPoly."""
     dot, br = data.ops
     n_br = min(data.order, data.bracket_order)
     moduli = {"jacobi": n_br, "distributive": n_br,
@@ -456,9 +456,8 @@ def test_check_ll_equals_the_reference_on_corruptions(mutation):
 
 def test_is_associative_equals_the_defect_of_every_triple():
     mutated = POLARIZED.mutate_bracket((1, 0), (0, 1), (0, 0, 1), Fraction(1, 2))
-    verdicts = []
+    basis, verdicts = basis_monomials(2), []
     for s in (moyal_star(4), star_from_LL(mutated, check=False)):
-        basis = basis_monomials(2)
         verdicts.append(all(s.associativity_defect(u, v, w).is_zero_mod(s.order)
                             for u, v, w in itertools.product(basis, repeat=3)))
         assert s.is_associative(2) == verdicts[-1]
