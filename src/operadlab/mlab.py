@@ -2,14 +2,17 @@
 multilinear maps.
 
 A MultiMap is an exact tensor in Lin(V^(x)m, V^(x)n) over the rationals,
-stored sparsely as {(out_index_tuple, in_index_tuple): coefficient}.
-Every coefficient is nonzero and kept in its smallest exact type by
-`_exact`: an int when it is integral, else a Fraction, so integer maps
-compose in int arithmetic (`==` and `hash` agree across 3 and
-Fraction(3)).  The public constructor checks the shape and index range
-of its keys; every map this module computes from given maps (a sum, a
-multiple, a composition, a defect) is built by `_built`, which skips that
-check, since its keys are spliced from the keys of maps already checked.
+stored sparsely as {code: coefficient}: the code of an entry reads its n
+output and then m input indices as the digits of one base-d integer, most
+significant first.  `coeffs` is a read-only view keyed by (out_index_tuple,
+in_index_tuple), decoded on first access and cached.  Every coefficient is
+nonzero and kept in its smallest exact type by `_exact`: an int when it is
+integral, else a Fraction, so integer maps compose in int arithmetic (`==`
+and `hash` agree across 3 and Fraction(3)).  The public constructor drops
+zeros, checks the shape and index range of the keys left, encodes them and
+keeps the checked dict as the view; every map this module computes from
+given maps (a sum, a multiple, a composition, a defect) is built from codes
+by `_built`, which skips that check.
 
 The partial composition comp_ij plugs the j-th output of g into the i-th
 input of f; the remaining lines keep their blocks in place:
@@ -17,22 +20,26 @@ input of f; the remaining lines keep their blocks in place:
     inputs  = (f-inputs 1..i-1,  g-inputs,  f-inputs i+1..b)
     outputs = (g-outputs 1..j-1, f-outputs, g-outputs j+1..c)
 
-It buckets g's entries by their j-th output index once, so each f-entry
-meets only the g-entries whose j-th output is its i-th input.
+It splits each f code once into its i-th input digit x and f_part, its
+other digits at their places in the result, and each g code into its j-th
+output digit y and g_part; with g bucketed by y, the code of the term of an
+f and a g entry with x = y is the integer f_part + g_part.
 
 The signed total composition is
 
     f o g = sum over i <= b, j <= c of (-1)^(i(b+1) + j(c+1)) f comp_ij g
 
 for f with b inputs and g with c outputs.  circ, circ_plain and
-alternating_associator_sum add their signed terms into one coefficient
-dict and build one MultiMap from it at the end.
+alternating_associator_sum add their signed terms into one code dict and
+build one MultiMap from it at the end.
 
 The alternating sum of the associator over the six orders of (f, g, h) is
 the Jacobiator [[f,g],h] + [[g,h],f] + [[h,f],g] of the commutator
 [x,y] = x o y - y o x whenever o is bilinear, as circ and circ_plain are:
 it vanishes exactly where o is Lie-admissible, and it costs 12
-compositions instead of the six associators' 18.
+compositions instead of the six associators' 18.  The axiom defects stay
+on the tuple view on purpose: an oracle that shares no digit arithmetic
+with comp_ij, for the master equation to be checked against.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 from math import isfinite
+from types import MappingProxyType
 
 
 class MultiMapError(ValueError):
@@ -62,13 +71,31 @@ def _exact(v):
 class MultiMap:
     """Exact multilinear map with m inputs and n outputs on a d-dim space."""
 
-    __slots__ = ("d", "m", "n", "coeffs")
+    __slots__ = ("d", "m", "n", "_codes", "_view")
 
-    def __init__(self, d: int, m: int, n: int, coeffs=None):
+    def __new__(cls, d: int, m: int, n: int, coeffs=None):
         if d < 1 or m < 1 or n < 1:
             raise MultiMapError("base dimension and arities must be >= 1")
-        _fill(self, d, m, n, coeffs or {})
-        _check_keys(self.coeffs, d, m, n)
+        cc = _nonzero(coeffs or {})
+        _check_keys(cc, d, m, n)
+        mm = _built(d, m, n, _encoded(cc, d))
+        _SET_VIEW(mm, MappingProxyType(cc))
+        return mm
+
+    @property
+    def coeffs(self):
+        """The read-only view {(outputs, inputs): coefficient}."""
+        try:
+            return self._view
+        except AttributeError:
+            d, n = self.d, self.n
+            places = [d ** p for p in reversed(range(self.m + n))]
+            view = {}
+            for code, v in self._codes.items():
+                key = tuple(code // p % d for p in places)
+                view[key[:n], key[n:]] = v
+            _SET_VIEW(self, MappingProxyType(view))
+            return self._view
 
     def __setattr__(self, *a):
         raise AttributeError("MultiMap is immutable")
@@ -95,8 +122,8 @@ class MultiMap:
         _check_maps(other)
         if (self.d, self.m, self.n) != (other.d, other.m, other.n):
             raise MultiMapError("shape mismatch")
-        cc = dict(self.coeffs)
-        _accumulate(cc, other.coeffs, s)
+        cc = dict(self._codes)
+        _accumulate(cc, other._codes, s)
         return _built(self.d, self.m, self.n, cc)
 
     def __add__(self, other):
@@ -111,7 +138,7 @@ class MultiMap:
     def scale(self, s) -> "MultiMap":
         s = _exact(s)
         return _built(self.d, self.m, self.n,
-                      {k: s * v for k, v in self.coeffs.items()})
+                      {k: s * v for k, v in self._codes.items()})
 
     def __mul__(self, s):
         return self.scale(s)
@@ -119,18 +146,18 @@ class MultiMap:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._codes
 
     def __eq__(self, other):
         return (isinstance(other, MultiMap)
                 and (self.d, self.m, self.n) == (other.d, other.m, other.n)
-                and self.coeffs == other.coeffs)
+                and self._codes == other._codes)
 
     def __hash__(self):
-        return hash((self.d, self.m, self.n, frozenset(self.coeffs.items())))
+        return hash((self.d, self.m, self.n, frozenset(self._codes.items())))
 
     def __repr__(self):
-        return f"MultiMap(d={self.d}, {self.m}->{self.n}, {len(self.coeffs)} entries)"
+        return f"MultiMap(d={self.d}, {self.m}->{self.n}, {len(self._codes)} entries)"
 
     def apply(self, *vectors):
         """Evaluate on m input vectors, each a dict {index: coefficient}
@@ -151,26 +178,36 @@ class MultiMap:
         return {k: _exact(v) for k, v in out.items() if v}
 
 
-def _fill(mm: MultiMap, d: int, m: int, n: int, coeffs: dict) -> MultiMap:
-    """Store d, m, n and the nonzero coefficients of coeffs, each made
-    exact by `_exact`, in mm."""
+# the slot descriptors' setters: MultiMap.__setattr__ refuses plain assignment
+_SET_D, _SET_M, _SET_N, _SET_CODES, _SET_VIEW = (
+    getattr(MultiMap, slot).__set__ for slot in MultiMap.__slots__)
+
+
+def _built(d: int, m: int, n: int, codes: dict) -> MultiMap:
+    """The MultiMap of the nonzero entries of a code dict, without
+    `_check_keys`: for results whose digits come from checked MultiMaps."""
+    mm = object.__new__(MultiMap)
+    _SET_D(mm, d)
+    _SET_M(mm, m)
+    _SET_N(mm, n)
+    _SET_CODES(mm, _nonzero(codes))
+    return mm
+
+
+def _nonzero(coeffs) -> dict:
+    """The nonzero entries of coeffs, each made exact by `_exact`."""
     cc = {}
     for key, v in coeffs.items():
         if type(v) is not int:
             v = _exact(v)
         if v:
             cc[key] = v
-    object.__setattr__(mm, "d", d)
-    object.__setattr__(mm, "m", m)
-    object.__setattr__(mm, "n", n)
-    object.__setattr__(mm, "coeffs", cc)
-    return mm
+    return cc
 
 
-def _built(d: int, m: int, n: int, coeffs: dict) -> MultiMap:
-    """The MultiMap of coeffs without `_check_keys`: for results whose keys
-    are spliced from the keys of MultiMaps that were already checked."""
-    return _fill(object.__new__(MultiMap), d, m, n, coeffs)
+def _encoded(cc: dict, d: int) -> dict:
+    """cc with each (outputs, inputs) key, of indices in range(d), as its code."""
+    return {reduce(lambda code, x: code * d + x, o + i, 0): v for (o, i), v in cc.items()}
 
 
 def _check_maps(*maps) -> None:
@@ -229,19 +266,33 @@ def comp_ij(f: MultiMap, g: MultiMap, i: int, j: int) -> MultiMap:
         raise MultiMapError(f"input index {i} out of range 1..{b}")
     if not 1 <= j <= c:
         raise MultiMapError(f"output index {j} out of range 1..{c}")
-    i -= 1
-    j -= 1
-    by_out = {}
-    for (go, gi), cg in g.coeffs.items():
-        by_out.setdefault(go[j], []).append((go[:j], go[j + 1:], gi, cg))
+    d = f.d
+    # at_X is the place value of block X in a result code, whose blocks are
+    # f-inputs i+1..b (at 1), g-inputs, f-inputs 1..i-1, g-outputs j+1..c,
+    # f-outputs and g-outputs 1..j-1
+    f_tail, g_in, f_head, g_tail = d ** (b - i), d ** dd, d ** (i - 1), d ** (c - j)
+    at_f_head = f_tail * g_in
+    at_g_tail = at_f_head * f_head
+    at_f_out = at_g_tail * g_tail
+    at_g_head = at_f_out * d ** a
+    by_y = {}
+    for code, cg in g._codes.items():
+        rest, ins = divmod(code, g_in)
+        rest, tail = divmod(rest, g_tail)
+        head, y = divmod(rest, d)
+        g_part = ins * f_tail + tail * at_g_tail + head * at_g_head
+        by_y.setdefault(y, []).append((g_part, cg))
     cc = {}
     get = cc.get
-    for (fo, fi), cf in f.coeffs.items():
-        head, tail = fi[:i], fi[i + 1:]
-        for ghead, gtail, gi, cg in by_out.get(fi[i], ()):
-            key = (ghead + fo + gtail, head + gi + tail)
+    for code, cf in f._codes.items():
+        rest, tail = divmod(code, f_tail)
+        rest, x = divmod(rest, d)
+        outs, head = divmod(rest, f_head)
+        f_part = tail + head * at_f_head + outs * at_f_out
+        for g_part, cg in by_y.get(x, ()):
+            key = f_part + g_part
             cc[key] = get(key, 0) + cf * cg
-    return _built(f.d, b + dd - 1, a + c - 1, cc)
+    return _built(d, b + dd - 1, a + c - 1, cc)
 
 
 def insertion_sign(i: int, b: int, j: int, c: int) -> int:
@@ -255,7 +306,7 @@ def _insertion_sum(f: MultiMap, g: MultiMap, signed: bool) -> MultiMap:
     for i in range(1, b + 1):
         for j in range(1, c + 1):
             s = insertion_sign(i, b, j, c) if signed else 1
-            _accumulate(acc, comp_ij(f, g, i, j).coeffs, s)
+            _accumulate(acc, comp_ij(f, g, i, j)._codes, s)
     return _built(f.d, b + g.m - 1, f.n + c - 1, acc)
 
 
@@ -301,8 +352,8 @@ def alternating_associator_sum(f: MultiMap, g: MultiMap, h: MultiMap,
     acc = {}
     for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
         xy = compose(x, y) - compose(y, x)
-        _accumulate(acc, compose(xy, z).coeffs, 1)
-        _accumulate(acc, compose(z, xy).coeffs, -1)
+        _accumulate(acc, compose(xy, z)._codes, 1)
+        _accumulate(acc, compose(z, xy)._codes, -1)
     return _built(f.d, f.m + g.m + h.m - 2, f.n + g.n + h.n - 2, acc)
 
 
@@ -358,7 +409,7 @@ def assoc_defect(mu: MultiMap) -> MultiMap:
             if o2[0] == s:
                 key = (o1, (aidx, bidx, cidx))
                 cc[key] = cc.get(key, 0) - c1 * c2
-    return _built(d, 3, 1, cc)
+    return _built(d, 3, 1, _encoded(cc, d))
 
 
 def coassoc_defect(delta: MultiMap) -> MultiMap:
@@ -376,7 +427,7 @@ def coassoc_defect(delta: MultiMap) -> MultiMap:
             if t == s:
                 key = ((w1, w2, w3), (a,))
                 cc[key] = cc.get(key, 0) - c1 * c2
-    return _built(d, 1, 3, cc)
+    return _built(d, 1, 3, _encoded(cc, d))
 
 
 def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
@@ -399,7 +450,7 @@ def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
             if s == v1:
                 key = ((t, v2), (uu, vv))
                 cc[key] = cc.get(key, 0) - c1 * c2
-    return _built(d, 2, 2, cc)
+    return _built(d, 2, 2, _encoded(cc, d))
 
 
 def infinitesimal_bialgebra_axioms(mu: MultiMap, delta: MultiMap):

@@ -87,8 +87,8 @@ class TPoly:
                 v = exact(v)
             if v:
                 cc[tuple(key)] = v
-        object.__setattr__(self, "coeffs", cc)
-        object.__setattr__(self, "order", order)
+        _SET_COEFFS(self, cc)
+        _SET_ORDER(self, order)
 
     def __setattr__(self, *a):
         raise AttributeError("TPoly is immutable")
@@ -97,8 +97,8 @@ class TPoly:
     def _of(cls, coeffs, order):
         """A TPoly on nonzero `exact` values at keys below order, unchecked."""
         new = object.__new__(cls)
-        object.__setattr__(new, "coeffs", coeffs)
-        object.__setattr__(new, "order", order)
+        _SET_COEFFS(new, coeffs)
+        _SET_ORDER(new, order)
         return new
 
     @classmethod
@@ -205,6 +205,10 @@ class TPoly:
 
     def __repr__(self):
         return f"TPoly({self.render()})"
+
+
+# the slot descriptors' setters: TPoly.__setattr__ refuses plain assignment
+_SET_COEFFS, _SET_ORDER = TPoly.coeffs.__set__, TPoly.order.__set__
 
 
 def _exponents(degree: int):
