@@ -25,7 +25,7 @@ from .free3 import (EShape, Subspace, GroupElement, ActionMatrix, SlotMap,
                     span_closure, sigma3_closure, gamma_plus_split,
                     polarize_map, depolarize_map, polarized_shape)
 from .presentation import (Presentation, GeneratorDecl, RelationExpr, Var, App,
-                           var, app, parse_presentation, parse_relation,
+                           var, parse_presentation, parse_relation,
                            relation_vector, builtin, BUILTIN_NAMES, ParseError,
                            PresentationError, expr_from_vector,
                            presentation_from_subspace, polarize_presentation,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .scalar import Scalar, as_scalar, SC0, SC1, padd, pmul
+from .scalar import Frozen, Scalar, as_scalar, SC0, SC1, padd, pmul
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
                     left_lambda, sigma3_closure, _eliminate, _rref)
 from .presentation import (Presentation, RelationExpr, relation_vector,
@@ -80,7 +80,7 @@ def check_dihedral(p: Presentation) -> bool:
 # polynomials in the diagonal parameter B over the scalar tower
 # ---------------------------------------------------------------------------
 
-class BPoly:
+class BPoly(Frozen):
     """Dense univariate polynomial in the unknown diagonal coefficient."""
 
     __slots__ = ("coeffs",)
@@ -90,9 +90,6 @@ class BPoly:
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("BPoly is immutable")
 
     @classmethod
     def const(cls, s) -> "BPoly":

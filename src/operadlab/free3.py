@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .scalar import as_scalar, SC0, SC1, INV_SQRT2, RESIDUE_P
+from .scalar import Frozen, as_scalar, SC0, SC1, INV_SQRT2, RESIDUE_P
 
 VARS = ("x", "y", "z")
 
@@ -160,7 +160,7 @@ def _normalize(shape: EShape, u, w):
 # the extended symmetric group on {0, 1, 2, 3}
 # ---------------------------------------------------------------------------
 
-class GroupElement:
+class GroupElement(Frozen):
     """A permutation of the four legs {0, 1, 2, 3}.
 
     Composition is left-to-right: (a * b)(i) = b(a(i)), so that the right
@@ -174,9 +174,6 @@ class GroupElement:
         if sorted(images) != [0, 1, 2, 3]:
             raise Free3Error(f"not a permutation of 0..3: {images}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupElement is immutable")
 
     @classmethod
     def sigma3(cls, images123):
@@ -335,7 +332,7 @@ class Subspace:
         Computed at most once per instance.  The rows have pivot 1 and 0 at
         the other pivots, so the exact remainder of a vector a modulo this
         space is a - sum a[p] row_p, and its residue follows from these rows
-        alone (`_residue_remainder`)."""
+        alone (`_residue_rank` takes them as its echelon form)."""
         return _residues(self.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -347,18 +344,18 @@ class Subspace:
         space with the simpler coefficients (e.g. a rational one) as
         `other`, so that the reduction stays cheap.
 
-        Certificate first: the residues of the r_i come from the two
-        residue views alone, and their rank mod P = k proves a k x k minor
-        nonzero over the tower (`Scalar.residue` is a ring homomorphism),
-        so the intersection is 0 and no exact remainder is computed.  A
+        Certificate first: the rank mod P of the residues of the r_i
+        comes from the two residue views alone (`_residue_rank`), and a
+        rank k proves a k x k minor nonzero over the tower
+        (`Scalar.residue` is a ring homomorphism), so the intersection is
+        0 and no exact remainder is computed.  A
         pole in either space or a shorter rank proves nothing, and the
         exact elimination runs unchanged."""
         _compat(self, other)
         k = self.dim
         mine, theirs = self.residues, other.residues
         if mine is not None and theirs is not None:
-            rems = [_residue_remainder(a, theirs, other.pivots) for a in mine]
-            if _rank_mod_p(rems) == k:
+            if _residue_rank(mine, theirs, other.pivots) == k:
                 return Subspace(self.shape)
         rems = [other.reduce(r) for r in self.rows]
         # a coordinate of the remainders is one linear condition on c
@@ -379,7 +376,8 @@ class Subspace:
 
         Certificate first: each image, as it is built, is checked by the
         residue of its exact remainder, which comes from the residue view
-        alone; one that is nonzero proves that image outside the space
+        alone (`_residue_rank` of the image is 0 or 1); a nonzero one
+        proves that image outside the space
         (`Scalar.residue` is a ring homomorphism), and the answer is False
         with no exact reduction and no further image.  A pole in the rows
         or in an image, or zero residues throughout, prove nothing, and the
@@ -390,7 +388,7 @@ class Subspace:
             v = action(r)
             if rows is not None:
                 a = _residues([v])
-                if a is not None and any(_residue_remainder(a[0], rows, self.pivots)):
+                if a is not None and _residue_rank(a, rows, self.pivots):
                     return False
             images.append(v)
         return all(self.contains(v) for v in images)
@@ -478,27 +476,17 @@ def _residues(vectors):
     return out
 
 
-def _residue_remainder(a, rows, pivots):
-    """a - sum a[p] row_p mod P, for residue rows of an echelon form whose
-    rows have pivot 1 and 0 at the other pivots: the residue of the exact
-    remainder of a vector modulo that form, from residues alone."""
-    out = a
-    for row, p in zip(rows, pivots):
-        c = a[p]
-        if c:
-            out = [x - c * y for x, y in zip(out, row)]
-    return [x % RESIDUE_P for x in out]
-
-
-def _rank_mod_p(rows):
-    """The rank in Z/P of int rows (residues, see `_residues`).  The
-    residue map is a ring homomorphism, so a minor nonzero mod P is nonzero
-    over the tower: this is a lower bound for the exact rank of the
-    vectors the rows came from, equal to it unless the point is unlucky."""
-    echelon: list = []
-    pivots: list = []
-    for row in rows:
-        for prow, p in zip(echelon, pivots):
+def _residue_rank(vectors, rows, pivots):
+    """The rank in Z/P of the remainders of int vectors (residues, see
+    `_residues`) modulo the residue echelon form (rows, pivots), whose rows
+    have pivot 1; pass (), () for the plain rank.  The residue map is a
+    ring homomorphism, so a minor nonzero mod P is nonzero over the tower:
+    this is a lower bound for the exact rank of the remainders of the
+    vectors the residues came from, equal to it unless the point is
+    unlucky."""
+    echelon, found = list(rows), list(pivots)
+    for row in vectors:
+        for prow, p in zip(echelon, found):
             c = row[p]
             if c:
                 row = [(a - c * b) % RESIDUE_P for a, b in zip(row, prow)]
@@ -506,8 +494,8 @@ def _rank_mod_p(rows):
         if piv is not None:
             inv = pow(row[piv], -1, RESIDUE_P)
             echelon.append([a * inv % RESIDUE_P for a in row])
-            pivots.append(piv)
-    return len(echelon)
+            found.append(piv)
+    return len(echelon) - len(rows)
 
 
 def span_closure(shape: EShape, vectors, actions=()) -> Subspace:

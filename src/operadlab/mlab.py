@@ -4,15 +4,18 @@ multilinear maps.
 A MultiMap is an exact tensor in Lin(V^(x)m, V^(x)n) over the rationals,
 stored sparsely as {code: coefficient}: the code of an entry reads its n
 output and then m input indices as the digits of one base-d integer, most
-significant first.  `coeffs` is a read-only view keyed by (out_index_tuple,
-in_index_tuple), decoded on first access and cached.  Every coefficient is
-nonzero and kept in its smallest exact type by `_exact`: an int when it is
-integral, else a Fraction, so integer maps compose in int arithmetic (`==`
-and `hash` agree across 3 and Fraction(3)).  The public constructor drops
-zeros, checks the shape and index range of the keys left, encodes them and
-keeps the checked dict as the view; every map this module computes from
-given maps (a sum, a multiple, a composition, a defect) is built from codes
-by `_built`, which skips that check.
+significant first.  The codes are all a map keeps.  `coeffs` is a fresh
+read-only view keyed by (out_index_tuple, in_index_tuple), decoded from
+the codes on each access, so a caller that reads it in a loop binds it
+once.  Every coefficient is nonzero and kept in its smallest exact type by
+`_exact`: an int when it is integral, else a Fraction, so integer maps
+compose in int arithmetic (`==` and `hash` agree across 3 and
+Fraction(3)).  The public constructor drops zeros, checks the shape and
+index range of the keys left and keeps only their codes; every map this
+module computes from given maps (a sum, a multiple, a composition, a
+defect) is built from codes by `_built`, which skips that check.  A map is
+immutable through `scalar.Frozen`, which also makes copy, deepcopy and
+pickle work.
 
 The partial composition comp_ij plugs the j-th output of g into the i-th
 input of f; the remaining lines keep their blocks in place:
@@ -51,6 +54,8 @@ from functools import reduce
 from math import isfinite
 from types import MappingProxyType
 
+from .scalar import Frozen
+
 
 class MultiMapError(ValueError):
     pass
@@ -68,37 +73,31 @@ def _exact(v):
     return v
 
 
-class MultiMap:
+class MultiMap(Frozen):
     """Exact multilinear map with m inputs and n outputs on a d-dim space."""
 
-    __slots__ = ("d", "m", "n", "_codes", "_view")
+    __slots__ = ("d", "m", "n", "_codes")
 
     def __new__(cls, d: int, m: int, n: int, coeffs=None):
         if d < 1 or m < 1 or n < 1:
             raise MultiMapError("base dimension and arities must be >= 1")
         cc = _nonzero(coeffs or {})
         _check_keys(cc, d, m, n)
-        mm = _built(d, m, n, _encoded(cc, d))
-        _SET_VIEW(mm, MappingProxyType(cc))
-        return mm
+        return _built(d, m, n, _encoded(cc, d))
+
+    def __getnewargs__(self):
+        return self.d, self.m, self.n
 
     @property
     def coeffs(self):
-        """The read-only view {(outputs, inputs): coefficient}."""
-        try:
-            return self._view
-        except AttributeError:
-            d, n = self.d, self.n
-            places = [d ** p for p in reversed(range(self.m + n))]
-            view = {}
-            for code, v in self._codes.items():
-                key = tuple(code // p % d for p in places)
-                view[key[:n], key[n:]] = v
-            _SET_VIEW(self, MappingProxyType(view))
-            return self._view
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiMap is immutable")
+        """A new read-only view {(outputs, inputs): coefficient}."""
+        d, n = self.d, self.n
+        places = [d ** p for p in reversed(range(self.m + n))]
+        view = {}
+        for code, v in self._codes.items():
+            key = tuple(code // p % d for p in places)
+            view[key[:n], key[n:]] = v
+        return MappingProxyType(view)
 
     # -- constructors
 
@@ -178,8 +177,8 @@ class MultiMap:
         return {k: _exact(v) for k, v in out.items() if v}
 
 
-# the slot descriptors' setters: MultiMap.__setattr__ refuses plain assignment
-_SET_D, _SET_M, _SET_N, _SET_CODES, _SET_VIEW = (
+# the slot descriptors' setters: Frozen refuses plain assignment
+_SET_D, _SET_M, _SET_N, _SET_CODES = (
     getattr(MultiMap, slot).__set__ for slot in MultiMap.__slots__)
 
 
@@ -397,15 +396,15 @@ def _check_pair(mu, delta) -> None:
 def assoc_defect(mu: MultiMap) -> MultiMap:
     """mu(mu(a,b),c) - mu(a,mu(b,c)) as a (3 -> 1) tensor."""
     _check_pair(mu, None)
-    d = mu.d
+    d, mus = mu.d, mu.coeffs.items()
     cc = {}
-    for (o1, (s, cidx)), c1 in mu.coeffs.items():
-        for (o2, (aidx, bidx)), c2 in mu.coeffs.items():
+    for (o1, (s, cidx)), c1 in mus:
+        for (o2, (aidx, bidx)), c2 in mus:
             if o2[0] == s:
                 key = (o1, (aidx, bidx, cidx))
                 cc[key] = cc.get(key, 0) + c1 * c2
-    for (o1, (aidx, s)), c1 in mu.coeffs.items():
-        for (o2, (bidx, cidx)), c2 in mu.coeffs.items():
+    for (o1, (aidx, s)), c1 in mus:
+        for (o2, (bidx, cidx)), c2 in mus:
             if o2[0] == s:
                 key = (o1, (aidx, bidx, cidx))
                 cc[key] = cc.get(key, 0) - c1 * c2
@@ -415,15 +414,15 @@ def assoc_defect(mu: MultiMap) -> MultiMap:
 def coassoc_defect(delta: MultiMap) -> MultiMap:
     """(delta x id)delta - (id x delta)delta as a (1 -> 3) tensor."""
     _check_pair(None, delta)
-    d = delta.d
+    d, deltas = delta.d, delta.coeffs.items()
     cc = {}
-    for ((s, w3), (a,)), c1 in delta.coeffs.items():
-        for ((w1, w2), (t,)), c2 in delta.coeffs.items():
+    for ((s, w3), (a,)), c1 in deltas:
+        for ((w1, w2), (t,)), c2 in deltas:
             if t == s:
                 key = ((w1, w2, w3), (a,))
                 cc[key] = cc.get(key, 0) + c1 * c2
-    for ((w1, s), (a,)), c1 in delta.coeffs.items():
-        for ((w2, w3), (t,)), c2 in delta.coeffs.items():
+    for ((w1, s), (a,)), c1 in deltas:
+        for ((w2, w3), (t,)), c2 in deltas:
             if t == s:
                 key = ((w1, w2, w3), (a,))
                 cc[key] = cc.get(key, 0) - c1 * c2
@@ -433,20 +432,20 @@ def coassoc_defect(delta: MultiMap) -> MultiMap:
 def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
     """delta(mu(u,v)) - u_(1) (x) mu(u_(2), v) - mu(u, v_(1)) (x) v_(2)."""
     _check_pair(mu, delta)
-    d = mu.d
+    d, mus, deltas = mu.d, mu.coeffs.items(), delta.coeffs.items()
     cc = {}
-    for ((w1, w2), (s,)), c1 in delta.coeffs.items():
-        for ((t,), (uu, vv)), c2 in mu.coeffs.items():
+    for ((w1, w2), (s,)), c1 in deltas:
+        for ((t,), (uu, vv)), c2 in mus:
             if t == s:
                 key = ((w1, w2), (uu, vv))
                 cc[key] = cc.get(key, 0) + c1 * c2
-    for ((u1, u2), (uu,)), c1 in delta.coeffs.items():
-        for ((t,), (s, vv)), c2 in mu.coeffs.items():
+    for ((u1, u2), (uu,)), c1 in deltas:
+        for ((t,), (s, vv)), c2 in mus:
             if s == u2:
                 key = ((u1, t), (uu, vv))
                 cc[key] = cc.get(key, 0) - c1 * c2
-    for ((v1, v2), (vv,)), c1 in delta.coeffs.items():
-        for ((t,), (uu, s)), c2 in mu.coeffs.items():
+    for ((v1, v2), (vv,)), c1 in deltas:
+        for ((t,), (uu, s)), c2 in mus:
             if s == v1:
                 key = ((t, v2), (uu, vv))
                 cc[key] = cc.get(key, 0) - c1 * c2

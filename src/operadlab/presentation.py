@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalar import Scalar, as_scalar, SC0, SC1
+from .scalar import Frozen, Scalar, as_scalar, SC0, SC1
 from . import free3
 from .free3 import EShape, Free3Error, VARS
 
@@ -80,17 +80,13 @@ def var(name: str) -> Var:
     return Var(name)
 
 
-def app(gen: str, a, b) -> App:
-    return App(gen, a, b)
-
-
-class RelationExpr:
+class RelationExpr(Frozen):
     """A scalar-weighted sum of quadratic monomials, read as `= 0`."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = tuple((as_scalar(c), t) for c, t in terms)
+        object.__setattr__(self, "terms", tuple((as_scalar(c), t) for c, t in terms))
 
     @classmethod
     def of(cls, node: App) -> "RelationExpr":

@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction
 from math import comb, isfinite, perm
 
-from .scalar import Scalar, as_scalar, INV_SQRT2
+from .scalar import Frozen, Scalar, as_scalar, INV_SQRT2
 
 
 class QuantizeError(ValueError):
@@ -68,7 +68,7 @@ def exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-class TPoly:
+class TPoly(Frozen):
     """Polynomial in x, p and t over the scalar tower.
 
     coeffs maps (t_power, x_power, p_power) -> coefficient in `exact`
@@ -89,9 +89,6 @@ class TPoly:
                 cc[tuple(key)] = v
         _SET_COEFFS(self, cc)
         _SET_ORDER(self, order)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TPoly is immutable")
 
     @classmethod
     def _of(cls, coeffs, order):
@@ -207,7 +204,7 @@ class TPoly:
         return f"TPoly({self.render()})"
 
 
-# the slot descriptors' setters: TPoly.__setattr__ refuses plain assignment
+# the slot descriptors' setters: Frozen refuses plain assignment
 _SET_COEFFS, _SET_ORDER = TPoly.coeffs.__set__, TPoly.order.__set__
 
 

@@ -10,7 +10,10 @@ so u and v generate a degree-four extension), hence every nonzero
 element is invertible; the inverse is the product of the three Galois
 conjugates over Q(q) divided by the norm.  All values are immutable and
 normalised on construction, so equality is plain structural equality and
-elements can be used as dict keys.
+elements can be used as dict keys.  Immutability is the `Frozen` base
+class, which every slotted value class of the package inherits: it
+refuses assignment to a field, and copy, deepcopy and pickle restore the
+slots through it.
 
 A rational function is a pair of integer polynomials num/den in Z[q],
 dense coefficient tuples with the constant term first: den has a positive
@@ -183,7 +186,22 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-class RatFunc:
+class Frozen:
+    """Base of the package's immutable values.  Assigning to a field raises
+    AttributeError; a class fills its slots through `object.__setattr__`,
+    and so does `__setstate__`, which copy, deepcopy and pickle call."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class RatFunc(Frozen):
     """A rational function num/den in q over Z[q], normalised as described
     in the module docstring."""
 
@@ -200,9 +218,6 @@ class RatFunc:
         r = _content_free(*_cancel(_trim([int(c * scale) for c in num]), den))
         _set(self, "num", r.num)
         _set(self, "den", r.den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
 
     # -- constructors
 
@@ -416,7 +431,7 @@ _R2Q = _raw((0, 2), _P1)
 # the tower  Q(q)[u, v] / (u^2 - 2, v^2 - q)
 # ---------------------------------------------------------------------------
 
-class Scalar:
+class Scalar(Frozen):
     """Element c00 + c10*u + c01*v + c11*u*v with RatFunc components."""
 
     __slots__ = ("c",)
@@ -430,14 +445,11 @@ class Scalar:
             parts.append(r)
         _set(self, "c", tuple(parts))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
-
     # -- constructors
 
     @classmethod
     def from_fraction(cls, a) -> "Scalar":
-        return cls(RatFunc.const(a))
+        return as_scalar(Fraction(a))
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -644,13 +656,11 @@ def _scalar(c00, c10, c01, c11) -> Scalar:
 
 
 def as_scalar(x):
+    """An int, Fraction, RatFunc or Scalar as a Scalar, else NotImplemented."""
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.from_fraction(x)
-    if isinstance(x, RatFunc):
-        return Scalar(x)
-    return NotImplemented
+    r = _as_ratfunc(x)
+    return NotImplemented if r is NotImplemented else _scalar(r, _R0, _R0, _R0)
 
 
 # The residue map Scalar.residue: P = 2^61 - 1 is prime, P ≡ 7 mod 8 makes

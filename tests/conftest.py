@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from operadlab import (EShape, RelationExpr, App, Var, app, var, builtin,
+from operadlab import (EShape, RelationExpr, App, Var, var, builtin,
                        Scalar)
 from operadlab.free3 import EDGE, _normalize
 
@@ -16,15 +16,15 @@ def E(node):
 
 def M(a, b):
     """Application of the no-symmetry generator m."""
-    return app("m", a, b)
+    return App("m", a, b)
 
 
 def C(a, b):
-    return app("c", a, b)
+    return App("c", a, b)
 
 
 def B(a, b):
-    return app("b", a, b)
+    return App("b", a, b)
 
 
 X, Y, Z = var("x"), var("y"), var("z")

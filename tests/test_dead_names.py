@@ -1,7 +1,9 @@
 """Every module-level private name in the package is used somewhere in the
 package outside its own definition: a private helper, table or constant
 that nothing reads any more is dead code.  Every name a module imports is
-used in that module (the package's __init__ only re-exports)."""
+used in that module (the package's __init__ only re-exports).  Immutability
+is written once, in `scalar.Frozen`, and every slotted class derives from
+it."""
 
 import ast
 from pathlib import Path
@@ -92,3 +94,56 @@ def test_the_import_guard_finds_a_leftover():
                      "    import math\n"
                      "    return as_scalar(x)\n")
     assert unused_imports(tree) == ["os", "regex", "Scalar", "math"]
+
+
+def frozen_policy_breaches(modules):
+    """module name -> parsed source; returns 'module.Class' for each class
+    other than scalar.Frozen that defines __setattr__, and for each class
+    with a non-empty __slots__ that does not have Frozen as a base."""
+    breaches = []
+    for mod, tree in sorted(modules.items()):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bound = {}
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    bound[stmt.name] = stmt
+                elif isinstance(stmt, ast.Assign):
+                    for t in stmt.targets:
+                        if isinstance(t, ast.Name):
+                            bound[t.id] = stmt.value
+            slots = bound.get("__slots__")
+            slotted = slots is not None and not (
+                isinstance(slots, (ast.Tuple, ast.List)) and not slots.elts)
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                     for b in node.bases}
+            if ("__setattr__" in bound and (mod, node.name) != ("scalar", "Frozen")
+                    or slotted and "Frozen" not in bases):
+                breaches.append(f"{mod}.{node.name}")
+    return breaches
+
+
+def test_only_frozen_guards_assignment():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(SRC.glob("*.py"))}
+    assert frozen_policy_breaches(modules) == []
+
+
+def test_the_frozen_guard_finds_a_copy():
+    tree = ast.parse("class Frozen:\n"
+                     "    __slots__ = ()\n"
+                     "    def __setattr__(self, name, value):\n"
+                     "        raise AttributeError(name)\n"
+                     "class Kept(Frozen):\n    __slots__ = ('a',)\n"
+                     "class Loose:\n    __slots__ = ('b',)\n"
+                     "class Guarded(scalar.Frozen):\n"
+                     "    __slots__ = 'c'\n"
+                     "    __setattr__ = Frozen.__setattr__\n"
+                     "class Empty:\n    __slots__ = ()\n"
+                     "class Plain:\n"
+                     "    def __setattr__(self, *a):\n        pass\n")
+    assert frozen_policy_breaches({"scalar": tree}) == [
+        "scalar.Loose", "scalar.Guarded", "scalar.Plain"]
+    assert frozen_policy_breaches({"free3": tree}) == [
+        "free3.Frozen", "free3.Loose", "free3.Guarded", "free3.Plain"]

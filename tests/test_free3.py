@@ -14,7 +14,7 @@ from operadlab import (EShape, Scalar, basis_vector, right_action,
                        LAMBDA)
 from operadlab import builtin, free3, relation_vector
 from operadlab.free3 import (apply_perm_to_basis, lambda_basis, Free3Error,
-                             EDGE, _normalize, _rank_mod_p, _residues,
+                             EDGE, _normalize, _residue_rank, _residues,
                              _rref)
 from operadlab.scalar import RESIDUE_V0
 from conftest import dot_monomial
@@ -344,7 +344,7 @@ def test_rank_mod_p_is_at_most_the_exact_rank(vs, data):
         c = data.draw(entries)
         vs.append(tuple(a + c * b for a, b in zip(vs[0], vs[-1])))
     rows = _residues(vs)
-    assert rows is None or _rank_mod_p(rows) <= len(_rref(vs, 4)[0])
+    assert rows is None or _residue_rank(rows, (), ()) <= len(_rref(vs, 4)[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -357,6 +357,26 @@ def test_intersect_equals_the_exact_path(t3_shape, pool, picks, gamma):
     if gamma:       # the rational Γ± of check_dihedral as the other space
         b = gamma_plus_split(t3_shape)[len(pool) % 2]
     assert a.intersect(b) == exact_intersect(a, b)
+
+
+# Integer entries in -2..2 on 12 columns: every minor is at most
+# (2 sqrt 12)^12 < 2^34 < P in absolute value (Hadamard), so none vanishes
+# mod P and the rank mod P is the exact rank.
+hadamard_vectors = st.lists(st.tuples(*[st.integers(-2, 2)] * 12), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vs=hadamard_vectors, form=hadamard_vectors)
+def test_residue_rank_is_exact_where_no_point_is_unlucky(t3_shape, vs, form):
+    def tower(vectors):
+        return [tuple(Scalar.from_fraction(a) for a in v) for v in vectors]
+
+    vs = tower(vs)
+    rows = _residues(vs)
+    assert _residue_rank(rows, (), ()) == Subspace(t3_shape, vs).dim
+    space = Subspace(t3_shape, tower(form))
+    exact = Subspace(t3_shape, [space.reduce(v) for v in vs]).dim
+    assert _residue_rank(rows, space.residues, space.pivots) == exact
 
 
 def test_intersect_at_an_unlucky_point(t3_shape):
@@ -376,7 +396,7 @@ def test_intersect_at_an_unlucky_point(t3_shape):
     # determinant (q - V0^2)/V0^2 that vanishes at the point
     b = Subspace(t3_shape, [vec({0: one, 1: -one / v0sq})])
     a = Subspace(t3_shape, [vec({0: one, 3: one}), vec({1: one, 3: q})])
-    assert _rank_mod_p(_residues([b.reduce(r) for r in a.rows])) == 1
+    assert _residue_rank(_residues([b.reduce(r) for r in a.rows]), (), ()) == 1
     assert a.intersect(b) == exact_intersect(a, b) == Subspace(t3_shape)
     # and a nonzero intersection at the point
     c = Subspace(t3_shape, [vec({0: one, 3: one}), vec({1: one, 3: at_point})])

@@ -160,6 +160,26 @@ def _forms(x):
     return forms
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(-10**30, 10**30), st.booleans(), small_fracs,
+                 big_fracs, ratfuncs))
+def test_as_scalar_takes_the_numbers_below_the_tower(x):
+    s = as_scalar(x)
+    want = Scalar(x) if isinstance(x, RatFunc) else Scalar(RatFunc.const(x))
+    assert type(s) is Scalar and s == want and hash(s) == hash(want)
+    assert s.c == want.c and s.c[1:] == (RatFunc.const(0),) * 3
+    for r in s.c:
+        # canonical: int coefficients, den > 0, and zero is ((), (1,))
+        assert all(type(a) is int for a in r.num + r.den) and r.den[-1] > 0
+        assert r.num or r.den == (1,)
+
+
+def test_as_scalar_refuses_other_types():
+    for x in (0.5, 1.0, "1", None):
+        assert as_scalar(x) is NotImplemented
+    assert as_scalar(U) is U
+
+
 def test_equal_tower_values_collapse_in_a_set():
     assert len({Scalar.one(), 1, Fraction(1), RatFunc.const(1)}) == 1
 
