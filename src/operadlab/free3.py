@@ -348,9 +348,9 @@ class Subspace:
         comes from the two residue views alone (`_residue_rank`), and a
         rank k proves a k x k minor nonzero over the tower
         (`Scalar.residue` is a ring homomorphism), so the intersection is
-        0 and no exact remainder is computed.  A
-        pole in either space or a shorter rank proves nothing, and the
-        exact elimination runs unchanged."""
+        0 and no exact remainder is computed.  A pole in either space or a
+        shorter rank proves nothing, and the exact elimination runs
+        unchanged."""
         _compat(self, other)
         k = self.dim
         mine, theirs = self.residues, other.residues
@@ -377,11 +377,11 @@ class Subspace:
         Certificate first: each image, as it is built, is checked by the
         residue of its exact remainder, which comes from the residue view
         alone (`_residue_rank` of the image is 0 or 1); a nonzero one
-        proves that image outside the space
-        (`Scalar.residue` is a ring homomorphism), and the answer is False
-        with no exact reduction and no further image.  A pole in the rows
-        or in an image, or zero residues throughout, prove nothing, and the
-        images are then reduced exactly."""
+        proves that image outside the space (`Scalar.residue` is a ring
+        homomorphism), and the answer is False with no exact reduction and
+        no further image.  A pole in the rows or in an image, or zero
+        residues throughout, prove nothing, and the images are then reduced
+        exactly."""
         rows = self.residues
         images = []
         for r in self.rows:
