@@ -23,7 +23,7 @@ from .free3 import (EShape, Subspace, GroupElement, ActionMatrix, SlotMap,
                     GAMMA3, TAU12, TAU23, CYC123, SIGMA3, SIGMA3_PLUS,
                     LAMBDA, basis_vector, right_action, left_lambda,
                     span_closure, sigma3_closure, gamma_plus_split,
-                    polarize_map, depolarize_map, polarized_shape)
+                    polarize_map, depolarize_map)
 from .presentation import (Presentation, GeneratorDecl, RelationExpr, Var, App,
                            var, parse_presentation, parse_relation,
                            relation_vector, builtin, BUILTIN_NAMES, ParseError,

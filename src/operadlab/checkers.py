@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .scalar import Frozen, Scalar, as_scalar, SC0, SC1, padd, pmul
+from .scalar import Frozen, Scalar, as_scalar, SC0, SC1, padd, pmul, _peval
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
                     left_lambda, sigma3_closure, _eliminate, _rref)
 from .presentation import (Presentation, RelationExpr, relation_vector,
@@ -123,10 +123,7 @@ class BPoly(Frozen):
     __rmul__ = __mul__
 
     def __call__(self, value: Scalar) -> Scalar:
-        acc = SC0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return as_scalar(_peval(self.coeffs, value))
 
     def __eq__(self, other):
         other = _as_bpoly(other)

@@ -137,12 +137,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if (args.presentation is None) == (args.builtin_name is None):
-        raise PresentationError("give either a presentation or --builtin NAME")
-    p = (_load_presentation(args.presentation) if args.builtin_name is None
-         else builtin(args.builtin_name))
-    if args.q is not None:
-        p = p.specialize(args.q)
+    p = _load_presentation(args.presentation, args.q)
     gp, gm = free3.gamma_plus_split(p.shape)
     dp = rep.decompose_subspace(gp)
     dm = rep.decompose_subspace(gm)
@@ -252,8 +247,6 @@ def cmd_iso(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    if args.example != "moyal":
-        raise CheckerError(f"unknown example {args.example!r}")
     s = quantize.moyal_star(args.order)
     commutative = s.commutative_mod_t(min(args.degree, 3))
     associative = s.is_associative(min(args.degree, 3))
@@ -373,10 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(t, with_q=False)
     t.set_defaults(fn=cmd_table)
 
-    d = sub.add_parser("decompose", help="irreducible decompositions")
-    d.add_argument("presentation", nargs="?", default=None)
-    d.add_argument("--builtin", dest="builtin_name", default=None,
-                   help="builtin presentation name")
+    d = sub.add_parser("decompose", help="S4 decompositions of the parity parts and R")
+    d.add_argument("presentation", help="builtin name, file, or literal text")
     common(d)
     d.set_defaults(fn=cmd_decompose)
 
@@ -395,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     iso.set_defaults(fn=cmd_iso)
 
     qz = sub.add_parser("quantize", help="star-product / bracket correspondence")
-    qz.add_argument("--example", default="moyal")
     qz.add_argument("--order", type=int, default=4)
     qz.add_argument("--degree", type=int, default=4)
     qz.add_argument("--mutate", action="store_true")

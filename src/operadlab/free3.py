@@ -579,13 +579,6 @@ def _polarized_pairs(shape: EShape) -> dict:
     return pairs
 
 
-def polarized_shape(shape: EShape) -> EShape:
-    """Replace each no-symmetry generator by its `_polarized_pairs` pair."""
-    pairs = _polarized_pairs(shape)
-    return EShape([g for n, s in shape.gens for g in (
-        zip(pairs[n], ("comm", "anti")) if s == "none" else [(n, s)])])
-
-
 def _polarization(src: EShape, dst: EShape, pairs) -> SlotMap:
     """The slot map that sends each source slot pair (x, y) of `pairs` to
     ((x' + y')/sqrt(2), (x' - y')/sqrt(2)), where (x', y') is the dst slot
@@ -602,26 +595,32 @@ def _polarization(src: EShape, dst: EShape, pairs) -> SlotMap:
     return SlotMap(src, dst, images)
 
 
-def polarize_map(shape: EShape, dst: EShape | None = None, pairing=None) -> SlotMap:
-    """m -> (c + a)/sqrt(2), m~ -> (c - a)/sqrt(2); comm/anti slots pass through.
+def polarize_map(shape: EShape, pairing=None) -> SlotMap:
+    """m -> (c + a)/sqrt(2), m~ -> (c - a)/sqrt(2); other slots pass through.
 
     pairing maps each no-symmetry generator name to its (comm, anti) pair of
-    names in dst; defaults to the `polarized_shape` naming.
+    names, by default the `_polarized_pairs` naming.  The target shape puts
+    each paired generator's pair in its place and keeps every other one.
     """
-    if dst is None:
-        dst = polarized_shape(shape)
     if pairing is None:
         pairing = _polarized_pairs(shape)
+    dst = EShape([g for n, s in shape.gens for g in (
+        zip(pairing[n], ("comm", "anti")) if n in pairing else [(n, s)])])
     return _polarization(shape, dst, [
         ((shape.slot(n), shape.slot(n, 1)), (dst.slot(cn), dst.slot(an)))
         for n, (cn, an) in pairing.items()])
 
 
-def depolarize_map(shape: EShape, dst: EShape, pairing) -> SlotMap:
+def depolarize_map(shape: EShape, pairing) -> SlotMap:
     """Inverse direction: (comm c, anti a) pairs assemble into one
     no-symmetry generator.  pairing maps target generator name ->
-    (comm source name, anti source name); unpaired comm/anti source
-    generators map to the target generator of the same name."""
+    (comm source name, anti source name).  The target shape puts each
+    target generator in the place of its comm source, drops the anti
+    source and keeps every other generator under its own name."""
+    comm = {cn: tgt for tgt, (cn, _) in pairing.items()}
+    anti = {an for _, an in pairing.values()}
+    dst = EShape([(comm[n], "none") if n in comm else (n, s)
+                  for n, s in shape.gens if n not in anti])
     return _polarization(shape, dst, [
         ((shape.slot(cn), shape.slot(an)), (dst.slot(tgt), dst.slot(tgt, 1)))
         for tgt, (cn, an) in pairing.items()])

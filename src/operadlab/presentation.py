@@ -274,11 +274,12 @@ def _slot_app(shape: EShape, slot: int, s, t):
     return App(name, s, t)
 
 
-def presentation_from_subspace(name, generators, space) -> Presentation:
-    """A presentation whose relations are the reduced basis rows of an
-    already symmetric-group-closed subspace, which becomes its R as it is."""
+def presentation_from_subspace(name, space) -> Presentation:
+    """A presentation on the generators of `space.shape` whose relations are
+    the reduced basis rows of that already symmetric-group-closed subspace,
+    which becomes its R as it is."""
     rels = [expr_from_vector(space.shape, row) for row in space.rows]
-    return Presentation(name, generators, rels, R=space)
+    return Presentation(name, space.shape.gens, rels, R=space)
 
 
 def polarize_presentation(p: Presentation) -> Presentation:
@@ -288,7 +289,7 @@ def polarize_presentation(p: Presentation) -> Presentation:
     if all(g.symmetry != "none" for g in p.generators):
         return p
     pm = free3.polarize_map(p.shape)
-    return presentation_from_subspace(p.name + "_polarized", pm.dst.gens,
+    return presentation_from_subspace(p.name + "_polarized",
                                       pm.apply_subspace(p.R))
 
 
@@ -299,10 +300,8 @@ def depolarize_presentation(p: Presentation) -> Presentation:
     names = {g.symmetry: g.name for g in p.generators}
     if len(p.generators) != 2 or set(names) != {"comm", "anti"}:
         return p
-    gens = [("m", "none")]
-    dm = free3.depolarize_map(p.shape, EShape(gens),
-                              {"m": (names["comm"], names["anti"])})
-    return presentation_from_subspace(p.name + "_depolarized", gens,
+    dm = free3.depolarize_map(p.shape, {"m": (names["comm"], names["anti"])})
+    return presentation_from_subspace(p.name + "_depolarized",
                                       dm.apply_subspace(p.R))
 
 

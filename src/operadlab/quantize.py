@@ -226,8 +226,7 @@ def basis_monomials(degree: int):
 class StarProduct:
     """An order-N deformation of a commutative product, given by a bilinear
     rule on the carrier.  The per-order components *_0, ..., *_{N-1} are
-    exposed via `component`; `structure_tensor` materialises one of them on
-    the degree-D basis."""
+    exposed via `component`."""
 
     def __init__(self, order: int, rule, name="star"):
         if order < 1:
@@ -297,24 +296,10 @@ class StarProduct:
     def __call__(self, u: TPoly, v: TPoly) -> TPoly:
         return self.expand(u, v, self.order)
 
-    def _check_index(self, k: int):
+    def component(self, k: int, u: TPoly, v: TPoly) -> TPoly:
         if not 0 <= k < self.order:
             raise QuantizeError(f"component index {k} outside 0..{self.order - 1}")
-
-    def component(self, k: int, u: TPoly, v: TPoly) -> TPoly:
-        self._check_index(k)
         return self.expand(u, v, k + 1).t_component(k)
-
-    def structure_tensor(self, k: int, degree: int):
-        self._check_index(k)
-        basis = _exponents(degree)
-        out = {}
-        for a, b in itertools.product(range(len(basis)), repeat=2):
-            terms = self._terms(basis[a] + basis[b])
-            w = TPoly({(0, i, j): c for kk, i, j, c in terms if kk == k})
-            if w.coeffs:
-                out[(a, b)] = w
-        return out
 
     def commutative_mod_t(self, degree: int) -> bool:
         basis = basis_monomials(degree)

@@ -4,8 +4,9 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the lines.
 
 Criterion 8a (the fully alternating associator identity on mixed
 multilinear maps) is implemented faithfully and marked strict-xfail: the
-identity is provably not satisfiable for any insertion-sign convention
-over the published line ordering, and the suite records that honestly.
+alternating sum is nonzero on random mixed maps, and whether any
+insertion-sign convention over the published line ordering makes it
+vanish is an open question, so the suite records the failure as measured.
 """
 
 import itertools
@@ -69,7 +70,7 @@ def test_c2_polarization_equivalences():
     Ass = builtin("Ass")
     LLq = builtin("LLq")
     pol_shape = EShape([("c", "comm"), ("b", "anti")])
-    pm = polarize_map(Ass.shape, pol_shape, {"m": ("c", "b")})
+    pm = polarize_map(Ass.shape, {"m": ("c", "b")})
     eq3 = parse_relation("b(x,c(y,z)) - c(b(x,y),z) - c(y,b(x,z))", LLq)
     eq1 = parse_relation("b(y,b(x,z)) - c(c(x,y),z) + c(x,c(y,z))", LLq)
     span = sigma3_closure(pol_shape, [relation_vector(pol_shape, eq3),
@@ -77,16 +78,15 @@ def test_c2_polarization_equivalences():
     ok_a = pm.apply_subspace(Ass.R) == span
 
     Poiss = builtin("Poiss")
-    dep = depolarize_map(builtin("Poiss_polarized").shape, Poiss.shape,
-                         {"m": ("c", "b")})
+    dep = depolarize_map(builtin("Poiss_polarized").shape, {"m": ("c", "b")})
     ok_b = (dep.apply_subspace(builtin("Poiss_polarized").R) == Poiss.R
             and Poiss.R.dim == 6)
 
-    dep_ll = depolarize_map(LLq.shape, Ass.shape, {"m": ("c", "b")})
+    dep_ll = depolarize_map(LLq.shape, {"m": ("c", "b")})
     ok_c = dep_ll.apply_subspace(LLq.R) == builtin("LLq_depolarized").R
 
     at_m3 = LLq.specialize(-3)
-    dep_m3 = depolarize_map(at_m3.shape, Ass.shape, {"m": ("c", "b")})
+    dep_m3 = depolarize_map(at_m3.shape, {"m": ("c", "b")})
     ok_d = dep_m3.apply_subspace(at_m3.R) == builtin("LLminus3").R
 
     report("2 (polarization equivalences)", ok_a and ok_b and ok_c and ok_d,
@@ -306,10 +306,11 @@ SEED = 20260810
 
 
 @pytest.mark.xfail(strict=True,
-                   reason="the fully alternating associator sum is provably "
-                          "nonvanishing for every insertion-sign convention "
-                          "over the published line ordering; see the module "
-                          "docs and the project notes")
+                   reason="the fully alternating associator sum is nonzero "
+                          "on random mixed maps under the implemented "
+                          "insertion signs; that no sign convention over the "
+                          "published line ordering makes it vanish is not "
+                          "proved (ROADMAP item 18)")
 def test_c8a_g6_alternation():
     rng = random.Random(SEED)
     ok = True
@@ -400,7 +401,7 @@ def test_c9_free_operad_invariants(t3_shape):
         all(left_lambda(t3_shape, r) == tuple(-c for c in r) for r in gm.rows)
 
     pm = polarize_map(t3_shape)
-    dm = depolarize_map(pm.dst, t3_shape, {"m": ("m_s", "m_a")})
+    dm = depolarize_map(pm.dst, {"m": ("m_s", "m_a")})
     ok_roundtrip = all(
         dm.apply(pm.apply(basis_vector(t3_shape, i))) == basis_vector(t3_shape, i)
         for i in range(t3_shape.basis_size))

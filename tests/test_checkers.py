@@ -431,6 +431,17 @@ def test_echelon_patterns(polys, verdict, witness):
     assert h.verdict == verdict and h.witness == witness
 
 
+def test_bpoly_evaluates_at_a_tower_scalar():
+    u, v = Scalar.u(), Scalar.v()
+    x = u + v
+    assert BPoly([])(x) == Scalar.zero()
+    assert BPoly([v])(x) == v
+    # 3 - u*B + v*B^2 at B = u + v, expanded with u^2 = 2, v^2 = q
+    value = BPoly([S(3), -u, v])(x)
+    assert isinstance(value, Scalar)
+    assert value == S(1) - u * v + S(2) * v + Scalar.q() * v + S(2) * u * Scalar.q()
+
+
 def test_double_root_is_unique():
     b = BPoly.unknown()
     h = _solve((b - S(2)) * (b - S(2)) * S(-3))

@@ -109,19 +109,14 @@ MISTYPED_BUILTIN = [("check", "LLQ"), ("polarize", "LLQ"),
     ("quantize", "--order", "1", "--mutate"),
     ("mlab", "--trials", "-2"),
     ("check", "gen m: none; rel 2\u00b2*m(m(x,y),z) = 0;"),
-    ("decompose", "--builtin", "gen m: none;"),
-    ("decompose", "--builtin", "NoSuch"),
-    ("decompose", "Ass", "--builtin", "G2"),
-    ("decompose",),
     *MISTYPED_BUILTIN,
 ], ids=["unknown-map-generator", "map-key-not-a-generator",
         "map-key-given-twice", "zero-denominator-q", "non-numeric-q",
         "duplicate-generator-name", "negative-carrier-degree",
         "axiom-unchecked-at-order-1", "mutated-axiom-unchecked-at-order-1",
-        "negative-trial-count", "superscript-digit", "builtin-given-text",
-        "unknown-builtin", "builtin-and-positional", "no-presentation",
-        "check-mistyped-builtin", "polarize-mistyped-builtin",
-        "iso-mistyped-builtin", "decompose-mistyped-builtin"])
+        "negative-trial-count", "superscript-digit", "check-mistyped-builtin",
+        "polarize-mistyped-builtin", "iso-mistyped-builtin",
+        "decompose-mistyped-builtin"])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
@@ -246,8 +241,7 @@ def test_table_deterministic(capsys):
 # -- decompose / polarize --------------------------------------------------------
 
 def test_decompose_free_type3(capsys, schema):
-    code, doc = run_json(capsys, schema, "decompose", "--builtin", "free_type3",
-                         "--json")
+    code, doc = run_json(capsys, schema, "decompose", "free_type3", "--json")
     assert code == EXIT_OK
     assert doc["gamma_plus"] == {"dim": 6, "decomposition": "1·id ⊕ 1·sgn ⊕ 2·V22"}
     assert doc["gamma_minus"] == {"dim": 6, "decomposition": "1·V31 ⊕ 1·V211"}
@@ -261,12 +255,22 @@ def test_decompose_27_dim(capsys, schema):
     assert doc["relations"] == {"dim": 4, "decomposition": "1·id ⊕ 1·V31"}
 
 
+def test_decompose_specializes_q(capsys, schema):
+    code, doc = run_json(capsys, schema, "decompose", "LLq", "--q", "0", "--json")
+    _, ref = run_json(capsys, schema, "decompose", "LL0", "--json")
+    assert code == EXIT_OK and doc.pop("presentation") == "LLq[q=0]"
+    ref.pop("presentation")
+    assert doc == ref
+    code, out, err = run(capsys, "decompose", "LLq_depolarized", "--q", "-3")
+    assert code == EXIT_PARSE and out == "" and "pole" in err
+
+
 def test_polarize_ass_roundtrips(capsys, schema):
     code, doc = run_json(capsys, schema, "polarize", "Ass", "--json")
     assert code == EXIT_OK
     from operadlab import parse_presentation, builtin, polarize_map
     p = parse_presentation(doc["polarized"])
-    target = polarize_map(builtin("Ass").shape, p.shape,
+    target = polarize_map(builtin("Ass").shape,
                           {"m": ("m_s", "m_a")}).apply_subspace(builtin("Ass").R)
     assert p.R == target
 
@@ -394,8 +398,7 @@ def test_named_map_slot_images(name, src, dst, q, images):
 # -- quantize / mlab -----------------------------------------------------------------
 
 def test_quantize_report(capsys, schema):
-    code, doc = run_json(capsys, schema, "quantize", "--example", "moyal",
-                         "--order", "3", "--degree", "3", "--mutate", "--json")
+    code, doc = run_json(capsys, schema, "quantize", "--order", "3", "--degree", "3", "--mutate", "--json")
     assert code == EXIT_OK
     assert doc["commutative_mod_t"] and doc["associative"]
     assert doc["ll_axioms"] is True and doc["first_failure"] is None
@@ -408,11 +411,6 @@ def test_quantize_mutation_is_caught_at_degree_0(capsys):
     code, out, _ = run(capsys, "quantize", "--degree", "0", "--mutate")
     assert code == EXIT_OK
     assert "mutated bracket: fails as expected" in out
-
-
-def test_quantize_unknown_example(capsys):
-    code, _, err = run(capsys, "quantize", "--example", "weyl")
-    assert code == EXIT_PARSE
 
 
 def test_mlab_report(capsys, schema):

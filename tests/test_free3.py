@@ -178,7 +178,7 @@ def test_lambda_involution_and_compatibility(shape):
 
 def test_polarize_roundtrip(t3_shape):
     pm = polarize_map(t3_shape)
-    dm = depolarize_map(pm.dst, t3_shape, {"m": ("m_s", "m_a")})
+    dm = depolarize_map(pm.dst, {"m": ("m_s", "m_a")})
     for i in range(t3_shape.basis_size):
         v = basis_vector(t3_shape, i)
         assert dm.apply(pm.apply(v)) == v
@@ -190,7 +190,7 @@ def test_polarize_roundtrip(t3_shape):
 def test_polarize_roundtrip_passes_unpaired_slots_through():
     shape = EShape([("m", "none"), ("c", "comm"), ("b", "anti")])
     pm = polarize_map(shape)
-    dm = depolarize_map(pm.dst, shape, {"m": ("m_s", "m_a")})
+    dm = depolarize_map(pm.dst, {"m": ("m_s", "m_a")})
     for i in range(shape.basis_size):
         v = basis_vector(shape, i)
         assert dm.apply(pm.apply(v)) == v
@@ -198,6 +198,32 @@ def test_polarize_roundtrip_passes_unpaired_slots_through():
         assert sm.check_equivariant() and sm.is_invertible()
         for name in ("c", "b"):
             assert sm.images[sm.src.slot(name)] == ((Scalar.one(), sm.dst.slot(name)),)
+
+
+def test_polarization_targets_come_from_the_pairing():
+    ass = builtin("Ass").shape
+    assert polarize_map(ass, {"m": ("c", "b")}).dst == \
+        EShape([("c", "comm"), ("b", "anti")])
+    for name in ("Poiss_polarized", "LLq"):
+        assert depolarize_map(builtin(name).shape, {"m": ("c", "b")}).dst == ass
+    # paired generators are replaced in place, the others keep their order
+    shape = EShape([("m", "none"), ("c", "comm"), ("b", "anti")])
+    pm = polarize_map(shape)
+    assert pm.dst == EShape([("m_s", "comm"), ("m_a", "anti"),
+                             ("c", "comm"), ("b", "anti")])
+    assert depolarize_map(pm.dst, {"m": ("m_s", "m_a")}).dst == shape
+
+
+@pytest.mark.parametrize("make", [
+    lambda: polarize_map(EShape([("m", "none")]), {"k": ("c", "b")}),
+    lambda: depolarize_map(EShape([("c", "comm"), ("b", "anti")]),
+                           {"m": ("c", "a")}),
+    lambda: depolarize_map(EShape([("c", "comm"), ("b", "anti")]),
+                           {"m": ("k", "b")}),
+], ids=["polarize", "depolarize-anti", "depolarize-comm"])
+def test_a_pairing_with_an_unknown_generator_is_refused(make):
+    with pytest.raises(Free3Error, match="unknown generator"):
+        make()
 
 
 def test_polarize_intertwines_actions(t3_shape):

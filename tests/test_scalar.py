@@ -238,6 +238,11 @@ def test_specialize_irrational_root():
     assert (U * Q).specialize(2) == U * S(2)
 
 
+def test_specialize_negative_root():
+    with pytest.raises(SpecializationError):
+        V.specialize(-4)
+
+
 # -- rendering ----------------------------------------------------------------
 
 def test_render_examples():
