@@ -19,7 +19,7 @@ Q(q)(sqrt 2, sqrt q):
 """
 
 from .scalar import Scalar, RatFunc, ScalarError, SpecializationError
-from .free3 import (EShape, Subspace, GroupElement, ActionMatrix, SlotMap,
+from .free3 import (EShape, Subspace, ActionMatrix, SlotMap,
                     GAMMA3, TAU12, TAU23, CYC123, SIGMA3, SIGMA3_PLUS,
                     LAMBDA, basis_vector, right_action, left_lambda,
                     span_closure, sigma3_closure, gamma_plus_split,

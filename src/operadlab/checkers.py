@@ -298,6 +298,8 @@ def hopf_analyze(p: Presentation) -> HopfResult:
     if syms == ["none"]:
         return _solve_constraints(
             p.shape, _hopf_constraints(p.shape, p.R, _T3_TABLE))
+    if not syms:
+        return HopfResult("unsupported", None, "unsupported presentation with no generator")
     if syms != ["comm"]:
         return HopfResult("unsupported", None, "unsupported multi-generator presentation")
     constraints = _hopf_constraints(p.shape, p.R, _COMM_TABLE)

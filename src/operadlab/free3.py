@@ -22,8 +22,11 @@ first input and the inner one unless its inputs are (succ(l),
 succ(succ(l))) for the lone leaf l.  The extended symmetric group on
 {0, 1, 2, 3} acts on the right by relabelling the legs, and the left
 involution ``LAMBDA`` reverses every vertex; both are signed slot
-permutations, realised by `EShape.action`.  The +1/-1 eigenspaces of
-``LAMBDA`` are the even/odd parts of the bracket-parity splitting.
+permutations, realised by `EShape.action`.  A permutation is the tuple g
+of its images, leg i going to g[i].  The action is a right action:
+(w.a).b = w.(a then b), where (a then b)[i] = b[a[i]].  The +1/-1
+eigenspaces of ``LAMBDA`` are the even/odd parts of the bracket-parity
+splitting.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .scalar import Frozen, as_scalar, SC0, SC1, INV_SQRT2, RESIDUE_P
+from .scalar import as_scalar, SC0, SC1, INV_SQRT2, RESIDUE_P
 
 VARS = ("x", "y", "z")
 
@@ -160,72 +163,27 @@ def _normalize(shape: EShape, u, w):
 # the extended symmetric group on {0, 1, 2, 3}
 # ---------------------------------------------------------------------------
 
-class GroupElement(Frozen):
-    """A permutation of the four legs {0, 1, 2, 3}.
+GAMMA3 = (1, 2, 3, 0)        # the cycle (0 1 2 3)
+TAU12 = (0, 2, 1, 3)
+TAU23 = (0, 1, 3, 2)
+CYC123 = (0, 2, 3, 1)        # x -> y -> z -> x
 
-    Composition is left-to-right: (a * b)(i) = b(a(i)), so that the right
-    action on vectors satisfies (w . a) . b = w . (a * b).
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != [0, 1, 2, 3]:
-            raise Free3Error(f"not a permutation of 0..3: {images}")
-        object.__setattr__(self, "images", images)
-
-    @classmethod
-    def sigma3(cls, images123):
-        """Element of the inner symmetric group (fixes the output leg 0);
-        images123 gives the images of legs 1, 2, 3."""
-        return cls((0,) + tuple(images123))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(tuple(other.images[self.images[i]] for i in range(4)))
-
-    def inverse(self) -> "GroupElement":
-        inv = [0] * 4
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return GroupElement(inv)
-
-    def fixes_output(self) -> bool:
-        return self.images[0] == 0
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"GroupElement{self.images}"
-
-
-GAMMA3 = GroupElement((1, 2, 3, 0))        # the cycle (0 1 2 3)
-TAU12 = GroupElement.sigma3((2, 1, 3))
-TAU23 = GroupElement.sigma3((1, 3, 2))
-CYC123 = GroupElement.sigma3((2, 3, 1))    # x -> y -> z -> x
-
-SIGMA3 = tuple(GroupElement.sigma3((a + 1, b + 1, c + 1))
+# the inner symmetric group: the elements that fix the output leg 0
+SIGMA3 = tuple((0, a + 1, b + 1, c + 1)
                for a, b, c in itertools.permutations(range(3)))
 
-SIGMA3_PLUS = tuple(GroupElement(p) for p in itertools.permutations(range(4)))
+SIGMA3_PLUS = tuple(itertools.permutations(range(4)))
 
 
-def apply_perm_to_basis(shape: EShape, idx: int, g: GroupElement):
+def apply_perm_to_basis(shape: EShape, idx: int, g: tuple):
     """Right action of g on a canonical basis monomial: (sign, new_index).
 
-    Relabels the four external legs of the two-vertex tree by i -> g(i)
+    Relabels the four external legs of the two-vertex tree by i -> g[i]
     and normalises the result, which re-roots it at the new leg 0.
     """
     f, gg, l = shape.basis_triple(idx)
-    return _normalize(shape, (f, (g(0), EDGE, g(l + 1))),
-                      (gg, (EDGE, g((l + 1) % 3 + 1), g((l + 2) % 3 + 1))))
+    return _normalize(shape, (f, (g[0], EDGE, g[l + 1])),
+                      (gg, (EDGE, g[(l + 1) % 3 + 1], g[(l + 2) % 3 + 1])))
 
 
 class _Lambda:
@@ -250,7 +208,7 @@ def lambda_basis(shape: EShape, idx: int):
 # vector-level actions
 # ---------------------------------------------------------------------------
 
-def right_action(shape: EShape, vec, g: GroupElement):
+def right_action(shape: EShape, vec, g: tuple):
     return shape.action(g).apply(vec)
 
 

@@ -158,24 +158,6 @@ class MultiMap(Frozen):
     def __repr__(self):
         return f"MultiMap(d={self.d}, {self.m}->{self.n}, {len(self._codes)} entries)"
 
-    def apply(self, *vectors):
-        """Evaluate on m input vectors, each a dict {index: coefficient}
-        with indices in range(d) or a sequence of exactly d coefficients;
-        returns the output tensor {out_tuple: coefficient}."""
-        if len(vectors) != self.m:
-            raise MultiMapError(f"expected {self.m} arguments")
-        vecs = [_as_vec(v, self.d) for v in vectors]
-        out = {}
-        for (o, inp), c in self.coeffs.items():
-            w = c
-            for k, v in zip(inp, vecs):
-                w *= v[k]
-                if not w:
-                    break
-            if w:
-                out[o] = out.get(o, 0) + w
-        return {k: _exact(v) for k, v in out.items() if v}
-
 
 # the slot descriptors' setters: Frozen refuses plain assignment
 _SET_D, _SET_M, _SET_N, _SET_CODES = (
@@ -228,18 +210,6 @@ def _check_keys(cc: dict, d: int, m: int, n: int) -> None:
             if not span.issuperset(t):
                 raise MultiMapError(f"index out of range: {what} {t!r}, "
                                     f"expected indices in 0..{d - 1}")
-
-
-def _as_vec(v, d):
-    if isinstance(v, dict):
-        for k in v:
-            if k not in range(d):
-                raise MultiMapError(f"vector index {k!r} out of range 0..{d - 1}")
-        return [_exact(v.get(k, 0)) for k in range(d)]
-    v = list(v)
-    if len(v) != d:
-        raise MultiMapError(f"expected a vector of length {d}, got {len(v)}")
-    return [_exact(x) for x in v]
 
 
 def _accumulate(acc: dict, coeffs: dict, s) -> None:

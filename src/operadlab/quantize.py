@@ -353,14 +353,19 @@ class LLData:
     carrier, with the bracket trusted modulo t^bracket_order.  `ops` holds
     the two operations before the nonzero common factor `scale`."""
 
-    def __init__(self, order: int, dot, br, bracket_order=None, name="ll", scale=1):
+    def __init__(self, order: int, dot, br, name="ll", scale=1):
         self.order = order
         self.ops = (dot, br)
         self.scale = exact(scale)
         if not self.scale:
             raise QuantizeError("scale must be nonzero")
-        self.bracket_order = order if bracket_order is None else bracket_order
         self.name = name
+
+    @property
+    def bracket_order(self) -> int:
+        """The smaller of `order` and the order the bracket reports on 1, 1."""
+        one = TPoly.monomial(0, 0)
+        return _min_order(self.order, self.ops[1](one, one).order)
 
     def dot(self, u: TPoly, v: TPoly) -> TPoly:
         return self.ops[0](u, v).scale(self.scale)
@@ -374,7 +379,7 @@ class LLData:
         for u, v in itertools.combinations_with_replacement(basis, 2):
             if not (dot(u, v) - dot(v, u)).is_zero_mod(self.order):
                 return False
-            if not (br(u, v) + br(v, u)).is_zero_mod(self.bracket_order):
+            if not (br(u, v) + br(v, u)).is_zero_mod(self.order):
                 return False
         return True
 
@@ -391,8 +396,7 @@ class LLData:
             bump = coeff_of(u, m1) * coeff_of(v, m2) - coeff_of(u, m2) * coeff_of(v, m1)
             return self.br(u, v) + TPoly({tuple(out): bump * delta})
 
-        return LLData(self.order, self.dot, br, self.bracket_order,
-                      name=self.name + "+mutation")
+        return LLData(self.order, self.dot, br, name=self.name + "+mutation")
 
 
 def polarize_star(s: StarProduct) -> LLData:
@@ -405,13 +409,11 @@ def polarize_star(s: StarProduct) -> LLData:
     def dot(u, v):
         return s.expand(u, v, s.order, twist=1)
 
+    # dividing by t costs one order of precision unless the rule is exact
     def br(u, v):
         return s.expand(u, v, twist=-1).divide_t()
 
-    # dividing by t costs one order of precision unless the rule is exact
-    border = s.order if s.precision is None else min(s.order, s.precision - 1)
-    return LLData(s.order, dot, br, bracket_order=border,
-                  name=s.name + ".polarized", scale=INV_SQRT2)
+    return LLData(s.order, dot, br, name=s.name + ".polarized", scale=INV_SQRT2)
 
 
 def star_from_LL(data: LLData, check: bool = True, degree: int = 4) -> StarProduct:
@@ -437,7 +439,7 @@ def check_LL(data: LLData, degree: int = 4):
         {x, y.z} = {x,y}.z + y.{x,z}
         (x.y).z - x.(y.z) = t^2 {y,{x,z}}
 
-    Each axiom is verified to the power of t its defect is trusted to, the
+    Each axiom is verified mod t^order and each of its terms' own order, the
     same on every triple of exact monomials (read on 1, 1, 1); one trusted
     only mod t^0 raises QuantizeError.  Returns (ok, first failure or None).
     Runs on the unscaled operations: each axiom is homogeneous of degree
@@ -449,19 +451,18 @@ def check_LL(data: LLData, degree: int = 4):
     `dot` is commutative, so swapping y and z leaves that defect unchanged.
     """
     dot, br = data.ops
-    n_dot, n_br = data.order, min(data.order, data.bracket_order)
     basis = basis_monomials(degree)
     n = len(basis)
     dotP = [[dot(u, v) for v in basis] for u in basis]
     brP = [[br(u, v) for v in basis] for u in basis]
     one, d1, b1 = basis[0], dotP[0][0], brP[0][0]
-    for axiom, defect, modulus in (
-            ("jacobi", br(one, b1), n_br),
-            ("distributive", br(one, d1) - dot(b1, one), n_br),
-            ("associator-defect", dot(d1, one) - br(one, b1).times_t(2),
-             min(n_dot, n_br + 2))):
-        if _min_order(defect.order, modulus) <= 0:
-            raise QuantizeError(f"{axiom} axiom is trusted only mod t^0 at order {n_dot}")
+    for axiom, defect in (
+            ("jacobi", br(one, b1)),
+            ("distributive", br(one, d1) - dot(b1, one)),
+            ("associator-defect", dot(d1, one) - br(one, b1).times_t(2))):
+        if _min_order(defect.order, data.order) <= 0:
+            raise QuantizeError(f"{axiom} axiom is trusted only mod t^0 "
+                                f"at order {data.order}")
     for a in range(n):
         xx = basis[a]
         for b in range(n):
@@ -470,16 +471,16 @@ def check_LL(data: LLData, degree: int = 4):
                 zz = basis[c]
                 # the jacobi defect is invariant under cyclic relabelling
                 if a <= b and a <= c and not _vanishes(
-                        n_br, (1, 0, br(xx, brP[b][c])), (1, 0, br(yy, brP[c][a])),
+                        data.order, (1, 0, br(xx, brP[b][c])), (1, 0, br(yy, brP[c][a])),
                         (1, 0, br(zz, brP[a][b]))):
                     return False, _fail("jacobi", xx, yy, zz)
                 # the distributive defect is symmetric in the last two slots
                 if b <= c and not _vanishes(
-                        n_br, (1, 0, br(xx, dotP[b][c])), (-1, 0, dot(brP[a][b], zz)),
+                        data.order, (1, 0, br(xx, dotP[b][c])), (-1, 0, dot(brP[a][b], zz)),
                         (-1, 0, dot(yy, brP[a][c]))):
                     return False, _fail("distributive", xx, yy, zz)
                 if not _vanishes(
-                        min(n_dot, n_br + 2), (1, 0, dot(dotP[a][b], zz)),
+                        data.order, (1, 0, dot(dotP[a][b], zz)),
                         (-1, 0, dot(xx, dotP[b][c])), (-1, 2, br(yy, brP[a][c]))):
                     return False, _fail("associator-defect", xx, yy, zz)
     return True, None

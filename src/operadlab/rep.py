@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import Scalar, ScalarError
-from .free3 import Subspace, GroupElement, ActionMatrix
+from .free3 import Subspace, ActionMatrix
 
 IRREP_NAMES = ("id", "sgn", "V22", "V31", "V211")
 
@@ -29,22 +29,13 @@ CHARACTER_TABLE = {
     "V211": (3, -1, 0, 1, -1),
 }
 
-# fixed class representatives in the {0,1,2,3} labelling
+# fixed class representatives in the {0,1,2,3} labelling, as image tuples
 CLASS_REPS = (
-    GroupElement((0, 1, 2, 3)),
-    GroupElement((1, 0, 2, 3)),
-    GroupElement((1, 2, 0, 3)),
-    GroupElement((1, 2, 3, 0)),
-    GroupElement((1, 0, 3, 2)),
-)
-
-# a second representative per class, for well-definedness checks
-CLASS_REPS_ALT = (
-    GroupElement((0, 1, 2, 3)),
-    GroupElement((0, 2, 1, 3)),
-    GroupElement((0, 2, 3, 1)),
-    GroupElement((2, 0, 3, 1)),
-    GroupElement((2, 3, 0, 1)),
+    (0, 1, 2, 3),
+    (1, 0, 2, 3),
+    (1, 2, 0, 3),
+    (1, 2, 3, 0),
+    (1, 0, 3, 2),
 )
 
 
@@ -85,10 +76,10 @@ def restricted_trace(space: Subspace, action: ActionMatrix) -> Fraction:
     return total.as_fraction()
 
 
-def character_of(space: Subspace, representatives=CLASS_REPS) -> CharacterVector:
+def character_of(space: Subspace) -> CharacterVector:
     shape = space.shape
     return CharacterVector([
-        restricted_trace(space, shape.action(g)) for g in representatives
+        restricted_trace(space, shape.action(g)) for g in CLASS_REPS
     ])
 
 

@@ -472,6 +472,10 @@ def test_hopf_rejects_multi_generator():
     assert (h.verdict, h.witness) == ("unsupported", None)
     assert h.diagnostic == "unsupported multi-generator presentation"
     assert verdict_report(p)["hopf"] == {"verdict": "unsupported", "witness": None}
+    # a presentation with no generator is not a multi-generator one
+    empty = hopf_analyze(parse_presentation("operad X { }"))
+    assert (empty.verdict, empty.witness) == ("unsupported", None)
+    assert empty.diagnostic == "unsupported presentation with no generator"
 
 
 def test_hopf_polarized_pair_accepted():

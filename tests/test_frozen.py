@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from operadlab import (GroupElement, MultiMap, Scalar, Subspace, TPoly,
-                       builtin, circ, relation_vector)
+from operadlab import (MultiMap, Scalar, Subspace, TPoly, builtin, circ,
+                       relation_vector)
 from operadlab.checkers import BPoly
 from operadlab.scalar import RatFunc
 
@@ -25,7 +25,6 @@ def values():
     return {
         "RatFunc": RatFunc([1, -2], [3, 0, 1]),
         "Scalar": Scalar(q / (q + 1), RatFunc.const(3), 0, RatFunc([0, 0, 2])),
-        "GroupElement": GroupElement((0, 2, 3, 1)),
         "BPoly": BPoly([Scalar.q(), 0, Scalar.u()]),
         "TPoly": TPoly({(0, 1, 2): 3, (1, 0, 0): Scalar.u()}, order=3),
         "constructed MultiMap": MultiMap(2, 2, 1, {((0,), (1, 1)): 2,

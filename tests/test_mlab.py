@@ -89,20 +89,6 @@ def test_bilinearity():
         assert lhs == rhs
 
 
-def test_apply_evaluates():
-    mu = MultiMap(2, 2, 1, {((0,), (0, 0)): 1, ((1,), (0, 1)): 1, ((1,), (1, 0)): 1})
-    out = mu.apply({0: Fraction(1)}, {1: Fraction(2)})
-    assert out == {(1,): Fraction(2)}
-
-
-def test_apply_rejects_bad_vectors():
-    mu = MultiMap(2, 2, 1, {((0,), (0, 0)): 1, ((1,), (0, 1)): 1, ((1,), (1, 0)): 1})
-    assert mu.apply([1, 0], {1: 2}) == {(1,): 2}
-    for bad in ([1], [1, 0, 0], {2: 1}, {-1: 1}):
-        with pytest.raises(MultiMapError):
-            mu.apply(bad, [1, 0])
-
-
 @pytest.mark.parametrize("key", [((0, 0), (0, 0)), ((0,), (0,)), ((2,), (0, 1)),
                                  ((0,), (0, -1))],
                          ids=["outputs", "inputs", "output-range", "input-range"])

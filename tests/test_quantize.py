@@ -205,8 +205,7 @@ def test_check_ll_zero_bracket_case():
 def test_check_ll_reports_the_associator_defect():
     # the symmetric Moyal product is associative only up to t^2 {y, {x, z}}
     data = polarize_star(moyal_star(4))
-    zero = LLData(data.order, data.ops[0], lambda u, v: TPoly.zero(),
-                  bracket_order=data.bracket_order)
+    zero = LLData(data.order, data.ops[0], lambda u, v: TPoly.zero())
     ok, failure = check_LL(zero, degree=2)
     assert not ok and failure.startswith("associator-defect fails on (")
 
@@ -398,7 +397,7 @@ def test_check_ll_ignores_a_common_factor(c, mutation):
     """Scaling both operations by c != 0 scales every defect by c^2."""
     data = POLARIZED if mutation is None else POLARIZED.mutate_bracket(*mutation)
     scaled = LLData(data.order, lambda u, v: data.dot(u, v).scale(c),
-                    lambda u, v: data.br(u, v).scale(c), data.bracket_order)
+                    lambda u, v: data.br(u, v).scale(c))
     assert check_LL(scaled, degree=2) == check_LL(data, degree=2)
 
 
