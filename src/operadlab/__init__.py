@@ -41,7 +41,7 @@ from .mlab import (MultiMap, comp_ij, circ, circ_plain, bracket,
                    master_residual, master_residual_is_zero,
                    infinitesimal_bialgebra_axioms)
 from .quantize import (TPoly, StarProduct, LLData, moyal_star, polarize_star,
-                       star_from_LL, check_LL, classical_limit, poisson_check,
+                       star_from_LL, check_LL, satisfies, classical_limit,
                        basis_monomials)
 
 __version__ = "0.1.0"

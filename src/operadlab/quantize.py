@@ -21,12 +21,14 @@ rule(m2, m1), and expands rule(u, v) +- rule(v, u) in one pass over u x v.
 The worked example is the standard-ordered product u * v = sum_k (t^k/k!)
 (d_p^k u)(d_x^k v), exactly associative and commutative mod t.
 `polarize_star` splits it into the commutative product (1/sqrt 2)(sym
-part) and the bracket (1/sqrt 2)(antisym part)/t, whose compatibility
-axioms (deformation parameter t^2) `check_LL` verifies.  `LLData` keeps
-the common factor 1/sqrt 2 apart from its operations: `dot` and `br`
-return scaled values, `check_LL` runs on the unscaled ones.  Each term of
-its axioms holds exactly two operations, so a common factor c multiplies
-every defect by c^2 and cannot change a verdict or the first failure.
+part) and the bracket (1/sqrt 2)(antisym part)/t, an LL_q algebra at
+q = t^2, which `check_LL` verifies.  `LLData` keeps the common factor
+1/sqrt 2 apart from its operations: `dot` and `br` return scaled values,
+`check_LL` runs on the unscaled ones.  Each term of the LL_q relations
+holds exactly two operations, so a common factor c multiplies every
+defect by c^2 and cannot change a verdict or the first failure.  Every
+axiom check on this carrier is `satisfies` on a builtin presentation; it
+skips a triple only for a smaller one with the same defect up to sign.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ import functools
 import itertools
 from fractions import Fraction
 from math import comb, isfinite, perm
+from types import MappingProxyType
 
+from .free3 import SIGMA3, VARS, right_action
+from .presentation import App, builtin, relation_vector
 from .scalar import Frozen, Scalar, as_scalar, INV_SQRT2
 
 
@@ -44,11 +49,7 @@ class QuantizeError(ValueError):
 
 
 def _min_order(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
 
 
 def exact(c):
@@ -71,12 +72,12 @@ def exact(c):
 class TPoly(Frozen):
     """Polynomial in x, p and t over the scalar tower.
 
-    coeffs maps (t_power, x_power, p_power) -> coefficient in `exact`
-    form.  `order` is the t-adic precision: None means exact, an integer
-    N means the coefficients are only trusted modulo t^N.
+    coeffs is a read-only view of (t_power, x_power, p_power) -> `exact`
+    coefficient.  `order` is the t-adic precision: None means exact, an
+    integer N means the coefficients are only trusted modulo t^N.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("_coeffs", "order")
 
     def __init__(self, coeffs=None, order=None):
         cc = {}
@@ -104,18 +105,16 @@ class TPoly(Frozen):
             raise QuantizeError(f"negative degree in x^{xdeg} p^{pdeg}")
         return cls({(0, xdeg, pdeg): coeff})
 
-    @classmethod
-    def zero(cls) -> "TPoly":
-        return cls()
+    coeffs = property(lambda self: MappingProxyType(self._coeffs))
 
     def __add__(self, other):
-        cc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
+        cc = dict(self._coeffs)
+        for k, v in other._coeffs.items():
             cc[k] = cc.get(k, 0) + v
         return TPoly(cc, _min_order(self.order, other.order))
 
     def __neg__(self):
-        return TPoly._of({k: -v for k, v in self.coeffs.items()}, self.order)
+        return TPoly._of({k: -v for k, v in self._coeffs.items()}, self.order)
 
     def __sub__(self, other):
         return self + (-other)
@@ -124,15 +123,15 @@ class TPoly(Frozen):
         s = exact(s)
         if type(s) is int and s == 1:
             return self
-        return TPoly({k: s * v for k, v in self.coeffs.items()}, self.order)
+        return TPoly({k: s * v for k, v in self._coeffs.items()}, self.order)
 
     def __mul__(self, other):
         if not isinstance(other, TPoly):
             return self.scale(other)
         order = _min_order(self.order, other.order)
         cc = {}
-        for (k1, i1, j1), v1 in self.coeffs.items():
-            for (k2, i2, j2), v2 in other.coeffs.items():
+        for (k1, i1, j1), v1 in self._coeffs.items():
+            for (k2, i2, j2), v2 in other._coeffs.items():
                 k = k1 + k2
                 if order is not None and k >= order:
                     continue
@@ -144,56 +143,56 @@ class TPoly(Frozen):
 
     def dx(self) -> "TPoly":
         return TPoly({(k, i - 1, j): v * i
-                      for (k, i, j), v in self.coeffs.items() if i},
+                      for (k, i, j), v in self._coeffs.items() if i},
                      self.order)
 
     def dp(self) -> "TPoly":
         return TPoly({(k, i, j - 1): v * j
-                      for (k, i, j), v in self.coeffs.items() if j},
+                      for (k, i, j), v in self._coeffs.items() if j},
                      self.order)
 
     def times_t(self, power: int = 1) -> "TPoly":
         order = None if self.order is None else self.order + power
         return TPoly._of({(k + power, i, j): v
-                          for (k, i, j), v in self.coeffs.items()}, order)
+                          for (k, i, j), v in self._coeffs.items()}, order)
 
     def divide_t(self) -> "TPoly":
-        if any(k == 0 for k, _, _ in self.coeffs):
+        if any(k == 0 for k, _, _ in self._coeffs):
             raise QuantizeError("not divisible by t")
         order = None if self.order is None else self.order - 1
         return TPoly._of({(k - 1, i, j): v
-                          for (k, i, j), v in self.coeffs.items()}, order)
+                          for (k, i, j), v in self._coeffs.items()}, order)
 
     def t_component(self, k: int) -> "TPoly":
         return TPoly({(0, i, j): v
-                      for (kk, i, j), v in self.coeffs.items() if kk == k})
+                      for (kk, i, j), v in self._coeffs.items() if kk == k})
 
     def truncated(self, n: int) -> "TPoly":
-        return TPoly({key: v for key, v in self.coeffs.items() if key[0] < n},
+        return TPoly({key: v for key, v in self._coeffs.items() if key[0] < n},
                      n if self.order is None else min(self.order, n))
 
     def is_zero_mod(self, n=None) -> bool:
         n = _min_order(self.order, n)
         if n is None:
-            return not self.coeffs
-        return all(k >= n for (k, _, _) in self.coeffs)
+            return not self._coeffs
+        return all(k >= n for (k, _, _) in self._coeffs)
 
     def eq_mod(self, other, n=None) -> bool:
         return (self - other).is_zero_mod(n)
 
     def __eq__(self, other):
         return (isinstance(other, TPoly) and self.order == other.order
-                and self.coeffs == other.coeffs)
+                and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.coeffs.items())))
+        return hash((self.order, frozenset(self._coeffs.items())))
 
     def render(self) -> str:
-        if not self.coeffs:
+        if not self._coeffs:
             return "0"
         parts = []
-        for (k, i, j) in sorted(self.coeffs):
-            v = self.coeffs[(k, i, j)]
+        for (k, i, j) in sorted(self._coeffs):
+            v = self._coeffs[(k, i, j)]
             mono = "".join([f"t^{k}" if k > 1 else "t" * k,
                             f"x^{i}" if i > 1 else "x" * i,
                             f"p^{j}" if j > 1 else "p" * j]) or "1"
@@ -205,18 +204,14 @@ class TPoly(Frozen):
 
 
 # the slot descriptors' setters: Frozen refuses plain assignment
-_SET_COEFFS, _SET_ORDER = TPoly.coeffs.__set__, TPoly.order.__set__
-
-
-def _exponents(degree: int):
-    if degree < 0:
-        raise QuantizeError(f"carrier degree {degree} is negative")
-    return sorted((i, j) for i in range(degree + 1) for j in range(degree + 1 - i))
+_SET_COEFFS, _SET_ORDER = TPoly._coeffs.__set__, TPoly.order.__set__
 
 
 def basis_monomials(degree: int):
-    """Carrier basis: monomials x^i p^j with i + j <= degree."""
-    return [TPoly.monomial(i, j) for i, j in _exponents(degree)]
+    """Carrier basis: monomials x^i p^j with i + j <= degree, in lex order."""
+    if degree < 0:
+        raise QuantizeError(f"carrier degree {degree} is negative")
+    return [TPoly.monomial(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +256,7 @@ class StarProduct:
                         f"{self.name}: the rule reports order {w.order} on "
                         f"x^{i1} p^{j1}, x^{i2} p^{j2} but order {self.precision} "
                         f"on 1, 1")
-                cc = w.coeffs
+                cc = w._coeffs
             terms = table[key] = tuple(m + (exact(c),) for m, c in sorted(cc.items()) if c)
             if twist == 1:
                 table[key[2:] + key[:2]] = terms
@@ -277,8 +272,8 @@ class StarProduct:
                            _min_order(self.precision, limit))
         cc = {}
         get = cc.get
-        for (k1, i1, j1), c1 in u.coeffs.items():
-            for (k2, i2, j2), c2 in v.coeffs.items():
+        for (k1, i1, j1), c1 in u._coeffs.items():
+            for (k2, i2, j2), c2 in v._coeffs.items():
                 pair = (i1, j1, i2, j2)
                 terms = table.get(pair)
                 if terms is None:
@@ -302,19 +297,11 @@ class StarProduct:
         return self.expand(u, v, k + 1).t_component(k)
 
     def commutative_mod_t(self, degree: int) -> bool:
-        basis = basis_monomials(degree)
-        return all(self.component(0, u, v).eq_mod(self.component(0, v, u))
-                   for u, v in itertools.combinations(basis, 2))
-
-    def associativity_defect(self, u, v, w) -> TPoly:
-        return (self(self(u, v), w) - self(u, self(v, w))).truncated(self.order)
+        return satisfies(builtin("free_comm"), (functools.partial(self.component, 0),),
+                         degree, 1)[0]
 
     def is_associative(self, degree: int) -> bool:
-        basis = basis_monomials(degree)
-        prod = [[self(u, v) for v in basis] for u in basis]
-        return all(_vanishes(self.order, (1, 0, self(prod[a][b], basis[c])),
-                             (-1, 0, self(basis[a], prod[b][c])))
-                   for a, b, c in itertools.product(range(len(basis)), repeat=3))
+        return satisfies(builtin("Ass"), (self,), degree, self.order)[0]
 
 
 def moyal_star(order: int = 4) -> StarProduct:
@@ -330,8 +317,8 @@ def moyal_star(order: int = 4) -> StarProduct:
     def rule(u: TPoly, v: TPoly) -> TPoly:
         cc = {}
         tail = _min_order(u.order, v.order)
-        for (k1, i1, j1), v1 in u.coeffs.items():
-            for (k2, i2, j2), v2 in v.coeffs.items():
+        for (k1, i1, j1), v1 in u._coeffs.items():
+            for (k2, i2, j2), v2 in v._coeffs.items():
                 w = v1 * v2
                 for k in range(min(j1, i2) + 1):
                     kt = k1 + k2 + k
@@ -373,16 +360,6 @@ class LLData:
     def br(self, u: TPoly, v: TPoly) -> TPoly:
         return self.ops[1](u, v).scale(self.scale)
 
-    def validate_symmetry(self, degree: int) -> bool:
-        dot, br = self.ops
-        basis = basis_monomials(degree)
-        for u, v in itertools.combinations_with_replacement(basis, 2):
-            if not (dot(u, v) - dot(v, u)).is_zero_mod(self.order):
-                return False
-            if not (br(u, v) + br(v, u)).is_zero_mod(self.order):
-                return False
-        return True
-
     def mutate_bracket(self, m1: tuple, m2: tuple, out: tuple, delta) -> "LLData":
         """Corrupt one structure coefficient of the bracket (antisymmetrised,
         so the result is still a bracket); m1, m2 are (xdeg, pdeg) basis
@@ -390,7 +367,7 @@ class LLData:
         delta = exact(delta)
 
         def coeff_of(u: TPoly, mono):
-            return u.coeffs.get((0,) + tuple(mono), 0)
+            return u._coeffs.get((0,) + tuple(mono), 0)
 
         def br(u, v):
             bump = coeff_of(u, m1) * coeff_of(v, m2) - coeff_of(u, m2) * coeff_of(v, m1)
@@ -432,79 +409,110 @@ def star_from_LL(data: LLData, check: bool = True, degree: int = 4) -> StarProdu
 
 
 def check_LL(data: LLData, degree: int = 4):
-    """The three compatibility axioms with the deformation parameter t^2,
-    on every triple of carrier basis monomials:
+    """`satisfies` for `builtin("LLq")` on the unscaled operations: dot
+    symmetric, br antisymmetric and
 
-        {x,{y,z}} + {y,{z,x}} + {z,{x,y}} = 0
-        {x, y.z} = {x,y}.z + y.{x,z}
-        (x.y).z - x.(y.z) = t^2 {y,{x,z}}
+        {x,{y,z}} + {y,{z,x}} + {z,{x,y}} = 0           jacobi
+        {x, y.z} = {x,y}.z + y.{x,z}                    distributive
+        (x.y).z - x.(y.z) = t^2 {y,{x,z}}               associator-defect
 
-    Each axiom is verified mod t^order and each of its terms' own order, the
-    same on every triple of exact monomials (read on 1, 1, 1); one trusted
-    only mod t^0 raises QuantizeError.  Returns (ok, first failure or None).
-    Runs on the unscaled operations: each axiom is homogeneous of degree
-    two in them, so the common factor cannot change the result.
+    on x <= y <= z, y <= z and x <= z only, as their stabilisers allow."""
+    return satisfies(builtin("LLq"), data.ops, degree, data.order,
+                     ("jacobi", "distributive", "associator-defect"))
 
-    `data.ops` is called on the arguments the axiom terms name, only the
-    inner {y,z} and y.z on basis monomials shared; each defect is one signed
-    sum.  The distributive defect is checked for y <= z only: `LLData`'s
-    `dot` is commutative, so swapping y and z leaves that defect unchanged.
-    """
-    dot, br = data.ops
+
+def satisfies(p, ops, degree: int, order: int, names=None):
+    """(ok, first failure or None): whether `ops`, one per generator of p,
+    are (anti)symmetric as declared on basis pairs and each written relation,
+    its coefficients in Q[q] at q = t^2, vanishes on every basis triple mod
+    t^order and each term's order plus its power of t.  A relation trusted
+    only mod t^0 on (1, 1, 1) raises.  Failures are named by `names` (the
+    relation's text by default).  A triple is skipped for r when r's
+    stabiliser in Sigma3 (r.g = +-r) maps it to a smaller one with the same
+    defect up to sign: the lex-least failing triple is always checked."""
+    if len(ops) != len(p.generators):
+        raise QuantizeError(f"{p.name} has {len(p.generators)} generators "
+                            f"but {len(ops)} operations were given")
     basis = basis_monomials(degree)
     n = len(basis)
-    dotP = [[dot(u, v) for v in basis] for u in basis]
-    brP = [[br(u, v) for v in basis] for u in basis]
-    one, d1, b1 = basis[0], dotP[0][0], brP[0][0]
-    for axiom, defect in (
-            ("jacobi", br(one, b1)),
-            ("distributive", br(one, d1) - dot(b1, one)),
-            ("associator-defect", dot(d1, one) - br(one, b1).times_t(2))):
-        if _min_order(defect.order, data.order) <= 0:
-            raise QuantizeError(f"{axiom} axiom is trusted only mod t^0 "
-                                f"at order {data.order}")
-    for a in range(n):
-        xx = basis[a]
-        for b in range(n):
-            yy = basis[b]
-            for c in range(n):
-                zz = basis[c]
-                # the jacobi defect is invariant under cyclic relabelling
-                if a <= b and a <= c and not _vanishes(
-                        data.order, (1, 0, br(xx, brP[b][c])), (1, 0, br(yy, brP[c][a])),
-                        (1, 0, br(zz, brP[a][b]))):
-                    return False, _fail("jacobi", xx, yy, zz)
-                # the distributive defect is symmetric in the last two slots
-                if b <= c and not _vanishes(
-                        data.order, (1, 0, br(xx, dotP[b][c])), (-1, 0, dot(brP[a][b], zz)),
-                        (-1, 0, dot(yy, brP[a][c]))):
-                    return False, _fail("distributive", xx, yy, zz)
-                if not _vanishes(
-                        data.order, (1, 0, dot(dotP[a][b], zz)),
-                        (-1, 0, dot(xx, dotP[b][c])), (-1, 2, br(yy, brP[a][c]))):
-                    return False, _fail("associator-defect", xx, yy, zz)
+    rels = [(name, terms, _checked_triples(n, stab)) for name, (terms, stab)
+            in zip(names or [r.render() for r in p.relations], _compiled(p), strict=True)]
+    table = [[[op(u, v) for v in basis] for u in basis] for op in ops]
+
+    def defect(terms, t):   # each operation's value on basis pairs is shared
+        out = []
+        for f, g, i, j, l, left, coefs in terms:
+            inner, lone = table[g][t[i]][t[j]], basis[t[l]]
+            value = ops[f](inner, lone) if left else ops[f](lone, inner)
+            out += [(c, shift, value) for c, shift in coefs]
+        return out
+
+    for name, terms, _ in rels:
+        if min([order] + [f.order + s for _, s, f in defect(terms, (0, 0, 0))
+                          if f.order is not None]) <= 0:
+            raise QuantizeError(f"{name} axiom is trusted only mod t^0 at order {order}")
+    for gen, tab in zip(p.generators, table):
+        sign = {"comm": -1, "anti": 1}.get(gen.symmetry)     # None: no pairs
+        for a, b in itertools.combinations_with_replacement(range(n if sign else 0), 2):
+            if not _vanishes(order, ((1, 0, tab[a][b]), (sign, 0, tab[b][a]))):
+                return False, (f"{gen.name} is not {'anti' * (sign == 1)}symmetric "
+                               f"on ({basis[a].render()}, {basis[b].render()})")
+    for at, t in enumerate(itertools.product(range(n), repeat=3)):
+        for name, terms, checked in rels:
+            if checked[at] and not _vanishes(order, defect(terms, t)):
+                return False, f"{name} fails on ({', '.join(basis[k].render() for k in t)})"
     return True, None
 
 
-def _vanishes(modulus, *terms):
-    """Whether sum(sign * t^shift * f) is 0 mod t^modulus and every t^(f.order + shift)."""
+@functools.cache
+def _compiled(p):
+    """Per written relation of p: its terms (outer and inner generator, the
+    inner arguments, the other one, whether the inner one is on the left,
+    and (c, 2k) per c q^k of the coefficient) and its stabiliser in Sigma3
+    as maps of triple positions."""
+    gens = [g.name for g in p.generators]
+    out = []
+    for r in p.relations:
+        terms = []
+        for coeff, node in r.terms:
+            a, *rest = coeff.c
+            if any(rest) or len(a.den) != 1:
+                raise QuantizeError(f"{p.name}: coefficient {coeff.render()} is not in Q[q]")
+            left = isinstance(node.a, App)
+            inner, lone = (node.a, node.b) if left else (node.b, node.a)
+            terms.append((gens.index(node.gen), gens.index(inner.gen),
+                          VARS.index(inner.a.name), VARS.index(inner.b.name),
+                          VARS.index(lone.name), left,
+                          tuple((exact(Fraction(k, a.den[0])), 2 * e)
+                                for e, k in enumerate(a.num) if k)))
+        vec = relation_vector(p.shape, r)
+        signed = (vec, tuple(-c for c in vec))
+        out.append((tuple(terms), tuple((g[1] - 1, g[2] - 1, g[3] - 1) for g in SIGMA3
+                                        if right_action(p.shape, vec, g) in signed)))
+    return tuple(out)
+
+
+@functools.cache
+def _checked_triples(n: int, stab):
+    """Per triple of range(n) in lex order, whether no g in stab lowers it."""
+    return bytes(all((t[g[0]], t[g[1]], t[g[2]]) >= t for g in stab)
+                 for t in itertools.product(range(n), repeat=3))
+
+
+def _vanishes(modulus, terms):
+    """Whether sum(c * t^shift * f) is 0 mod t^modulus and every t^(f.order + shift)."""
+    modulus = min([modulus] + [f.order + s for _, s, f in terms if f.order is not None])
     cc = {}
-    for sign, shift, f in terms:
-        if f.order is not None and f.order + shift < modulus:
-            modulus = f.order + shift
-        for (k, i, j), c in f.coeffs.items():
-            key = (k + shift, i, j)
-            cc[key] = cc.get(key, 0) + c if sign > 0 else cc.get(key, 0) - c
-    return not any(c for (k, _, _), c in cc.items() if k < modulus)
-
-
-def _fail(axiom, xx, yy, zz):
-    return f"{axiom} fails on ({xx.render()}, {yy.render()}, {zz.render()})"
+    for coef, shift, f in terms:
+        for (k, i, j), c in f._coeffs.items():
+            if k + shift < modulus:
+                key = (k + shift, i, j)
+                cc[key] = cc.get(key, 0) + (c if coef == 1 else -c if coef == -1 else coef * c)
+    return not any(cc.values())
 
 
 def classical_limit(s: StarProduct):
-    """The order-zero product and the first-order commutator bracket
-    (u, v) -> u *_1 v - v *_1 u; together they form a Poisson algebra."""
+    """The t-free Poisson algebra u *_0 v, u *_1 v - v *_1 u (`Poiss_polarized`)."""
 
     def dot0(u, v):
         return s.component(0, u, v)
@@ -513,11 +521,3 @@ def classical_limit(s: StarProduct):
         return s.component(1, u, v) - s.component(1, v, u)
 
     return dot0, br0
-
-
-def poisson_check(dot0, br0, degree: int = 3) -> bool:
-    """Poisson axioms for t-free operations.  A Poisson algebra is LL_q at
-    q = 0: as LL data of order 1 the t^2 term of the third axiom vanishes
-    and every axiom is checked exactly."""
-    data = LLData(1, dot0, br0)
-    return data.validate_symmetry(degree) and check_LL(data, degree)[0]

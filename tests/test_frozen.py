@@ -68,7 +68,8 @@ def test_assignment_still_raises(what):
 
 
 def test_coeffs_item_assignment_still_raises():
-    for f in (values()["constructed MultiMap"], values()["computed MultiMap"]):
+    for f in (values()["constructed MultiMap"], values()["computed MultiMap"],
+              values()["TPoly"]):
         key = next(iter(f.coeffs))
         with pytest.raises(TypeError):
             f.coeffs[key] = 5

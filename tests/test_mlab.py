@@ -12,6 +12,7 @@ from operadlab.mlab import (MultiMap, MultiMapError, comp_ij, circ, circ_plain,
                             infinitesimal_bialgebra_axioms, assoc_defect,
                             coassoc_defect, compatibility_defect,
                             insertion_sign)
+from operadlab.presentation import Var, builtin
 from operadlab.scalar import Scalar
 
 
@@ -307,6 +308,37 @@ def test_vinberg_on_single_input_maps():
         h = rmap(rng, 2, 1, rng.randint(1, 3))
         A = circ_associator
         assert A(f, g, h, compose=circ_plain) == A(g, f, h, compose=circ_plain)
+
+
+def evaluate(relation, maps, compose):
+    """A written relation of one generator at (x, y, z) = maps, with that
+    generator read as compose."""
+    def tree(node):
+        if isinstance(node, Var):
+            return maps["xyz".index(node.name)]
+        return compose(tree(node.a), tree(node.b))
+
+    terms = [tree(node).scale(c.as_fraction()) for c, node in relation.terms]
+    return sum(terms[1:], terms[0])
+
+
+@pytest.mark.parametrize("name, nonzero_in", [
+    ("PreLie", {"single-output": 0, "single-input": 16}),
+    ("Vinberg", {"single-output": 13, "single-input": 0})])
+def test_which_side_each_builtin_names_under_circ_plain(name, nonzero_in):
+    # PreLie reads A(x,y,z) = A(x,z,y) and Vinberg A(x,y,z) = A(y,x,z), the
+    # comparisons cmd_mlab makes on single-output and single-input maps;
+    # each relation fails on the other shape
+    (relation,) = builtin(name).relations
+    rng = random.Random(24)
+    nonzero = {"single-output": 0, "single-input": 0}
+    for _ in range(20):
+        for shape in nonzero:
+            k = [rng.randint(1, 2) for _ in range(3)]
+            maps = [rmap(rng, 2, a, 1) if shape == "single-output" else rmap(rng, 2, 1, a)
+                    for a in k]
+            nonzero[shape] += not evaluate(relation, maps, circ_plain).is_zero()
+    assert nonzero == nonzero_in
 
 
 def test_signed_composition_breaks_those_symmetries():

@@ -5,18 +5,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operadlab import RatFunc, Scalar
+from operadlab import RatFunc, Scalar, builtin, parse_presentation
 from operadlab.quantize import (TPoly, StarProduct, LLData, QuantizeError,
                                 moyal_star, polarize_star, star_from_LL,
-                                check_LL, classical_limit, poisson_check,
-                                basis_monomials, exact)
+                                check_LL, satisfies, classical_limit,
+                                basis_monomials, exact, _compiled)
 
 U = Scalar.u()
 HALF_U = U * Fraction(1, 2)
+POISSON = builtin("Poiss_polarized")
+# no relation: `satisfies` checks only that c is symmetric and b antisymmetric
+SYMMETRIES = parse_presentation("gen c: comm; gen b: anti;")
 
 
 def mono(i, j, c=1):
     return TPoly.monomial(i, j, c)
+
+
+def associativity_defect(s, u, v, w):
+    return (s(s(u, v), w) - s(u, s(v, w))).truncated(s.order)
 
 
 # -- the polynomial-with-t carrier ------------------------------------------------
@@ -122,7 +129,7 @@ def test_moyal_associative():
 def test_classical_limit_is_poisson():
     s = moyal_star(3)
     dot0, br0 = classical_limit(s)
-    assert poisson_check(dot0, br0, 3)
+    assert satisfies(POISSON, (dot0, br0), 3, 1) == (True, None)
     # the first-order bracket is the standard directional Poisson bracket
     x, p = mono(1, 0), mono(0, 1)
     assert br0(x, p) == mono(0, 0, -1)
@@ -136,10 +143,13 @@ def test_poisson_check_rejects_broken_axioms():
     dot0, br0 = classical_limit(moyal_star(3))
     # a bracket whose {x, p} coefficient is corrupted breaks the Leibniz rule
     bad = LLData(1, dot0, br0).mutate_bracket((1, 0), (0, 1), (0, 0, 0), 1)
-    assert not poisson_check(dot0, bad.br, 2)
+    ok, failure = satisfies(POISSON, (dot0, bad.br), 2, 1)
+    assert not ok and failure.startswith("b(x,c(y,z)) - c(b(x,y),z) - c(y,b(x,z)) fails on (")
     # a symmetric bracket, and a product that is not commutative
-    assert not poisson_check(dot0, dot0, 2)
-    assert not poisson_check(lambda u, v: u * v.dx(), br0, 2)
+    assert satisfies(POISSON, (dot0, dot0), 2, 1) == (
+        False, "b is not antisymmetric on ((1)*1, (1)*1)")
+    assert satisfies(POISSON, (lambda u, v: u * v.dx(), br0), 2, 1) == (
+        False, "c is not symmetric on ((1)*1, (1)*x)")
 
 
 def test_polarize_star_requires_commutativity():
@@ -171,7 +181,7 @@ def test_polarized_bracket_reduces_to_poisson():
     f, g = mono(1, 1), mono(0, 2)
     classical = (f.dp() * g.dx() - g.dp() * f.dx()) * HALF_U
     assert data.br(f, g).t_component(0) == classical
-    assert data.validate_symmetry(2)
+    assert satisfies(SYMMETRIES, data.ops, 2, data.order) == (True, None)
 
 
 def test_check_ll_moyal_small():
@@ -195,7 +205,7 @@ def test_check_ll_zero_bracket_case():
         return u * v
 
     def br(u, v):
-        return TPoly.zero()
+        return TPoly()
 
     data = LLData(3, dot, br, name="trivial")
     ok, _ = check_LL(data, degree=2)
@@ -205,7 +215,7 @@ def test_check_ll_zero_bracket_case():
 def test_check_ll_reports_the_associator_defect():
     # the symmetric Moyal product is associative only up to t^2 {y, {x, z}}
     data = polarize_star(moyal_star(4))
-    zero = LLData(data.order, data.ops[0], lambda u, v: TPoly.zero())
+    zero = LLData(data.order, data.ops[0], lambda u, v: TPoly())
     ok, failure = check_LL(zero, degree=2)
     assert not ok and failure.startswith("associator-defect fails on (")
 
@@ -215,7 +225,7 @@ def test_star_from_ll_trivial_bracket():
         return u * v
 
     def br(u, v):
-        return TPoly.zero()
+        return TPoly()
 
     data = LLData(3, dot, br, name="trivial")
     s = star_from_LL(data, check=False)
@@ -259,7 +269,7 @@ def test_mutation_flips_verdict():
                         ((1, 0), (0, 1), (0, 1, 1)),
                         ((2, 0), (0, 1), (0, 1, 0))):
         bad = data.mutate_bracket(m1, m2, out, Fraction(1, 2))
-        assert bad.validate_symmetry(1)
+        assert satisfies(SYMMETRIES, bad.ops, 1, bad.order) == (True, None)
         ok2, failure = check_LL(bad, degree=2)
         assert not ok2 and failure
 
@@ -279,14 +289,14 @@ def test_random_triple_associativity_of_assembled_star():
     basis = basis_monomials(3)
 
     def rand_elt():
-        out = TPoly.zero()
+        out = TPoly()
         for _ in range(3):
             out = out + basis[rng.randrange(len(basis))] * Fraction(rng.randint(-2, 2))
         return out
 
     for _ in range(20):
         u, v, w = rand_elt(), rand_elt(), rand_elt()
-        assert s2.associativity_defect(u, v, w).is_zero_mod(4)
+        assert associativity_defect(s2, u, v, w).is_zero_mod(4)
 
 
 # -- the pair table ------------------------------------------------------------------
@@ -451,7 +461,49 @@ def test_is_associative_equals_the_defect_of_every_triple():
     mutated = POLARIZED.mutate_bracket((1, 0), (0, 1), (0, 0, 1), Fraction(1, 2))
     basis, verdicts = basis_monomials(2), []
     for s in (moyal_star(4), star_from_LL(mutated, check=False)):
-        verdicts.append(all(s.associativity_defect(u, v, w).is_zero_mod(s.order)
+        verdicts.append(all(associativity_defect(s, u, v, w).is_zero_mod(s.order)
                             for u, v, w in itertools.product(basis, repeat=3)))
         assert s.is_associative(2) == verdicts[-1]
     assert verdicts == [True, False]
+
+
+# -- satisfies: the written relations of a presentation ------------------------------
+
+def test_the_stabilisers_are_derived_from_the_relations():
+    # as permutations of the triple positions (x, y, z)
+    everything = {(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)}
+    jacobi, distributive, associator = (set(stab) for _, stab in _compiled(builtin("LLq")))
+    assert jacobi == everything
+    assert distributive == {(0, 1, 2), (0, 2, 1)}
+    assert associator == {(0, 1, 2), (2, 1, 0)}
+    assert [set(stab) for _, stab in _compiled(builtin("Ass"))] == [{(0, 1, 2)}]
+
+
+def test_the_polarized_product_is_llq_and_not_llinf_or_poisson():
+    # q = t^2: the associator is t^2 {y, {x, z}}, zero in LLinf and Poisson
+    data = POLARIZED
+    assert satisfies(builtin("LLq"), data.ops, 3, data.order) == (True, None)
+    for name, relation in (("LLinf", "b(y,b(x,z))"),
+                           ("Poiss_polarized", "c(c(x,y),z) - c(x,c(y,z))")):
+        assert satisfies(builtin(name), data.ops, 3, data.order) == (
+            False, f"{relation} fails on ((1)*p, (1)*p, (1)*x^2)")
+
+
+def test_a_coefficient_outside_q_of_q_is_refused():
+    with pytest.raises(QuantizeError, match=r"^LLq_depolarized: coefficient .* "
+                                            r"is not in Q\[q\]$"):
+        satisfies(builtin("LLq_depolarized"), (moyal_star(4),), 1, 4)
+
+
+def test_one_operation_per_generator():
+    with pytest.raises(QuantizeError, match="^LLq has 2 generators but 1 "
+                                            "operations were given$"):
+        satisfies(builtin("LLq"), POLARIZED.ops[:1], 1, 4)
+    # and one name per written relation
+    with pytest.raises(ValueError):
+        satisfies(builtin("LLq"), POLARIZED.ops, 1, 4, ("jacobi",))
+
+
+def test_a_non_symmetric_product_gets_a_symmetry_failure():
+    lopsided = LLData(4, lambda u, v: u * v + u.dx() * v, POLARIZED.ops[1])
+    assert check_LL(lopsided, 2) == (False, "c is not symmetric on ((1)*1, (1)*x)")
