@@ -366,7 +366,10 @@ def _check_pair(mu, delta) -> None:
 def assoc_defect(mu: MultiMap) -> MultiMap:
     """mu(mu(a,b),c) - mu(a,mu(b,c)) as a (3 -> 1) tensor."""
     _check_pair(mu, None)
-    d, mus = mu.d, mu.coeffs.items()
+    return _assoc_defect(mu.d, mu.coeffs.items())
+
+
+def _assoc_defect(d: int, mus) -> MultiMap:
     cc = {}
     for (o1, (s, cidx)), c1 in mus:
         for (o2, (aidx, bidx)), c2 in mus:
@@ -384,7 +387,10 @@ def assoc_defect(mu: MultiMap) -> MultiMap:
 def coassoc_defect(delta: MultiMap) -> MultiMap:
     """(delta x id)delta - (id x delta)delta as a (1 -> 3) tensor."""
     _check_pair(None, delta)
-    d, deltas = delta.d, delta.coeffs.items()
+    return _coassoc_defect(delta.d, delta.coeffs.items())
+
+
+def _coassoc_defect(d: int, deltas) -> MultiMap:
     cc = {}
     for ((s, w3), (a,)), c1 in deltas:
         for ((w1, w2), (t,)), c2 in deltas:
@@ -402,7 +408,10 @@ def coassoc_defect(delta: MultiMap) -> MultiMap:
 def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
     """delta(mu(u,v)) - u_(1) (x) mu(u_(2), v) - mu(u, v_(1)) (x) v_(2)."""
     _check_pair(mu, delta)
-    d, mus, deltas = mu.d, mu.coeffs.items(), delta.coeffs.items()
+    return _compatibility_defect(mu.d, mu.coeffs.items(), delta.coeffs.items())
+
+
+def _compatibility_defect(d: int, mus, deltas) -> MultiMap:
     cc = {}
     for ((w1, w2), (s,)), c1 in deltas:
         for ((t,), (uu, vv)), c2 in mus:
@@ -424,6 +433,8 @@ def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
 
 def infinitesimal_bialgebra_axioms(mu: MultiMap, delta: MultiMap):
     """The three axiom tensors (associativity, coassociativity,
-    compatibility), computed by direct contraction."""
+    compatibility), computed by direct contraction; each view is decoded once."""
     _check_pair(mu, delta)
-    return assoc_defect(mu), coassoc_defect(delta), compatibility_defect(mu, delta)
+    mus, deltas = mu.coeffs.items(), delta.coeffs.items()
+    return (_assoc_defect(mu.d, mus), _coassoc_defect(mu.d, deltas),
+            _compatibility_defect(mu.d, mus, deltas))

@@ -29,6 +29,10 @@ holds exactly two operations, so a common factor c multiplies every
 defect by c^2 and cannot change a verdict or the first failure.  Every
 axiom check on this carrier is `satisfies` on a builtin presentation; it
 skips a triple only for a smaller one with the same defect up to sign.
+Its operations must be bilinear over Q[t], and the order of op(u, v) may
+depend only on the orders of u and v.  The components u *_k v that
+`commutative_mod_t` and the Poisson check use are not Q[t]-linear; they
+qualify because their values, hence every inner value they meet, are t-free.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ class TPoly(Frozen):
     coeffs = property(lambda self: MappingProxyType(self._coeffs))
 
     def __add__(self, other):
+        if not isinstance(other, TPoly):
+            return NotImplemented
         cc = dict(self._coeffs)
         for k, v in other._coeffs.items():
             cc[k] = cc.get(k, 0) + v
@@ -117,7 +123,7 @@ class TPoly(Frozen):
         return TPoly._of({k: -v for k, v in self._coeffs.items()}, self.order)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, TPoly) else NotImplemented
 
     def scale(self, s) -> "TPoly":
         s = exact(s)
@@ -363,15 +369,16 @@ class LLData:
     def mutate_bracket(self, m1: tuple, m2: tuple, out: tuple, delta) -> "LLData":
         """Corrupt one structure coefficient of the bracket (antisymmetrised,
         so the result is still a bracket); m1, m2 are (xdeg, pdeg) basis
-        monomials and out a (t, x, p) target monomial."""
-        delta = exact(delta)
+        monomials and out a (t, x, p) target monomial.  The bump is bilinear
+        over Q[t]: on t^k1 m1, t^k2 m2 it is t^(k1 + k2) delta out."""
+        m1, m2, bump = tuple(m1), tuple(m2), TPoly({tuple(out): delta})
 
-        def coeff_of(u: TPoly, mono):
-            return u._coeffs.get((0,) + tuple(mono), 0)
+        def part(u, m):     # the coefficient of m in u, a polynomial in t
+            return TPoly({(k[0], 0, 0): c for k, c in u._coeffs.items() if k[1:] == m})
 
         def br(u, v):
-            bump = coeff_of(u, m1) * coeff_of(v, m2) - coeff_of(u, m2) * coeff_of(v, m1)
-            return self.br(u, v) + TPoly({tuple(out): bump * delta})
+            weight = part(u, m1) * part(v, m2) - part(u, m2) * part(v, m1)
+            return self.br(u, v) + weight * bump
 
         return LLData(self.order, self.dot, br, name=self.name + "+mutation")
 
@@ -429,37 +436,67 @@ def satisfies(p, ops, degree: int, order: int, names=None):
     only mod t^0 on (1, 1, 1) raises.  Failures are named by `names` (the
     relation's text by default).  A triple is skipped for r when r's
     stabiliser in Sigma3 (r.g = +-r) maps it to a smaller one with the same
-    defect up to sign: the lex-least failing triple is always checked."""
+    defect up to sign: the lex-least failing triple is always checked.
+
+    Each operation must be bilinear over Q[t], and the order of op(u, v)
+    may depend only on the orders of u and v: it is called on each pair of
+    coefficient-1 monomials at most once and on a zero of each order an
+    inner value g(a, b) has, and f(g(a, b), c) is expanded by bilinearity."""
     if len(ops) != len(p.generators):
         raise QuantizeError(f"{p.name} has {len(p.generators)} generators "
                             f"but {len(ops)} operations were given")
     basis = basis_monomials(degree)
     n = len(basis)
+    keys = [next(iter(m._coeffs))[1:] for m in basis]     # (i, j) of x^i p^j
     rels = [(name, terms, _checked_triples(n, stab)) for name, (terms, stab)
             in zip(names or [r.render() for r in p.relations], _compiled(p), strict=True)]
-    table = [[[op(u, v) for v in basis] for u in basis] for op in ops]
+    values = [{} for _ in ops]      # per op: (i1, j1, i2, j2) -> (k, i, j, c) terms
 
-    def defect(terms, t):   # each operation's value on basis pairs is shared
-        out = []
+    def value(f, key):
+        w = ops[f](TPoly.monomial(*key[:2]), TPoly.monomial(*key[2:]))
+        values[f][key] = terms = tuple(k + (c,) for k, c in sorted(w._coeffs.items()))
+        return terms, w
+
+    @functools.cache
+    def outer_order(f, inner, left):    # of f(g(a, b), c) or f(c, g(a, b)), at most order
+        zero, one = TPoly({}, inner), basis[0]
+        return _min_order(order, (ops[f](zero, one) if left else ops[f](one, zero)).order)
+
+    table = [[[value(g, a + b) for b in keys] for a in keys] for g in range(len(ops))]
+
+    def modulus(terms, t):      # order, capped by each term's order plus its power of t
+        return min([order] + [outer_order(f, table[g][t[i]][t[j]][1].order, left) + shift
+                              for f, g, i, j, _, left, coefs in terms for _, shift in coefs])
+
+    def vanishes(terms, t):
+        top, cc = modulus(terms, t), {}
+        get = cc.get
         for f, g, i, j, l, left, coefs in terms:
-            inner, lone = table[g][t[i]][t[j]], basis[t[l]]
-            value = ops[f](inner, lone) if left else ops[f](lone, inner)
-            out += [(c, shift, value) for c, shift in coefs]
-        return out
+            vals, lone = values[f], keys[t[l]]
+            for k1, i1, j1, c1 in table[g][t[i]][t[j]][0]:
+                key = (i1, j1) + lone if left else lone + (i1, j1)
+                w = vals[key] if key in vals else value(f, key)[0]
+                for c, shift in coefs:
+                    k1s, cw = k1 + shift, c * c1
+                    for k2, i2, j2, c2 in w:
+                        k = k1s + k2
+                        if k >= top:
+                            break
+                        cc[k, i2, j2] = get((k, i2, j2), 0) + cw * c2
+        return not any(cc.values())
 
     for name, terms, _ in rels:
-        if min([order] + [f.order + s for _, s, f in defect(terms, (0, 0, 0))
-                          if f.order is not None]) <= 0:
+        if modulus(terms, (0, 0, 0)) <= 0:
             raise QuantizeError(f"{name} axiom is trusted only mod t^0 at order {order}")
     for gen, tab in zip(p.generators, table):
         sign = {"comm": -1, "anti": 1}.get(gen.symmetry)     # None: no pairs
         for a, b in itertools.combinations_with_replacement(range(n if sign else 0), 2):
-            if not _vanishes(order, ((1, 0, tab[a][b]), (sign, 0, tab[b][a]))):
+            if not (tab[a][b][1] + tab[b][a][1].scale(sign)).is_zero_mod(order):
                 return False, (f"{gen.name} is not {'anti' * (sign == 1)}symmetric "
                                f"on ({basis[a].render()}, {basis[b].render()})")
     for at, t in enumerate(itertools.product(range(n), repeat=3)):
         for name, terms, checked in rels:
-            if checked[at] and not _vanishes(order, defect(terms, t)):
+            if checked[at] and not vanishes(terms, t):
                 return False, f"{name} fails on ({', '.join(basis[k].render() for k in t)})"
     return True, None
 
@@ -497,18 +534,6 @@ def _checked_triples(n: int, stab):
     """Per triple of range(n) in lex order, whether no g in stab lowers it."""
     return bytes(all((t[g[0]], t[g[1]], t[g[2]]) >= t for g in stab)
                  for t in itertools.product(range(n), repeat=3))
-
-
-def _vanishes(modulus, terms):
-    """Whether sum(c * t^shift * f) is 0 mod t^modulus and every t^(f.order + shift)."""
-    modulus = min([modulus] + [f.order + s for _, s, f in terms if f.order is not None])
-    cc = {}
-    for coef, shift, f in terms:
-        for (k, i, j), c in f._coeffs.items():
-            if k + shift < modulus:
-                key = (k + shift, i, j)
-                cc[key] = cc.get(key, 0) + (c if coef == 1 else -c if coef == -1 else coef * c)
-    return not any(cc.values())
 
 
 def classical_limit(s: StarProduct):

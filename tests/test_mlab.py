@@ -532,3 +532,18 @@ def test_mixed_component_stricter_than_compatibility_on_unital_example():
     mu, dl = assoc_mu(), coassoc_delta()
     assert compatibility_defect(mu, dl).is_zero()
     assert not master_residual(mu, dl)[(2, 2)].is_zero()
+
+
+def test_the_axiom_oracle_decodes_each_map_once(monkeypatch):
+    rng = random.Random(11)
+    mu, delta = rmap(rng, 2, 2, 1), rmap(rng, 2, 1, 2)
+    want = (assoc_defect(mu), coassoc_defect(delta), compatibility_defect(mu, delta))
+    decoded, view = [], MultiMap.coeffs
+
+    def counted(self):
+        decoded.append(self)
+        return view.fget(self)
+
+    monkeypatch.setattr(MultiMap, "coeffs", property(counted))
+    assert infinitesimal_bialgebra_axioms(mu, delta) == want
+    assert decoded == [mu, delta]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -37,6 +38,16 @@ def test_tpoly_arithmetic():
     assert x.times_t().divide_t() == x
     with pytest.raises(QuantizeError):
         x.divide_t()
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), None],
+                         ids=["int", "Fraction", "None"])
+def test_adding_a_non_tpoly_is_a_type_error(other):
+    x = mono(1, 0)
+    for combine in (lambda: x + other, lambda: other + x,
+                    lambda: x - other, lambda: other - x):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine()
 
 
 def test_tpoly_orders():
@@ -274,6 +285,21 @@ def test_mutation_flips_verdict():
         assert not ok2 and failure
 
 
+def test_a_mutated_bracket_is_bilinear_over_q_of_t():
+    t = mono(0, 0).times_t()
+    zero = LLData(4, POLARIZED.ops[0], lambda u, v: TPoly())
+    for base, m1, m2 in ((zero, (1, 0), (0, 1)), (POLARIZED, (1, 0), (0, 1)),
+                         (POLARIZED, (2, 0), (1, 1))):
+        bad = base.mutate_bracket(m1, m2, (0, 1, 0), Fraction(1, 2))
+        for u, v in itertools.product(basis_monomials(2), repeat=2):
+            want = bad.br(u, v).times_t()
+            assert bad.br(t * u, v) == want == bad.br(u, t * v)
+    # the bump of t x, p is t times the bump of x, p
+    bad = zero.mutate_bracket((1, 0), (0, 1), (0, 1, 0), 2)
+    assert bad.br(t * mono(1, 0), mono(0, 1)) == mono(1, 0, 2).times_t()
+    assert bad.br(mono(0, 1), t * mono(1, 0)) == mono(1, 0, -2).times_t()
+
+
 def test_component_index_out_of_range():
     s = moyal_star(3)
     basis = basis_monomials(1)
@@ -443,7 +469,9 @@ BENT = LLData(4, lambda u, v: POLARIZED.dot(u, v) + (u.dx().dx() * v.dx().dx()).
     (polarize_star(moyal_star(5)), 4),
     (POLARIZED.mutate_bracket((1, 0), (0, 1), (0, 0, 0), 1), 2),
     (BENT, 2),
-], ids=["moyal4", "moyal5", "mutated", "bent"])
+    (BENT, 3),
+    (polarize_star(moyal_star(3)), 4),
+], ids=["moyal4", "moyal5", "mutated", "bent", "bent-degree3", "moyal3-degree4"])
 def test_check_ll_equals_the_reference(data, degree):
     assert check_LL(data, degree) == reference_check_ll(data, degree)
     if data is BENT:
@@ -468,6 +496,40 @@ def test_is_associative_equals_the_defect_of_every_triple():
 
 
 # -- satisfies: the written relations of a presentation ------------------------------
+
+def counted(op, calls):
+    def wrapped(u, v):
+        calls.append((u, v))
+        return op(u, v)
+    return wrapped
+
+
+def is_unit_monomial(u):
+    (k, _, _), c = next(iter(u.coeffs.items()))
+    return u.order is None and len(u.coeffs) == 1 and k == 0 and c == 1
+
+
+@pytest.mark.parametrize("p, ops, degree, order", [
+    (builtin("LLq"), POLARIZED.ops, 3, 4),
+    (builtin("LLq"), BENT.ops, 2, 4),
+    (builtin("LLq"), POLARIZED.mutate_bracket((1, 0), (0, 1), (0, 0, 0), 1).ops, 2, 4),
+    (builtin("Ass"), (moyal_star(4),), 3, 4),
+    (builtin("free_comm"), (functools.partial(moyal_star(4).component, 0),), 3, 1),
+    (POISSON, classical_limit(moyal_star(3)), 3, 1),
+], ids=["llq", "bent", "mutated", "ass", "free_comm", "poisson"])
+def test_satisfies_calls_each_operation_once_per_monomial_pair(p, ops, degree, order):
+    calls = [[] for _ in ops]
+    got = satisfies(p, [counted(op, c) for op, c in zip(ops, calls)], degree, order)
+    assert got == satisfies(p, ops, degree, order)
+    for c in calls:
+        pairs = [(u, v) for u, v in c if u.coeffs and v.coeffs]
+        assert all(is_unit_monomial(u) and is_unit_monomial(v) for u, v in pairs)
+        assert len(set(pairs)) == len(pairs) >= len(basis_monomials(degree)) ** 2
+        # the rest are zeros, one per order an inner value has and side, against 1
+        probes = [(u, v) for u, v in c if not u.coeffs or not v.coeffs]
+        assert all(mono(0, 0) in (u, v) for u, v in probes)
+        assert len(set(probes)) == len(probes)
+
 
 def test_the_stabilisers_are_derived_from_the_relations():
     # as permutations of the triple positions (x, y, z)
