@@ -14,9 +14,9 @@ A star product is a `rule(u, v)` that is bilinear over the tower and in
 t, and respects t-adic precision: rule(u, v) is trusted modulo
 t^min(u.order, v.order, N_rule), where N_rule is the order the rule
 reports on basis monomials.  `StarProduct` calls its rule only on pairs
-of coefficient-1 monomials x^i p^j, keeps those values in a table filled
-lazily on the instance with two views derived from it, rule(m1, m2) +-
-rule(m2, m1), and expands rule(u, v) +- rule(v, u) in one pass over u x v.
+of coefficient-1 monomials x^i p^j and keeps those values in one table,
+filled lazily on the instance.  It expands rule(u, v) +- rule(v, u) in one
+pass over u x v, reading rule(m1, m2) and rule(m2, m1) from that table.
 
 The worked example is the standard-ordered product u * v = sum_k (t^k/k!)
 (d_p^k u)(d_x^k v), exactly associative and commutative mod t.
@@ -235,62 +235,54 @@ class StarProduct:
         self.order = order
         self.rule = rule
         self.name = name
-        self._tables = {0: {}, 1: {}, -1: {}}    # twist -> {(i1, j1, i2, j2): terms}
+        self._table = {}    # (i1, j1, i2, j2) -> terms of rule(x^i1 p^j1, x^i2 p^j2)
 
     @functools.cached_property
     def precision(self):
         """N_rule, the t-adic order the rule reports on basis monomials."""
         return self.rule(TPoly.monomial(0, 0), TPoly.monomial(0, 0)).order
 
-    def _terms(self, key, twist=0):
-        """rule(m1, m2) + twist * rule(m2, m1) on m1 = x^i1 p^j1, m2 = x^i2 p^j2
-        as (k, i, j, c) terms by t-power.  Only twist 0 calls the rule, and
-        every pair must report `precision`, the order the table is cut at."""
-        table = self._tables[twist]
-        terms = table.get(key)
-        if terms is None:
-            if twist:
-                cc = {}
-                for sign, pair in ((1, key), (twist, key[2:] + key[:2])):
-                    for k, i, j, c in self._terms(pair):
-                        cc[k, i, j] = cc.get((k, i, j), 0) + sign * c
-            else:
-                w = self.rule(TPoly.monomial(*key[:2]), TPoly.monomial(*key[2:]))
-                if w.order != self.precision:
-                    i1, j1, i2, j2 = key
-                    raise QuantizeError(
-                        f"{self.name}: the rule reports order {w.order} on "
-                        f"x^{i1} p^{j1}, x^{i2} p^{j2} but order {self.precision} "
-                        f"on 1, 1")
-                cc = w._coeffs
-            terms = table[key] = tuple(m + (exact(c),) for m, c in sorted(cc.items()) if c)
-            if twist == 1:
-                table[key[2:] + key[:2]] = terms
+    def _terms(self, key):
+        """rule(m1, m2) on m1 = x^i1 p^j1, m2 = x^i2 p^j2 as (k, i, j, c) terms
+        by t-power, tabled.  Every pair must report `precision`, the order
+        the table is cut at."""
+        w = self.rule(TPoly.monomial(*key[:2]), TPoly.monomial(*key[2:]))
+        if w.order != self.precision:
+            i1, j1, i2, j2 = key
+            raise QuantizeError(
+                f"{self.name}: the rule reports order {w.order} on "
+                f"x^{i1} p^{j1}, x^{i2} p^{j2} but order {self.precision} "
+                f"on 1, 1")
+        terms = self._table[key] = tuple(m + (c,) for m, c in sorted(w._coeffs.items()))
         return terms
 
     def expand(self, u: TPoly, v: TPoly, limit=None, twist=0) -> TPoly:
         """rule(u, v) + twist * rule(v, u), twist in (0, 1, -1), by
-        bilinearity from the table of that twist, truncated mod t^limit too."""
+        bilinearity from the table, truncated mod t^limit too: each pair of
+        terms reads rule(m1, m2), and rule(m2, m1) too if twist is nonzero."""
         if twist not in (0, 1, -1):
             raise QuantizeError(f"twist {twist!r} is not 0, 1 or -1")
-        table = self._tables[twist]
+        swaps = (False, True) if twist else (False,)
+        table = self._table
         order = _min_order(_min_order(u.order, v.order),
                            _min_order(self.precision, limit))
         cc = {}
         get = cc.get
         for (k1, i1, j1), c1 in u._coeffs.items():
             for (k2, i2, j2), c2 in v._coeffs.items():
-                pair = (i1, j1, i2, j2)
-                terms = table.get(pair)
-                if terms is None:
-                    terms = self._terms(pair, twist)
-                c12 = c1 * c2
-                for k, i, j, c in terms:
-                    k += k1 + k2
-                    if order is not None and k >= order:
-                        break
-                    key = (k, i, j)
-                    cc[key] = get(key, 0) + c12 * c
+                k12, c12 = k1 + k2, c1 * c2
+                for swap in swaps:
+                    pair = (i2, j2, i1, j1) if swap else (i1, j1, i2, j2)
+                    terms = table.get(pair)
+                    if terms is None:
+                        terms = self._terms(pair)
+                    c12s = -c12 if swap and twist < 0 else c12
+                    for k, i, j, c in terms:
+                        k += k12
+                        if order is not None and k >= order:
+                            break
+                        key = (k, i, j)
+                        cc[key] = get(key, 0) + c12s * c
         return TPoly._of({key: c if type(c) is int else exact(c)
                           for key, c in cc.items() if c}, order)
 
@@ -300,7 +292,11 @@ class StarProduct:
     def component(self, k: int, u: TPoly, v: TPoly) -> TPoly:
         if not 0 <= k < self.order:
             raise QuantizeError(f"component index {k} outside 0..{self.order - 1}")
-        return self.expand(u, v, k + 1).t_component(k)
+        w = self.expand(u, v, k + 1)
+        if w.order <= k:
+            raise QuantizeError(f"{self.name}: component {k} of a product "
+                                f"trusted only mod t^{w.order}")
+        return w.t_component(k)
 
     def commutative_mod_t(self, degree: int) -> bool:
         return satisfies(builtin("free_comm"), (functools.partial(self.component, 0),),
@@ -439,7 +435,8 @@ def satisfies(p, ops, degree: int, order: int, names=None):
     defect up to sign: the lex-least failing triple is always checked.
 
     Each operation must be bilinear over Q[t], and the order of op(u, v)
-    may depend only on the orders of u and v: it is called on each pair of
+    may depend only on the orders of u and v (a monomial pair that reports
+    another order than 1, 1 raises): it is called on each pair of
     coefficient-1 monomials at most once and on a zero of each order an
     inner value g(a, b) has, and f(g(a, b), c) is expanded by bilinearity."""
     if len(ops) != len(p.generators):
@@ -451,9 +448,14 @@ def satisfies(p, ops, degree: int, order: int, names=None):
     rels = [(name, terms, _checked_triples(n, stab)) for name, (terms, stab)
             in zip(names or [r.render() for r in p.relations], _compiled(p), strict=True)]
     values = [{} for _ in ops]      # per op: (i1, j1, i2, j2) -> (k, i, j, c) terms
+    first = {}                      # per op: the order of its first tabled pair, 1, 1
 
     def value(f, key):
         w = ops[f](TPoly.monomial(*key[:2]), TPoly.monomial(*key[2:]))
+        if first.setdefault(f, w.order) != w.order:
+            i1, j1, i2, j2 = key
+            raise QuantizeError(f"{p.generators[f].name} reports order {w.order} on "
+                                f"x^{i1} p^{j1}, x^{i2} p^{j2} but order {first[f]} on 1, 1")
         values[f][key] = terms = tuple(k + (c,) for k, c in sorted(w._coeffs.items()))
         return terms, w
 
@@ -539,10 +541,7 @@ def _checked_triples(n: int, stab):
 def classical_limit(s: StarProduct):
     """The t-free Poisson algebra u *_0 v, u *_1 v - v *_1 u (`Poiss_polarized`)."""
 
-    def dot0(u, v):
-        return s.component(0, u, v)
-
     def br0(u, v):
         return s.component(1, u, v) - s.component(1, v, u)
 
-    return dot0, br0
+    return functools.partial(s.component, 0), br0

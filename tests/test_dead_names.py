@@ -1,6 +1,8 @@
 """Every module-level private name in the package is used somewhere in the
 package outside its own definition: a private helper, table or constant
-that nothing reads any more is dead code.  Every name a module imports is
+that nothing reads any more is dead code, and so is a private method,
+class attribute, slot or self attribute of a class that nothing in the
+package reads.  Every name a module imports is
 used in that module (the package's __init__ only re-exports).  Immutability
 is written once, in `scalar.Frozen`, and every slotted class derives from
 it."""
@@ -63,6 +65,68 @@ def test_the_guard_finds_a_leftover():
                      "def _walk(n):\n    return _walk(n - 1)\n"
                      "def scan(t):\n    return _TOKEN.finditer(t)\n")
     assert dead_private_names({"m": tree}) == ["m._PUNCT", "m._walk"]
+
+
+def _members(cls):
+    """(name, definition) for each private method, class attribute, slot
+    and self attribute a class defines."""
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id == "__slots__":
+                    for n in ast.walk(stmt.value):
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                            yield n.value, stmt
+                elif isinstance(t, ast.Name):
+                    yield t.id, stmt
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr, node
+
+
+def dead_private_members(modules):
+    """module name -> parsed source; returns 'module.Class.name' for each
+    private method, class attribute, slot or self attribute of a class
+    that nothing in the package reads outside its own definition."""
+    reads = [(node.attr, node) for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)]
+    dead = []
+    for mod, tree in sorted(modules.items()):
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for name, where in _members(cls):
+                inside = {id(n) for n in ast.walk(where)}
+                if (name.startswith("_") and not name.endswith("__")
+                        and f"{mod}.{cls.name}.{name}" not in dead
+                        and not any(attr == name and id(node) not in inside
+                                    for attr, node in reads)):
+                    dead.append(f"{mod}.{cls.name}.{name}")
+    return dead
+
+
+def test_every_private_member_is_read():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_members(modules) == []
+
+
+def test_the_member_guard_finds_a_leftover():
+    tree = ast.parse("class Box:\n"
+                     "    __slots__ = ('_kept', '_lost')\n"
+                     "    _CACHE = {}\n"
+                     "    def __init__(self):\n"
+                     "        self._kept = self._spare = 1\n"
+                     "    def _walk(self, n):\n"
+                     "        return self._walk(n - 1)\n"
+                     "    def _read(self):\n"
+                     "        return self._kept\n"
+                     "    def value(self):\n"
+                     "        return self._read()\n")
+    assert dead_private_members({"m": tree}) == [
+        "m.Box._lost", "m.Box._CACHE", "m.Box._walk", "m.Box._spare"]
 
 
 def unused_imports(tree):

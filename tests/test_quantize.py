@@ -342,8 +342,8 @@ def test_pair_table_is_filled_once_per_instance():
     assert first == len(set(calls)) + 1
     assert s.is_associative(2) and len(calls) == first
     assert StarProduct(4, rule).is_associative(2) and len(calls) == 2 * first
-    # the symmetrised and antisymmetrised views behind the polarized dot
-    # and br are read off the pair table and call the rule no more
+    # the polarized dot and br read rule(m1, m2) and rule(m2, m1) off the
+    # pair table and call the rule no more
     data = polarize_star(StarProduct(4, rule))
     for u, v in itertools.product(basis_monomials(3), repeat=2):
         data.dot(u, v), data.br(u, v)
@@ -367,6 +367,16 @@ def test_pair_with_another_order_is_rejected():
     with pytest.raises(QuantizeError, match=r"order 3 on x\^1 p\^0, x\^0 p\^1 "
                                             r"but order 4 on 1, 1"):
         s.expand(mono(1, 0), mono(0, 1))
+
+
+def test_a_component_above_the_trusted_order_is_refused():
+    s, x = moyal_star(4), mono(1, 0)
+    # p * x = xp + t: component 1 is 1 for an exact p, unknown for p mod t
+    assert s.component(1, mono(0, 1), x) == mono(0, 0)
+    assert s.component(0, TPoly({(0, 0, 1): 1}, 1), x) == x * mono(0, 1)
+    with pytest.raises(QuantizeError, match=r"^moyal: component 1 of a product "
+                                            r"trusted only mod t\^1$"):
+        s.component(1, TPoly({(0, 0, 1): 1}, 1), x)
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -401,7 +411,13 @@ def test_table_expansion_equals_the_rule(make, u, v):
                 == {k: type(c) for k, c in want.coeffs.items()})
     assert s(u, v) == direct.truncated(s.order)
     for k in range(s.order):
-        assert s.component(k, u, v) == direct.t_component(k)
+        # direct.order is the least of u's, v's and the rule's
+        if direct.order is not None and k >= direct.order:
+            with pytest.raises(QuantizeError, match=rf"component {k} of a product "
+                                                    rf"trusted only mod t\^{direct.order}$"):
+                s.component(k, u, v)
+        else:
+            assert s.component(k, u, v) == direct.t_component(k)
 
 
 def test_expand_takes_only_the_twists_0_and_plus_minus_1():
@@ -555,6 +571,19 @@ def test_a_coefficient_outside_q_of_q_is_refused():
     with pytest.raises(QuantizeError, match=r"^LLq_depolarized: coefficient .* "
                                             r"is not in Q\[q\]$"):
         satisfies(builtin("LLq_depolarized"), (moyal_star(4),), 1, 4)
+
+
+def test_an_operation_whose_order_varies_by_pair_is_refused():
+    dot, br = POLARIZED.ops
+
+    def uneven(u, v):
+        # the polarized bracket, trusted only mod t on the pair (p^2, x^2)
+        w = br(u, v)
+        return w.truncated(1) if (0, 0, 2) in u.coeffs and (0, 2, 0) in v.coeffs else w
+
+    with pytest.raises(QuantizeError, match=r"^b reports order 1 on x\^0 p\^2, x\^2 p\^0 "
+                                            r"but order None on 1, 1$"):
+        check_LL(LLData(4, dot, uneven), 2)
 
 
 def test_one_operation_per_generator():
