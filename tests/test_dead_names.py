@@ -2,10 +2,9 @@
 package outside its own definition: a private helper, table or constant
 that nothing reads any more is dead code, and so is a private method,
 class attribute, slot or self attribute of a class that nothing in the
-package reads.  Every name a module imports is
-used in that module (the package's __init__ only re-exports).  Immutability
-is written once, in `scalar.Frozen`, and every slotted class derives from
-it."""
+package reads.  Every name a module imports is used in that module (the
+package's __init__ only re-exports).  Immutability is written once, in
+`scalar.Frozen`, and every slotted class derives from it."""
 
 import ast
 from pathlib import Path
@@ -76,7 +75,7 @@ def _members(cls):
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             for t in targets:
-                if isinstance(t, ast.Name) and t.id == "__slots__":
+                if isinstance(t, ast.Name) and t.id == "__slots__" and stmt.value:
                     for n in ast.walk(stmt.value):
                         if isinstance(n, ast.Constant) and isinstance(n.value, str):
                             yield n.value, stmt
