@@ -13,7 +13,7 @@ relations, which collects polynomial constraints of degree <= 2 on B.
 The map is Σ3-equivariant and R (x) Γ + Γ (x) R is Σ3-stable, so a row's
 constraints are linear and Σ3-equivariant in it: only rows of R that
 generate it as a Σ3-module are pushed through, and each image is reduced
-as three Scalar matrices, the coefficients of B^2, B and 1.  The
+as three matrices, the coefficients of B^2, B and 1.  The
 constraints' common roots are those of the last row of the reduced
 echelon form of their span, taken as vectors in the columns B^2, B, 1
 over the coefficient tower (a field): no constraint admits every B, a
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .scalar import Frozen, Scalar, as_scalar, SC0, SC1, padd, pmul, _peval
+from .scalar import Frozen, Scalar, as_scalar, exact, padd, pmul, _peval
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
                     left_lambda, sigma3_closure, _eliminate, _rref)
 from .presentation import (Presentation, RelationExpr, relation_vector,
@@ -81,13 +81,14 @@ def check_dihedral(p: Presentation) -> bool:
 # ---------------------------------------------------------------------------
 
 class BPoly(Frozen):
-    """Dense univariate polynomial in the unknown diagonal coefficient."""
+    """Dense univariate polynomial in the unknown diagonal coefficient, with
+    `exact` coefficients; evaluation and rendering go through Scalar."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [c if type(c) is int else exact(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -97,7 +98,7 @@ class BPoly(Frozen):
 
     @classmethod
     def unknown(cls) -> "BPoly":
-        return cls([SC0, SC1])
+        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -135,13 +136,13 @@ class BPoly(Frozen):
         parts = []
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
-            if c.is_zero():
+            if not c:
                 continue
             if k == 0:
-                parts.append(f"({c.render()})")
+                parts.append(f"({as_scalar(c).render()})")
             else:
                 pw = "B" if k == 1 else f"B^{k}"
-                parts.append(pw if c == SC1 else f"({c.render()})*{pw}")
+                parts.append(pw if c == 1 else f"({as_scalar(c).render()})*{pw}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -155,7 +156,7 @@ def _as_bpoly(x):
 
 
 _BP0 = BPoly([])
-_BP1 = BPoly([SC1])
+_BP1 = BPoly([1])
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +241,19 @@ def check_counit(d: DiagonalCandidate) -> bool:
     A+C = 1, B+D = 0, A+B = 1, C+D = 0."""
     if not d.is_numeric():
         raise CheckerError("check_counit expects numeric coefficients")
-    a, b, c, dd = (p(SC0) for p in d)
-    one, zero = SC1, SC0
-    return (a + c == one and b + dd == zero and a + b == one and c + dd == zero)
+    a, b, c, dd = (p(0) for p in d)
+    return a + c == 1 and b + dd == 0 and a + b == 1 and c + dd == 0
 
 
 def coassoc_family(d: DiagonalCandidate) -> str | None:
     """Which of the four coassociative families (i)-(iv) the numeric
     candidate belongs to, or None."""
-    a, b, c, dd = (p(SC0) for p in d)
-    z = SC0
-    if dd == z and c == z and a == b:
+    a, b, c, dd = (p(0) for p in d)
+    if dd == 0 and c == 0 and a == b:
         return "i"
     if b == c and b == -dd:
         return "ii"
-    if dd == z and b == z and a == c:
+    if dd == 0 and b == 0 and a == c:
         return "iii"
     if a == b == c == dd:
         return "iv"
@@ -341,17 +340,18 @@ def _sigma3_generators(shape: EShape, R: Subspace):
 def _row_constraints(shape: EShape, R: Subspace, tbl, r):
     """The surviving coefficients of one relation row's image.  Every
     coefficient has degree <= 2 in B, so the image is split into three
-    Scalar matrices, of B^0, B^1 and B^2, each reduced modulo R, columns
-    first and then rows; only the surviving entries become BPoly."""
+    matrices of `exact` entries, of B^0, B^1 and B^2, each reduced modulo
+    R, columns first and then rows; only the surviving entries become BPoly."""
     n = shape.basis_size
-    parts = [[[SC0] * n for _ in range(n)] for _ in range(3)]   # [k][j][i]
+    parts = [[[0] * n for _ in range(n)] for _ in range(3)]   # [k][j][i]
     for w, cw in enumerate(r):
         if not cw:
             continue
         for c, (i, j) in _delta3(shape, tbl, w):
             for k, ck in enumerate(c.coeffs):
                 col = parts[k][j]
-                col[i] = col[i] + ck * cw
+                x = col[i] + ck * cw
+                col[i] = x if type(x) is int else exact(x)
     for part in parts:
         for col in part:
             if any(col):
@@ -385,13 +385,13 @@ def _solve_constraints(shape: EShape, constraints) -> HopfResult:
     if not constraints:
         return HopfResult("all", "any B", None)
     order = sorted((c for c, _ in constraints),
-                   key=lambda c: sum(x.bit_size() for x in c.coeffs))
-    rows, _ = _rref([(SC0,) * (2 - c.degree) + c.coeffs[::-1] for c in order], 3)
+                   key=lambda c: sum(as_scalar(x).bit_size() for x in c.coeffs))
+    rows, _ = _rref([(0,) * (2 - c.degree) + c.coeffs[::-1] for c in order], 3)
     *above, g = (BPoly(r[::-1]) for r in rows)
     if g.degree == 1:
-        root = -g.coeffs[0]
+        root = as_scalar(-g.coeffs[0])
     elif g.degree == 2 and g.coeffs[1] * g.coeffs[1] == g.coeffs[0] * 4:
-        root = -g.coeffs[1] / 2
+        root = as_scalar(g.coeffs[1]) / -2
     elif g.degree == 2:
         return HopfResult("undecided", None,
                           f"constraints share the factor {g.render()} = 0 "

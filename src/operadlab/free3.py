@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
-from .scalar import as_scalar, SC0, SC1, INV_SQRT2, RESIDUE_P
+from .scalar import Scalar, exact, residue, INV_SQRT2, RESIDUE_P
 
 VARS = ("x", "y", "z")
 
@@ -125,8 +126,8 @@ class EShape:
 
 
 def basis_vector(shape: EShape, idx: int):
-    v = [SC0] * shape.basis_size
-    v[idx] = SC1
+    v = [0] * shape.basis_size
+    v[idx] = 1
     return tuple(v)
 
 
@@ -219,10 +220,10 @@ def left_lambda(shape: EShape, vec):
 class ActionMatrix:
     """A group element (right leg-relabelling action) or LAMBDA (the left
     involution) realised as a signed slot permutation of the canonical
-    basis of the arity-3 component."""
+    basis of the arity-3 component.  It keeps no reference to the shape,
+    which holds it (`EShape.action`): the two are freed without a cycle."""
 
     def __init__(self, shape: EShape, element):
-        self.shape = shape
         self.element = element
         cols = []
         for i in range(shape.basis_size):
@@ -234,25 +235,27 @@ class ActionMatrix:
         self._cols = tuple(cols)
 
     def apply(self, vec):
-        out = [SC0] * self.shape.basis_size
+        out = [0] * len(self._cols)
         for i, c in enumerate(vec):
-            if not c:
-                continue
-            j, s = self._cols[i]
-            out[j] = out[j] + (c if s == 1 else -c)
+            if c:
+                j, s = self._cols[i]
+                out[j] = c if s == 1 else -c    # a permutation: j is hit once
         return tuple(out)
 
     __call__ = apply
 
 
 # ---------------------------------------------------------------------------
-# exact subspaces (reduced row echelon form over the Scalar field)
+# exact subspaces (reduced row echelon form over the coefficient tower)
 # ---------------------------------------------------------------------------
 
 class Subspace:
     """Row-reduced span of the vectors, closed under the actions (see
     `_rref`), in the arity-3 component; the representation is canonical,
-    so equality of subspaces is equality of data."""
+    so equality of subspaces is equality of data.  Whatever types the
+    vectors come in, every entry of the rows is `scalar.exact`, which keeps
+    equality and the hash; `ActionMatrix` and `SlotMap` images of such
+    vectors are `exact` too."""
 
     def __init__(self, shape: EShape, vectors=(), actions=()):
         self.shape = shape
@@ -286,7 +289,7 @@ class Subspace:
     @functools.cached_property
     def residues(self):
         """The residue view: the rows' entries mapped to Z/P by
-        `Scalar.residue`, as int lists, or None if an entry has a pole.
+        `scalar.residue`, as int lists, or None if an entry has a pole.
         Computed at most once per instance.  The rows have pivot 1 and 0 at
         the other pivots, so the exact remainder of a vector a modulo this
         space is a - sum a[p] row_p, and its residue follows from these rows
@@ -305,7 +308,7 @@ class Subspace:
         Certificate first: the rank mod P of the residues of the r_i
         comes from the two residue views alone (`_residue_rank`), and a
         rank k proves a k x k minor nonzero over the tower
-        (`Scalar.residue` is a ring homomorphism), so the intersection is
+        (`scalar.residue` is a ring homomorphism), so the intersection is
         0 and no exact remainder is computed.  A pole in either space or a
         shorter rank proves nothing, and the exact elimination runs
         unchanged."""
@@ -335,7 +338,7 @@ class Subspace:
         Certificate first: each image, as it is built, is checked by the
         residue of its exact remainder, which comes from the residue view
         alone (`_residue_rank` of the image is 0 or 1); a nonzero one
-        proves that image outside the space (`Scalar.residue` is a ring
+        proves that image outside the space (`scalar.residue` is a ring
         homomorphism), and the answer is False with no exact reduction and
         no further image.  A pole in the rows or in an image, or zero
         residues throughout, prove nothing, and the images are then reduced
@@ -368,11 +371,13 @@ def _rref(vectors, width, actions=()):
     each one kept (not already in the span) appends its images to the list,
     except an image equal to one appended before.  The kept vectors span
     the result and each of their images is inserted, so the span is closed
-    when the list runs out.  The form is canonical: the order does not show."""
+    when the list runs out.  The form is canonical: the order does not show.
+    Each item is made `exact` first, and so are its images."""
     rows: list = []
     pivots: list = []
     work, seen = list(vectors), set()
     for v in work:      # work grows while it is read
+        v = tuple(c if type(c) is int else exact(c) for c in v)
         if _rref_insert(rows, pivots, v, width) is not None:
             for ap in actions:
                 w = ap(v)
@@ -384,13 +389,14 @@ def _rref(vectors, width, actions=()):
 
 def _eliminate(vec, rows, pivots, width):
     """Clear the list vec (in place) at every pivot column of the echelon
-    rows, and return it."""
+    rows, and return it; each entry it changes is `exact`."""
     for row, p in zip(rows, pivots):
         c = vec[p]
         if c:
             for k in range(p, width):
                 if row[k]:
-                    vec[k] = vec[k] - c * row[k]
+                    x = vec[k] - c * row[k]
+                    vec[k] = x if type(x) is int else exact(x)
     return vec
 
 
@@ -399,23 +405,25 @@ def _rref_insert(rows, pivots, vec, width):
     back-eliminate, and insert in pivot order.  Returns the pivot column or
     None when the vector was already in the span.  A pivot entry that is
     already 1 (most of them on rational relations) needs no inverse and
-    no scaling."""
+    no scaling; a rational one is inverted as a Fraction."""
     if len(vec) != width:
         raise Free3Error(f"vector length {len(vec)} != ambient {width}")
     vec = _eliminate(list(vec), rows, pivots, width)
     piv = next((k for k in range(width) if vec[k]), None)
     if piv is None:
         return None
-    if vec[piv] != SC1:
-        inv = vec[piv].inverse()
-        vec = [c * inv if c else SC0 for c in vec]
-        vec[piv] = SC1
+    lead = vec[piv]
+    if lead != 1:
+        inv = lead.inverse() if isinstance(lead, Scalar) else Fraction(1, lead)
+        vec = [exact(c * inv) if c else 0 for c in vec]
+        vec[piv] = 1
     for row in rows:
         c = row[piv]
         if c:
             for k in range(piv, width):
                 if vec[k]:
-                    row[k] = row[k] - c * vec[k]
+                    x = row[k] - c * vec[k]
+                    row[k] = x if type(x) is int else exact(x)
     at = next((i for i, p in enumerate(pivots) if p > piv), len(pivots))
     rows.insert(at, vec)
     pivots.insert(at, piv)
@@ -423,11 +431,11 @@ def _rref_insert(rows, pivots, vec, width):
 
 
 def _residues(vectors):
-    """The vectors' entries mapped to Z/P by `Scalar.residue`, as int
+    """The vectors' entries mapped to Z/P by `scalar.residue`, as int
     lists, or None when an entry has a pole."""
     out = []
     for vec in vectors:
-        row = [c.residue() if c else 0 for c in vec]
+        row = [residue(c) if c else 0 for c in vec]
         if None in row:
             return None
         out.append(row)
@@ -473,13 +481,14 @@ def sigma3_closure(shape: EShape, vectors) -> Subspace:
 
 class SlotMap:
     """A linear, transposition-equivariant map between generator modules,
-    given per source slot as a list of (Scalar, target_slot); applied at
-    both vertices it induces a map between arity-3 components."""
+    given per source slot as a list of (coefficient, target_slot), kept
+    `exact`; applied at both vertices it induces a map between arity-3
+    components."""
 
     def __init__(self, src: EShape, dst: EShape, images):
         self.src = src
         self.dst = dst
-        self.images = {s: tuple((as_scalar(c), t) for c, t in imgs)
+        self.images = {s: tuple((exact(c), t) for c, t in imgs)
                        for s, imgs in images.items()}
         if set(self.images) != set(range(src.dim)):
             raise Free3Error("slot map must cover every source slot")
@@ -502,7 +511,7 @@ class SlotMap:
         return self.src.dim == self.dst.dim and self.matrix_rank() == self.src.dim
 
     def apply(self, vec):
-        out = [SC0] * self.dst.basis_size
+        out = [0] * self.dst.basis_size
         for i, coeff in enumerate(vec):
             if not coeff:
                 continue
@@ -510,7 +519,8 @@ class SlotMap:
             for cf, f2 in self.images[f]:
                 for cg, g2 in self.images[g]:
                     j = self.dst.index(f2, g2, l)
-                    out[j] = out[j] + coeff * cf * cg
+                    x = out[j] + coeff * cf * cg
+                    out[j] = x if type(x) is int else exact(x)
         return tuple(out)
 
     def apply_subspace(self, space: Subspace) -> Subspace:
@@ -518,7 +528,7 @@ class SlotMap:
 
 
 def _collect(imgs, dim):
-    out = [SC0] * dim
+    out = [0] * dim
     for c, t in imgs:
         out[t] = out[t] + c
     return tuple(out)
@@ -549,7 +559,7 @@ def _polarization(src: EShape, dst: EShape, pairs) -> SlotMap:
         images[y] = [(INV_SQRT2, x2), (-INV_SQRT2, y2)]
     for k, (gi, ver) in enumerate(src.slots):
         if k not in images:
-            images[k] = [(SC1, dst.slot(src.gens[gi][0], ver))]
+            images[k] = [(1, dst.slot(src.gens[gi][0], ver))]
     return SlotMap(src, dst, images)
 
 
@@ -596,12 +606,12 @@ def gamma_plus_split(shape: EShape):
         s0 = shape._slot_of[(gi, 0)]
         if sym == "none":
             s1 = shape._slot_of[(gi, 1)]
-            eigen += [(1, ((s0, SC1), (s1, SC1))), (-1, ((s0, SC1), (s1, -SC1)))]
+            eigen += [(1, ((s0, 1), (s1, 1))), (-1, ((s0, 1), (s1, -1)))]
         else:
-            eigen.append((1 if sym == "comm" else -1, ((s0, SC1),)))
+            eigen.append((1 if sym == "comm" else -1, ((s0, 1),)))
     plus_vecs, minus_vecs = [], []
     for (ef, fs), (eg, gs), l in itertools.product(eigen, eigen, range(3)):
-        v = [SC0] * shape.basis_size
+        v = [0] * shape.basis_size
         for (f, cf), (g, cg) in itertools.product(fs, gs):
             v[shape.index(f, g, l)] = cf * cg
         (plus_vecs if ef * eg == 1 else minus_vecs).append(v)

@@ -5,8 +5,9 @@ The carrier is Q[x, p]; test elements are the monomials of total degree
 x, p and the formal parameter t.  The degree bound only caps the probed
 basis and the order N truncates powers of t, so every check is exact.
 
-A `TPoly` keeps each coefficient in its smallest exact type (`exact`): an
-int, a non-integral Fraction, or a tower `Scalar` that is not rational.
+A `TPoly` keeps each coefficient in its smallest exact type (`exact`, which
+is `scalar.exact` on a float-free value): an int, a non-integral Fraction,
+or a tower `Scalar` that is not rational.
 Rational data never touches `Scalar` arithmetic; `render` still writes
 every coefficient through `Scalar.render`.
 
@@ -45,6 +46,7 @@ from types import MappingProxyType
 
 from .free3 import SIGMA3, VARS, right_action
 from .presentation import App, builtin, relation_vector
+from . import scalar
 from .scalar import Frozen, Scalar, as_scalar, INV_SQRT2
 
 
@@ -56,21 +58,20 @@ def _min_order(a, b):
     return b if a is None else a if b is None else min(a, b)
 
 
+def _order_text(n):
+    return "exact" if n is None else f"order {n}"
+
+
 def exact(c):
     """A coefficient in its smallest exact type: int, non-integral
     Fraction, or a Scalar that is not rational.  c must be an int, a
     Fraction, a finite float or a Scalar."""
-    if not isinstance(c, (int, Fraction)):
-        if isinstance(c, Scalar):
-            if not c.is_rational():
-                return c
-            c = c.as_fraction()
-        elif isinstance(c, float) and isfinite(c):
-            c = Fraction(c)
-        else:
+    if not isinstance(c, (int, Fraction, Scalar)):
+        if not (isinstance(c, float) and isfinite(c)):
             raise QuantizeError(f"coefficient {c!r} is not an int, Fraction, "
                                 "finite float or Scalar")
-    return c.numerator if c.denominator == 1 else c
+        c = Fraction(c)
+    return scalar.exact(c)
 
 
 class TPoly(Frozen):
@@ -250,8 +251,8 @@ class StarProduct:
         if w.order != self.precision:
             i1, j1, i2, j2 = key
             raise QuantizeError(
-                f"{self.name}: the rule reports order {w.order} on "
-                f"x^{i1} p^{j1}, x^{i2} p^{j2} but order {self.precision} "
+                f"{self.name}: the rule reports {_order_text(w.order)} on "
+                f"x^{i1} p^{j1}, x^{i2} p^{j2} but {_order_text(self.precision)} "
                 f"on 1, 1")
         terms = self._table[key] = tuple(m + (c,) for m, c in sorted(w._coeffs.items()))
         return terms
@@ -454,8 +455,9 @@ def satisfies(p, ops, degree: int, order: int, names=None):
         w = ops[f](TPoly.monomial(*key[:2]), TPoly.monomial(*key[2:]))
         if first.setdefault(f, w.order) != w.order:
             i1, j1, i2, j2 = key
-            raise QuantizeError(f"{p.generators[f].name} reports order {w.order} on "
-                                f"x^{i1} p^{j1}, x^{i2} p^{j2} but order {first[f]} on 1, 1")
+            raise QuantizeError(f"{p.generators[f].name} reports {_order_text(w.order)} on "
+                                f"x^{i1} p^{j1}, x^{i2} p^{j2} but {_order_text(first[f])} "
+                                "on 1, 1")
         values[f][key] = terms = tuple(k + (c,) for k, c in sorted(w._coeffs.items()))
         return terms, w
 
@@ -465,13 +467,15 @@ def satisfies(p, ops, degree: int, order: int, names=None):
         return _min_order(order, (ops[f](zero, one) if left else ops[f](one, zero)).order)
 
     table = [[[value(g, a + b) for b in keys] for a in keys] for g in range(len(ops))]
+    # per relation: order, capped by each term's order plus its power of t; every
+    # tabled value of g has order first[g], so this holds on every triple
+    rels = [(name, terms, checked, min([order] + [
+        outer_order(f, first[g], left) + shift
+        for f, g, _, _, _, left, coefs in terms for _, shift in coefs]))
+        for name, terms, checked in rels]
 
-    def modulus(terms, t):      # order, capped by each term's order plus its power of t
-        return min([order] + [outer_order(f, table[g][t[i]][t[j]][1].order, left) + shift
-                              for f, g, i, j, _, left, coefs in terms for _, shift in coefs])
-
-    def vanishes(terms, t):
-        top, cc = modulus(terms, t), {}
+    def vanishes(terms, top, t):
+        cc = {}
         get = cc.get
         for f, g, i, j, l, left, coefs in terms:
             vals, lone = values[f], keys[t[l]]
@@ -487,8 +491,8 @@ def satisfies(p, ops, degree: int, order: int, names=None):
                         cc[k, i2, j2] = get((k, i2, j2), 0) + cw * c2
         return not any(cc.values())
 
-    for name, terms, _ in rels:
-        if modulus(terms, (0, 0, 0)) <= 0:
+    for name, _, _, top in rels:
+        if top <= 0:
             raise QuantizeError(f"{name} axiom is trusted only mod t^0 at order {order}")
     for gen, tab in zip(p.generators, table):
         sign = {"comm": -1, "anti": 1}.get(gen.symmetry)     # None: no pairs
@@ -497,8 +501,8 @@ def satisfies(p, ops, degree: int, order: int, names=None):
                 return False, (f"{gen.name} is not {'anti' * (sign == 1)}symmetric "
                                f"on ({basis[a].render()}, {basis[b].render()})")
     for at, t in enumerate(itertools.product(range(n), repeat=3)):
-        for name, terms, checked in rels:
-            if checked[at] and not vanishes(terms, t):
+        for name, terms, checked, top in rels:
+            if checked[at] and not vanishes(terms, top, t):
                 return False, f"{name} fails on ({', '.join(basis[k].render() for k in t)})"
     return True, None
 

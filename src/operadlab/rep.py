@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import Scalar, ScalarError
+from .scalar import Scalar, ScalarError, exact
 from .free3 import Subspace, ActionMatrix
 
 IRREP_NAMES = ("id", "sgn", "V22", "V31", "V211")
@@ -63,17 +63,18 @@ def restricted_trace(space: Subspace, action: ActionMatrix) -> Fraction:
 
     The rows of the subspace are in reduced echelon form, so the
     coefficient of row i in the expansion of any member is its value at
-    the i-th pivot column.
+    the i-th pivot column.  The entries are `exact`, and so is the sum.
     """
-    total = Scalar.zero()
+    total = 0
     for row, piv in zip(space.rows, space.pivots):
         img = action.apply(row)
         if not space.contains(img):
             raise RepError("subspace is not invariant under the action")
         total = total + img[piv]
-    if not total.is_rational():
+    total = exact(total)
+    if isinstance(total, Scalar):
         raise ScalarError("trace left the rationals; inconsistent action")
-    return total.as_fraction()
+    return Fraction(total)
 
 
 def character_of(space: Subspace) -> CharacterVector:

@@ -35,6 +35,12 @@ zero is num = ()), so equality stays structural and nothing downstream
 can tell the paths apart.  A `RatFunc` difference is the sum with the
 operand's numerator negated (`_sum`), with no negated `RatFunc` built.
 
+`TPoly`, free3's vectors and echelon rows and `BPoly` keep coefficients
+in their smallest exact type, `exact(c)`: an int, a non-integral Fraction
+or a non-rational Scalar.  A rational Scalar compares and hashes like the
+equal int or Fraction, and `residue` maps all three types to Z/P.
+Relation expressions, rendering and results stay Scalar.
+
 Rendering divides through by the leading coefficient of the denominator
 and writes `u` for sqrt(2) and `v` for sqrt(q), e.g.
 ``(q - 1)/(q + 3) + (1/2)*u``.
@@ -453,11 +459,11 @@ class Scalar(Frozen):
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return _S0
+        return SC0
 
     @classmethod
     def one(cls) -> "Scalar":
-        return _S1
+        return SC1
 
     @classmethod
     def q(cls) -> "Scalar":
@@ -663,6 +669,28 @@ def as_scalar(x):
     return NotImplemented if r is NotImplemented else _scalar(r, _R0, _R0, _R0)
 
 
+def exact(c):
+    """c (an int, Fraction, RatFunc or Scalar) in its smallest exact type:
+    an int, a non-integral Fraction, or a Scalar that is not rational."""
+    if not isinstance(c, (int, Fraction)):
+        s = as_scalar(c)
+        if s is NotImplemented:
+            raise TypeError(f"{c!r} is not an exact coefficient")
+        n, d = s.c[0].num, s.c[0].den
+        if s.c[1].num or s.c[2].num or s.c[3].num or len(n) > 1 or len(d) > 1:
+            return s
+        return (n[0] if d[0] == 1 else Fraction(n[0], d[0])) if n else 0
+    return c.numerator if c.denominator == 1 else c
+
+
+def residue(c):
+    """`Scalar.residue` of an `exact` value: its image in Z/P, None at a pole."""
+    if isinstance(c, Scalar):
+        return c.residue()
+    d = c.denominator % RESIDUE_P
+    return c.numerator * pow(d, -1, RESIDUE_P) % RESIDUE_P if d else None
+
+
 # The residue map Scalar.residue: P = 2^61 - 1 is prime, P ≡ 7 mod 8 makes
 # 2 a square mod P, and P ≡ 3 mod 4 gives its root as 2^((P+1)/4).
 RESIDUE_P = (1 << 61) - 1
@@ -690,9 +718,6 @@ def _rational_sqrt(a: Fraction):
     return Fraction(rn, rd)
 
 
-_S0 = Scalar()
-_S1 = Scalar(_R1)
-
-SC0 = _S0
-SC1 = _S1
+SC0 = Scalar()
+SC1 = Scalar(_R1)
 INV_SQRT2 = Scalar.u() * Fraction(1, 2)

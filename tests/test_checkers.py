@@ -20,6 +20,7 @@ from operadlab.checkers import (BPoly, _solve_constraints, _T3, _COMM_TABLE,
                                 _render_row, _row_constraints, _sigma3_generators,
                                 InternalInconsistencyError)
 from operadlab.free3 import _rref
+from operadlab.scalar import as_scalar
 from conftest import associator, E, M, C, B, X, Y, Z
 from test_scalar import small_fracs
 
@@ -281,6 +282,32 @@ HOPF_SCALAR_WITNESS = ("Ass", "G1", "LL0", "LL1", "LLminus3", "LLq",
                        "LLq_depolarized", "Poiss", "Poiss_polarized")
 
 
+def test_a_unique_witness_is_a_scalar():
+    # BPoly holds ints and Fractions on rational data; the witness does not
+    ps = [builtin(n) for n in BUILTIN_NAMES]
+    ps += [builtin("LLq").specialize(q0) for q0 in (0, 1, -3)]
+    unique = [(p, hopf_analyze(p)) for p in ps]
+    unique = [(p, h) for p, h in unique if h.verdict == "unique"]
+    assert len(unique) >= len(HOPF_SCALAR_WITNESS) + 3
+    for p, h in unique:
+        comm = [g.symmetry for g in p.generators] == ["comm"]
+        assert h.witness == {"A": 1} if comm else isinstance(h.witness, Scalar), p.name
+
+
+def is_exact(c):
+    """Whether c follows the `scalar.exact` convention."""
+    return (type(c) is int or type(c) is Fraction and c.denominator != 1
+            or type(c) is Scalar and not c.is_rational())
+
+
+def test_relation_rows_hold_exact_entries():
+    ps = [builtin(n) for n in BUILTIN_NAMES]
+    ps += [parse_presentation(text) for text in pool_draws(2026, 10)]
+    for p in ps:
+        assert all(is_exact(c) for r in p.R.rows for c in r), p.name
+    assert any(type(c) is Scalar for p in ps for r in p.R.rows for c in r)
+
+
 @pytest.mark.parametrize("name", HOPF_SCALAR_WITNESS)
 def test_hopf_witness_self_verifies(name):
     # substituting the witness back kills the relations in the quotient square
@@ -305,7 +332,7 @@ def _hopf_table(p):
 def _echelon(constraints):
     triples = {(Scalar.zero(),) * (2 - c.degree) + c.coeffs[::-1]
                for c, _ in constraints}
-    return _rref(sorted(triples, key=lambda t: sum(x.bit_size() for x in t)), 3)
+    return _rref(sorted(triples, key=lambda t: sum(as_scalar(x).bit_size() for x in t)), 3)
 
 
 # the first three rows of R carry no surviving constraint, the fourth does
@@ -459,7 +486,7 @@ def test_common_linear_factor_is_found_in_any_order(r, lins):
     b = BPoly.unknown()
     lins = [b * a0 + a1 for a0, a1 in lins if a0]
     # two non-proportional linear factors leave exactly B - r in common
-    assume(len({(-l.coeffs[0] / l.coeffs[1]) for l in lins}) >= 2)
+    assume(len({as_scalar(-l.coeffs[0]) / l.coeffs[1] for l in lins}) >= 2)
     polys = [(b - r) * l for l in lins]
     for order in itertools.permutations(polys):
         h = _solve(*order)

@@ -15,7 +15,7 @@ from operadlab import builtin, free3, relation_vector
 from operadlab.free3 import (apply_perm_to_basis, lambda_basis, Free3Error,
                              EDGE, _normalize, _residue_rank, _residues,
                              _rref)
-from operadlab.scalar import RESIDUE_V0
+from operadlab.scalar import RESIDUE_V0, exact
 from conftest import dot_monomial
 
 DATA = Path(__file__).parent / "data"
@@ -303,6 +303,23 @@ def sparse_vector(support, size=12, values=entries):
     return st.dictionaries(st.integers(0, size - 1), values,
                            min_size=1, max_size=support).map(
         lambda d: tuple(d.get(i, Scalar.zero()) for i in range(size)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.lists(sparse_vector(4), min_size=1, max_size=5), st.just(False)),
+    # closed under S4, on rational entries: tower ones can take minutes
+    st.tuples(st.lists(sparse_vector(4, values=small.map(Scalar.from_fraction)),
+                       min_size=1, max_size=3), st.just(True))))
+def test_a_subspace_does_not_see_the_entry_types(t3_shape, case):
+    # Scalar entries, as relation_vector gives them, and their exact forms
+    vs, close = case
+    actions = [t3_shape.action(g) for g in (GAMMA3, TAU12)] if close else ()
+    a = Subspace(t3_shape, vs, actions)
+    b = Subspace(t3_shape, [tuple(exact(c) for c in v) for v in vs], actions)
+    assert (a.rows, a.pivots, hash(a), a.residues) == (b.rows, b.pivots, hash(b), b.residues)
+    assert [[type(c) for c in r] for r in a.rows] == [[type(c) for c in r] for r in b.rows]
+    assert all(type(c) is not Scalar or not c.is_rational() for r in a.rows for c in r)
 
 
 def check_intersection(a, b):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from operadlab.presentation import (_BUILTIN_SRC, ParseError, parse_expression,
                                     parse_presentation)
+from operadlab.scalar import as_scalar
 
 DATA = Path(__file__).parent / "data" / "parse_outcomes.json"
 SEED = 20261018
@@ -66,7 +67,7 @@ def outcome(kind, text):
     try:
         if kind == "presentation":
             p = parse_presentation(text)
-            rows = "|".join(",".join(c.render() for c in r) for r in p.R.rows)
+            rows = "|".join(",".join(as_scalar(c).render() for c in r) for r in p.R.rows)
             return ["ok", p.R.dim, _digest(rows)]
         return ["ok", None, _digest(parse_expression(text).render())]
     except ParseError as e:

@@ -582,8 +582,28 @@ def test_an_operation_whose_order_varies_by_pair_is_refused():
         return w.truncated(1) if (0, 0, 2) in u.coeffs and (0, 2, 0) in v.coeffs else w
 
     with pytest.raises(QuantizeError, match=r"^b reports order 1 on x\^0 p\^2, x\^2 p\^0 "
-                                            r"but order None on 1, 1$"):
+                                            r"but exact on 1, 1$"):
         check_LL(LLData(4, dot, uneven), 2)
+
+
+def test_a_rule_whose_order_varies_by_pair_is_refused():
+    rule = moyal_star(4).rule       # exact on every pair
+
+    def uneven(u, v):   # trusted only mod t^2 on the pair (p^2, x^2)
+        w = rule(u, v)
+        return w.truncated(2) if (0, 0, 2) in u.coeffs and (0, 2, 0) in v.coeffs else w
+
+    with pytest.raises(QuantizeError, match=r"^uneven: the rule reports order 2 on "
+                                            r"x\^0 p\^2, x\^2 p\^0 but exact on 1, 1$"):
+        StarProduct(4, uneven, name="uneven")(mono(0, 2), mono(2, 0))
+
+    def cut(u, v):      # trusted only mod t^3 everywhere but on the pair (x, x)
+        w = rule(u, v)
+        return w if (0, 1, 0) in u.coeffs and (0, 1, 0) in v.coeffs else w.truncated(3)
+
+    with pytest.raises(QuantizeError, match=r"^cut: the rule reports exact on "
+                                            r"x\^1 p\^0, x\^1 p\^0 but order 3 on 1, 1$"):
+        StarProduct(4, cut, name="cut")(mono(1, 0), mono(1, 0))
 
 
 def test_one_operation_per_generator():

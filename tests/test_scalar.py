@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operadlab.scalar import (Scalar, RatFunc, ScalarError, SpecializationError,
-                              RESIDUE_P, RESIDUE_V0, as_scalar)
+                              RESIDUE_P, RESIDUE_V0, as_scalar, exact, residue)
 
 
 def S(x):
@@ -193,6 +193,21 @@ def test_equal_values_hash_equally(x, y):
         for b in forms:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_fracs, big_fracs, st.integers(-5, 5), ratfuncs, scalars()))
+def test_exact_keeps_value_and_hash_in_the_smallest_type(x):
+    e, s = exact(x), as_scalar(x)
+    assert e == s and hash(e) == hash(s) and residue(e) == s.residue()
+    if not s.is_rational():
+        assert type(e) is Scalar
+    else:
+        f = s.as_fraction()
+        assert type(e) is (int if f.denominator == 1 else Fraction) and e == f
+    assert exact(e) is e
+    with pytest.raises(TypeError):
+        exact(0.5)
 
 
 @pytest.mark.parametrize("op", [lambda: 0.5 - Scalar.one(), lambda: "x" / Scalar.one(),
