@@ -286,8 +286,8 @@ def test_a_unique_witness_is_a_scalar():
     # BPoly holds ints and Fractions on rational data; the witness does not
     ps = [builtin(n) for n in BUILTIN_NAMES]
     ps += [builtin("LLq").specialize(q0) for q0 in (0, 1, -3)]
-    unique = [(p, hopf_analyze(p)) for p in ps]
-    unique = [(p, h) for p, h in unique if h.verdict == "unique"]
+    results = [(p, hopf_analyze(p)) for p in ps]
+    unique = [(p, h) for p, h in results if h.verdict == "unique"]
     assert len(unique) >= len(HOPF_SCALAR_WITNESS) + 3
     for p, h in unique:
         comm = [g.symmetry for g in p.generators] == ["comm"]
