@@ -13,9 +13,10 @@ compose in int arithmetic (`==` and `hash` agree across 3 and
 Fraction(3)).  The public constructor drops zeros, checks the shape and
 index range of the keys left and keeps only their codes; every map this
 module computes from given maps (a sum, a multiple, a composition, a
-defect) is built from codes by `_built`, which skips that check.  A map is
-immutable through `scalar.Frozen`, which also makes copy, deepcopy and
-pickle work.
+defect) is built from codes by `_built`, which skips that check and, when
+every value is an int, finds the zeros in C instead of through `_exact`.
+A map is immutable through `scalar.Frozen`, which also makes copy, deepcopy
+and pickle work.
 
 The partial composition comp_ij plugs the j-th output of g into the i-th
 input of f; the remaining lines keep their blocks in place:
@@ -23,10 +24,11 @@ input of f; the remaining lines keep their blocks in place:
     inputs  = (f-inputs 1..i-1,  g-inputs,  f-inputs i+1..b)
     outputs = (g-outputs 1..j-1, f-outputs, g-outputs j+1..c)
 
-It splits each f code once into its i-th input digit x and f_part, its
-other digits at their places in the result, and each g code into its j-th
-output digit y and g_part; with g bucketed by y, the code of the term of an
-f and a g entry with x = y is the integer f_part + g_part.
+It splits each f code into its i-th input digit x and f_part, its other
+digits at their places in the result, and each g code into its j-th output
+digit y and g_part; with g bucketed by y, the code of the term of an f and
+a g entry with x = y is the integer f_part + g_part.  A split depends only
+on the layout (d, shapes, i, j); `_layout` keeps it, in tables filled as met.
 
 The signed total composition is
 
@@ -50,7 +52,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import isfinite
 from types import MappingProxyType
 
@@ -162,16 +164,22 @@ class MultiMap(Frozen):
 # the slot descriptors' setters: Frozen refuses plain assignment
 _SET_D, _SET_M, _SET_N, _SET_CODES = (
     getattr(MultiMap, slot).__set__ for slot in MultiMap.__slots__)
+_INT = frozenset({int})
 
 
 def _built(d: int, m: int, n: int, codes: dict) -> MultiMap:
-    """The MultiMap of the nonzero entries of a code dict, without
-    `_check_keys`: for results whose digits come from checked MultiMaps."""
+    """The MultiMap of the nonzero entries of a code dict, without `_check_keys`
+    (its digits come from checked MultiMaps); int values skip `_nonzero`."""
+    values = codes.values()
+    if not _INT.issuperset(map(type, values)):
+        codes = _nonzero(codes)
+    elif 0 in values:
+        codes = {k: v for k, v in codes.items() if v}
     mm = object.__new__(MultiMap)
     _SET_D(mm, d)
     _SET_M(mm, m)
     _SET_N(mm, n)
-    _SET_CODES(mm, _nonzero(codes))
+    _SET_CODES(mm, codes)
     return mm
 
 
@@ -224,6 +232,21 @@ def _accumulate(acc: dict, coeffs: dict, s) -> None:
 # insertion compositions
 # ---------------------------------------------------------------------------
 
+@cache
+def _layout(d: int, b: int, a: int, dd: int, c: int, i: int, j: int):
+    """comp_ij's place values for f (b inputs, a outputs), g (dd, c) and lines (i, j),
+    and its tables f code -> (f_part, x), g code -> (g_part, y), filled as met."""
+    # at_X is the place value of block X in a result code, whose blocks are
+    # f-inputs i+1..b (at 1), g-inputs, f-inputs 1..i-1, g-outputs j+1..c,
+    # f-outputs and g-outputs 1..j-1
+    f_tail, g_in, f_head, g_tail = d ** (b - i), d ** dd, d ** (i - 1), d ** (c - j)
+    at_f_head = f_tail * g_in
+    at_g_tail = at_f_head * f_head
+    at_f_out = at_g_tail * g_tail
+    return (f_tail, g_in, f_head, g_tail, at_f_head, at_g_tail, at_f_out,
+            at_f_out * d ** a, {}, {})
+
+
 def comp_ij(f: MultiMap, g: MultiMap, i: int, j: int) -> MultiMap:
     """Plug the j-th output of g into the i-th input of f (1-based)."""
     _check_maps(f, g)
@@ -236,28 +259,25 @@ def comp_ij(f: MultiMap, g: MultiMap, i: int, j: int) -> MultiMap:
     if not 1 <= j <= c:
         raise MultiMapError(f"output index {j} out of range 1..{c}")
     d = f.d
-    # at_X is the place value of block X in a result code, whose blocks are
-    # f-inputs i+1..b (at 1), g-inputs, f-inputs 1..i-1, g-outputs j+1..c,
-    # f-outputs and g-outputs 1..j-1
-    f_tail, g_in, f_head, g_tail = d ** (b - i), d ** dd, d ** (i - 1), d ** (c - j)
-    at_f_head = f_tail * g_in
-    at_g_tail = at_f_head * f_head
-    at_f_out = at_g_tail * g_tail
-    at_g_head = at_f_out * d ** a
+    (f_tail, g_in, f_head, g_tail, at_f_head, at_g_tail, at_f_out, at_g_head,
+     f_split, g_split) = _layout(d, b, a, dd, c, i, j)
     by_y = {}
     for code, cg in g._codes.items():
-        rest, ins = divmod(code, g_in)
-        rest, tail = divmod(rest, g_tail)
-        head, y = divmod(rest, d)
-        g_part = ins * f_tail + tail * at_g_tail + head * at_g_head
-        by_y.setdefault(y, []).append((g_part, cg))
+        if (split := g_split.get(code)) is None:
+            rest, ins = divmod(code, g_in)
+            rest, tail = divmod(rest, g_tail)
+            head, y = divmod(rest, d)
+            split = g_split[code] = (ins * f_tail + tail * at_g_tail + head * at_g_head, y)
+        by_y.setdefault(split[1], []).append((split[0], cg))
     cc = {}
     get = cc.get
     for code, cf in f._codes.items():
-        rest, tail = divmod(code, f_tail)
-        rest, x = divmod(rest, d)
-        outs, head = divmod(rest, f_head)
-        f_part = tail + head * at_f_head + outs * at_f_out
+        if (split := f_split.get(code)) is None:
+            rest, tail = divmod(code, f_tail)
+            rest, x = divmod(rest, d)
+            outs, head = divmod(rest, f_head)
+            split = f_split[code] = (tail + head * at_f_head + outs * at_f_out, x)
+        f_part, x = split
         for g_part, cg in by_y.get(x, ()):
             key = f_part + g_part
             cc[key] = get(key, 0) + cf * cg
@@ -271,11 +291,14 @@ def insertion_sign(i: int, b: int, j: int, c: int) -> int:
 def _insertion_sum(f: MultiMap, g: MultiMap, signed: bool) -> MultiMap:
     _check_maps(f, g)
     b, c = f.m, g.n
-    acc = {}
-    for i in range(1, b + 1):
-        for j in range(1, c + 1):
-            s = insertion_sign(i, b, j, c) if signed else 1
-            _accumulate(acc, comp_ij(f, g, i, j)._codes, s)
+    acc = None
+    for i, j in itertools.product(range(1, b + 1), range(1, c + 1)):
+        s = insertion_sign(i, b, j, c) if signed else 1
+        codes = comp_ij(f, g, i, j)._codes
+        if acc is None:
+            acc = dict(codes) if s == 1 else {k: -v for k, v in codes.items()}
+        else:
+            _accumulate(acc, codes, s)
     return _built(f.d, b + g.m - 1, f.n + c - 1, acc)
 
 
@@ -337,16 +360,18 @@ def master_residual(mu: MultiMap, delta: MultiMap) -> dict:
     the self-bracket is twice the signed self-composition and splits into
     the (3 -> 1), (2 -> 2) and (1 -> 3) pieces returned here.
     """
-    _check_pair(mu, delta)
-    return {
-        (3, 1): circ(mu, mu).scale(2),
-        (2, 2): (circ(mu, delta) + circ(delta, mu)).scale(2),
-        (1, 3): circ(delta, delta).scale(2),
-    }
+    return {grade: t.scale(2) for grade, t in _master_pieces(mu, delta).items()}
 
 
 def master_residual_is_zero(mu: MultiMap, delta: MultiMap) -> bool:
-    return all(t.is_zero() for t in master_residual(mu, delta).values())
+    return all(t.is_zero() for t in _master_pieces(mu, delta).values())
+
+
+def _master_pieces(mu, delta) -> dict:
+    """master_residual without the factor 2."""
+    _check_pair(mu, delta)
+    return {(3, 1): circ(mu, mu), (2, 2): circ(mu, delta) + circ(delta, mu),
+            (1, 3): circ(delta, delta)}
 
 
 def _check_pair(mu, delta) -> None:
