@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from operadlab import mlab
 from operadlab.mlab import (MultiMap, MultiMapError, comp_ij, circ, circ_plain,
                             bracket, circ_associator,
                             alternating_associator_sum, master_residual,
@@ -212,6 +213,18 @@ def assert_matches(mm, reference):
         assert type(v) is (int if v.denominator == 1 else Fraction)
 
 
+def assert_compositions_match(f, g):
+    # every comp_ij, circ and circ_plain of f and g against the tuple-view
+    # references
+    rf, rg = ref(f), ref(g)
+    for i in range(1, f.m + 1):
+        for j in range(1, g.n + 1):
+            reference = (f.m + g.m - 1, f.n + g.n - 1, ref_comp(rf, rg, i, j))
+            assert_matches(comp_ij(f, g, i, j), reference)
+    assert_matches(circ(f, g), ref_compose(True)(rf, rg))
+    assert_matches(circ_plain(f, g), ref_compose(False)(rf, rg))
+
+
 @pytest.mark.parametrize("d, f_shape, g_shape", [
     (3, (3, 1), (1, 3)), (3, (2, 2), (2, 2)), (3, (3, 2), (2, 3)), (3, (1, 3), (3, 1)),
     (1, (3, 2), (2, 3)), (1, (1, 1), (1, 1))])
@@ -286,6 +299,127 @@ def test_compositions_match_the_double_sum_definition(maps, s):
                        ref_alternating(refs, reference))
     assert alternating_associator_sum(f, g, h) == alternating_associator_sum(
         f, g, h, compose=circ)
+
+
+def one_entry_maps(d, m, n):
+    return [MultiMap(d, m, n, {(out, inp): 1})
+            for out in itertools.product(range(d), repeat=n)
+            for inp in itertools.product(range(d), repeat=m)]
+
+
+def sparse_map(rng, d, m, n, size):
+    return MultiMap(d, m, n, {
+        (tuple(rng.randrange(d) for _ in range(n)),
+         tuple(rng.randrange(d) for _ in range(m))): rng.choice((-2, -1, 1, 3))
+        for _ in range(size)})
+
+
+def identity_pairs():
+    rng = random.Random(13)
+    pairs = []
+    for d, m, n in ((3, 2, 2), (50, 2, 2), (2, 3, 1)):
+        f, ident = sparse_map(rng, d, m, n, 8), MultiMap.identity(d)
+        pairs += [(f, ident), (ident, f), (ident, ident)]
+    return pairs
+
+
+def basis_pairs():
+    # every pair of one-entry (2 -> 1) and (1 -> 2) maps at d = 3, and a
+    # seeded sample of one-entry (2 -> 2) pairs
+    rng = random.Random(14)
+    two_two = one_entry_maps(3, 2, 2)
+    return ([(f, g) for f in one_entry_maps(3, 2, 1) for g in one_entry_maps(3, 1, 2)]
+            + [(rng.choice(two_two), rng.choice(two_two)) for _ in range(150)])
+
+
+def sparse_pairs():
+    rng = random.Random(15)
+    return [(sparse_map(rng, 50, 2, 2, 12), sparse_map(rng, 50, 2, 2, 12))
+            for _ in range(20)]
+
+
+@pytest.mark.parametrize("pairs", [identity_pairs, basis_pairs, sparse_pairs],
+                         ids=["identity", "basis-d3", "sparse-d50"])
+def test_sparse_and_large_d_compositions_match_the_references(pairs):
+    mlab._layout.cache_clear()      # the tables then hold the codes met here
+    met = {}
+    for f, g in pairs():
+        assert_compositions_match(f, g)
+        for i, j in itertools.product(range(1, f.m + 1), range(1, g.n + 1)):
+            f_met, g_met = met.setdefault((f.d, f.m, f.n, g.m, g.n, i, j), (set(), set()))
+            f_met.update(f.coeffs)
+            g_met.update(g.coeffs)
+    for layout, (f_met, g_met) in met.items():
+        # the split tables fill as codes are met: one entry per distinct
+        # code, never d^(lines) of them
+        *_, f_split, g_split = mlab._layout(*layout)
+        assert len(f_split) == len(f_met) and len(g_split) == len(g_met)
+
+
+def test_a_second_composition_reuses_the_layout_tables(monkeypatch):
+    layout, used = mlab._layout, set()
+
+    def recorded(*key):
+        used.add(key)
+        return layout(*key)
+
+    monkeypatch.setattr(mlab, "_layout", recorded)
+    rng = random.Random(16)
+    f, g, h = (sparse_map(rng, 5, m, n, 8) for m, n in ((2, 2), (1, 2), (2, 1)))
+
+    def compose_all():
+        return (circ(f, g), circ_plain(g, h), circ_associator(f, g, h),
+                alternating_associator_sum(f, g, h, compose=circ_plain))
+
+    def table_sizes():
+        return {key: tuple(map(len, layout(*key)[-2:])) for key in used}
+
+    first = compose_all()
+    misses, sizes = layout.cache_info().misses, table_sizes()
+    assert compose_all() == first
+    assert layout.cache_info().misses == misses
+    assert table_sizes() == sizes and set(sizes) == used
+    assert all(f_size and g_size for f_size, g_size in sizes.values())
+
+
+# -- the Fraction path ----------------------------------------------------------------
+
+# ints and fractions whose products and sums can be integral (1/2 * 2,
+# 2/3 * 3/2) or cancel to 0, the more often at d = 1, where every code is 0
+MIXED = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+                         Fraction(3, 2), Fraction(-3, 2), Fraction(1, 3)])
+
+
+@st.composite
+def mixed_maps(draw):
+    d = draw(st.integers(1, 2))
+    maps = []
+    for _ in range(3):
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        idx = [st.tuples(*[st.integers(0, d - 1)] * k) for k in (n, m)]
+        maps.append(MultiMap(d, m, n, draw(st.dictionaries(st.tuples(*idx), MIXED,
+                                                           min_size=1, max_size=4))))
+    return maps
+
+
+def one_by_one(m, n, c):
+    return MultiMap(1, m, n, {((0,) * n, (0,) * m): c})
+
+
+@settings(max_examples=80, deadline=None)
+@given(maps=mixed_maps())
+# circ of a (2 -> 1) and a (1 -> 1) map at d = 1 cancels to 0; each product
+# below is integral
+@example(maps=[one_by_one(2, 1, Fraction(1, 2)), one_by_one(1, 1, 2), one_by_one(1, 1, 3)])
+@example(maps=[one_by_one(1, 1, Fraction(2, 3)), one_by_one(1, 2, Fraction(3, 2)),
+               one_by_one(2, 1, Fraction(-3, 2))])
+def test_int_and_fraction_compositions_match_the_references(maps):
+    f, g, h = maps
+    assert_compositions_match(f, g)
+    assert_compositions_match(g, h)
+    refs = [ref(x) for x in maps]
+    assert_matches(circ_associator(f, g, h, compose=circ_plain),
+                   ref_associator(*refs, ref_compose(False)))
 
 
 # -- the ungraded symmetry laws under the unsigned composition --------------------
