@@ -26,6 +26,9 @@ leaves the verdict undecided.
 constraint-free generators has a constraint.  So the first row of R with
 one, which a `none` diagnostic names, is the first generator with one,
 the source row of the first constraint `_hopf_constraints` lists.
+
+A substitution isomorphism is decided from the same generators: R2 must
+hold their images and have R's dimension (`check_substitution_iso`).
 """
 
 from __future__ import annotations
@@ -455,11 +458,16 @@ def slotmap_from_exprs(p: Presentation, p2: Presentation, mapping) -> SlotMap:
 
 def check_substitution_iso(p: Presentation, p2: Presentation, mapping) -> bool:
     """True iff the generator substitution is an invertible equivariant map
-    sending the relation space of p exactly onto that of p2."""
+    sending the relation space of p exactly onto that of p2.  The map φ it
+    induces on the arity-3 component is invertible and commutes with Σ3, R
+    is the Σ3-span of `_sigma3_generators` and R2 is Σ3-closed: so φ(R) = R2
+    iff dim R = dim R2 and R2 holds φ(g) for each generator g (usually one
+    row).  No image space is echeloned."""
     sm = slotmap_from_exprs(p, p2, mapping)
     if not sm.is_invertible():
         raise CheckerError("generator map is not invertible")
-    return sm.apply_subspace(p.R) == p2.R
+    return (p.R.dim == p2.R.dim
+            and p2.R.contains_all(map(sm.apply, _sigma3_generators(p.shape, p.R))))
 
 
 def check_implies(p_stronger: Presentation, target: RelationExpr) -> bool:

@@ -273,7 +273,7 @@ class Subspace:
         return not any(self.reduce(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return self.contains_all(other.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.shape == other.shape
@@ -333,26 +333,31 @@ class Subspace:
         return Subspace(self.shape, inter)
 
     def is_invariant(self, action) -> bool:
-        """Whether `action` (vec -> vec) maps every row into this space.
+        """Whether `action` (vec -> vec) maps every row into this space."""
+        return self.contains_all(map(action, self.rows))
 
-        Certificate first: each image, as it is built, is checked by the
+    def contains_all(self, vectors) -> bool:
+        """Whether this space holds every vector of the iterable; the one
+        membership test behind `is_invariant`, `contains_subspace` and
+        `checkers.check_substitution_iso`.
+
+        Certificate first: each vector, as it is drawn, is checked by the
         residue of its exact remainder, which comes from the residue view
-        alone (`_residue_rank` of the image is 0 or 1); a nonzero one
-        proves that image outside the space (`scalar.residue` is a ring
+        alone (`_residue_rank` of the vector is 0 or 1); a nonzero one
+        proves that vector outside the space (`scalar.residue` is a ring
         homomorphism), and the answer is False with no exact reduction and
-        no further image.  A pole in the rows or in an image, or zero
-        residues throughout, prove nothing, and the images are then reduced
-        exactly."""
+        no further vector drawn.  A pole in the rows or in a vector, or zero
+        residues throughout, prove nothing, and the vectors are then
+        reduced exactly."""
         rows = self.residues
-        images = []
-        for r in self.rows:
-            v = action(r)
+        drawn = []
+        for v in vectors:
             if rows is not None:
                 a = _residues([v])
                 if a is not None and _residue_rank(a, rows, self.pivots):
                     return False
-            images.append(v)
-        return all(self.contains(v) for v in images)
+            drawn.append(v)
+        return all(self.contains(v) for v in drawn)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

@@ -28,7 +28,8 @@ It splits each f code into its i-th input digit x and f_part, its other
 digits at their places in the result, and each g code into its j-th output
 digit y and g_part; with g bucketed by y, the code of the term of an f and
 a g entry with x = y is the integer f_part + g_part.  A split depends only
-on the layout (d, shapes, i, j); `_layout` keeps it, in tables filled as met.
+on the layout (d, shapes, i, j); `_layout` keeps it, in tables filled as met
+up to a fixed bound, past which a code is split on each call.
 
 The signed total composition is
 
@@ -165,6 +166,7 @@ class MultiMap(Frozen):
 _SET_D, _SET_M, _SET_N, _SET_CODES = (
     getattr(MultiMap, slot).__set__ for slot in MultiMap.__slots__)
 _INT = frozenset({int})
+_SPLIT_TABLE_MAX = 1024     # entries a split table of `_layout` keeps
 
 
 def _built(d: int, m: int, n: int, codes: dict) -> MultiMap:
@@ -235,7 +237,8 @@ def _accumulate(acc: dict, coeffs: dict, s) -> None:
 @cache
 def _layout(d: int, b: int, a: int, dd: int, c: int, i: int, j: int):
     """comp_ij's place values for f (b inputs, a outputs), g (dd, c) and lines (i, j),
-    and its tables f code -> (f_part, x), g code -> (g_part, y), filled as met."""
+    and its tables f code -> (f_part, x), g code -> (g_part, y), filled as met
+    up to _SPLIT_TABLE_MAX entries."""
     # at_X is the place value of block X in a result code, whose blocks are
     # f-inputs i+1..b (at 1), g-inputs, f-inputs 1..i-1, g-outputs j+1..c,
     # f-outputs and g-outputs 1..j-1
@@ -267,7 +270,9 @@ def comp_ij(f: MultiMap, g: MultiMap, i: int, j: int) -> MultiMap:
             rest, ins = divmod(code, g_in)
             rest, tail = divmod(rest, g_tail)
             head, y = divmod(rest, d)
-            split = g_split[code] = (ins * f_tail + tail * at_g_tail + head * at_g_head, y)
+            split = (ins * f_tail + tail * at_g_tail + head * at_g_head, y)
+            if len(g_split) < _SPLIT_TABLE_MAX:
+                g_split[code] = split
         by_y.setdefault(split[1], []).append((split[0], cg))
     cc = {}
     get = cc.get
@@ -276,7 +281,9 @@ def comp_ij(f: MultiMap, g: MultiMap, i: int, j: int) -> MultiMap:
             rest, tail = divmod(code, f_tail)
             rest, x = divmod(rest, d)
             outs, head = divmod(rest, f_head)
-            split = f_split[code] = (tail + head * at_f_head + outs * at_f_out, x)
+            split = (tail + head * at_f_head + outs * at_f_out, x)
+            if len(f_split) < _SPLIT_TABLE_MAX:
+                f_split[code] = split
         f_part, x = split
         for g_part, cg in by_y.get(x, ()):
             key = f_part + g_part

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -14,11 +15,12 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar, RatFunc
                        ActionMatrix, GAMMA3, TAU12, CYC123, EShape,
                        basis_vector, left_lambda, gamma_plus_split,
                        parse_presentation, Subspace, depolarize_presentation,
-                       BUILTIN_NAMES)
+                       presentation_from_subspace, SlotMap, BUILTIN_NAMES)
 from operadlab.checkers import (BPoly, _solve_constraints, _T3, _COMM_TABLE,
                                 _T3_TABLE, _delta2_table, _hopf_constraints,
                                 _render_row, _row_constraints, _sigma3_generators,
-                                InternalInconsistencyError)
+                                slotmap_from_exprs, InternalInconsistencyError)
+from operadlab.cli import NAMED_MAPS, _named_map
 from operadlab.free3 import _rref
 from operadlab.scalar import as_scalar
 from conftest import associator, E, M, C, B, X, Y, Z
@@ -560,6 +562,147 @@ def test_nonequivariant_map_rejected():
            "b": RelationExpr([(Scalar.one(), App("c", Var("x"), Var("y")))])}
     with pytest.raises(CheckerError):
         check_substitution_iso(LLq, LLq, bad)
+
+
+# The iso verdict against the oracle that echelons the whole image space.
+# The image of a source under a map depends on the source and the map
+# alone, so each is built once.
+_IMAGES = {}
+
+
+def echelon_iso(p, p2, mapping):
+    sm = slotmap_from_exprs(p, p2, mapping)
+    if not sm.is_invertible():
+        raise CheckerError("generator map is not invertible")
+    key = (p.name, p.R, p2.shape,
+           tuple((g, e.render()) for g, e in sorted(mapping.items())))
+    if key not in _IMAGES:
+        _IMAGES[key] = sm.apply_subspace(p.R)
+    return _IMAGES[key] == p2.R
+
+
+def iso_outcome(check, p, p2, mapping):
+    try:
+        return check(p, p2, mapping)
+    except CheckerError as e:
+        return f"error: {e}"
+
+
+def assert_iso_equals_the_oracle(p, p2, mapping):
+    verdict = iso_outcome(check_substitution_iso, p, p2, mapping)
+    assert verdict == iso_outcome(echelon_iso, p, p2, mapping), (p.name, p2.name)
+    return verdict
+
+
+@functools.cache
+def specialized(name, q0):
+    return builtin(name) if q0 is None else builtin(name).specialize(q0)
+
+
+@functools.cache
+def depolarized(name, q0):
+    return depolarize_presentation(specialized(name, q0))
+
+
+def cli_iso_inputs(n1, n2, name, q0):
+    """(source, target, mapping) as `iso n1 n2 --map name [--q q0]` builds them."""
+    p, p2 = specialized(n1, q0), specialized(n2, q0)
+    if name in ("star", "opposite") or ([g.symmetry for g in p.generators]
+                                        != [g.symmetry for g in p2.generators]):
+        p, p2 = depolarized(n1, q0), depolarized(n2, q0)
+    src, dst = (p2, p) if name == "star" else (p, p2)
+    mapping = _named_map(name, src, dst)
+    if q0 is not None:
+        mapping = {g: e.specialize(q0) for g, e in mapping.items()}
+    return src, dst, mapping
+
+
+# the builtins that --q is tried on: LLq in both forms and the two
+# presentations it specializes to
+Q_PARTNERS = ("Ass", "LLq", "LLq_depolarized", "Poiss", "Poiss_polarized")
+
+
+def test_named_maps_match_the_echelon_oracle():
+    seen = set()
+    cases = [(n1, n2, None) for n1, n2 in itertools.product(BUILTIN_NAMES, repeat=2)]
+    cases += [(n1, n2, q0) for n1, n2 in itertools.product(Q_PARTNERS, repeat=2)
+              for q0 in (4, Fraction(1, 4))]
+    for (n1, n2, q0), name in itertools.product(cases, NAMED_MAPS):
+        try:
+            src, dst, mapping = cli_iso_inputs(n1, n2, name, q0)
+        except CheckerError:            # the map names a missing generator
+            continue
+        seen.add((n1, n2, name, q0, assert_iso_equals_the_oracle(src, dst, mapping)))
+    for q0 in (None, 4, Fraction(1, 4)):
+        # LLq at q0 is Ass through the star map, which runs from LLq's side
+        assert ("LLq", "Ass", "star", q0, True) in seen
+        assert ("Ass", "LLq", "star", q0, False) in seen
+    assert ("LL0", "Poiss", "star", None, True) in seen
+    assert ("Ass", "Poiss", "star", None, False) in seen
+    assert {v for *_, v in seen} >= {True, False, "error: generator map is not invertible"}
+
+
+def fractions_apart(rng):
+    """Two rationals a, b with a != ±b, so that a m + b m^op is invertible."""
+    while True:
+        a, b = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2))
+        if a not in (b, -b):
+            return a, b
+
+
+def app_expr(*terms):
+    return RelationExpr([(Scalar.from_fraction(c), App(g, Var(s), Var(t)))
+                         for c, (g, s, t) in terms])
+
+
+def test_random_maps_match_the_echelon_oracle():
+    rng = random.Random(31)
+    one_gen = [n for n in BUILTIN_NAMES
+               if [g.symmetry for g in builtin(n).generators] == ["none"]]
+    polarized = [n for n in BUILTIN_NAMES
+                 if [g.symmetry for g in builtin(n).generators] == ["comm", "anti"]]
+    verdicts = []
+    for k in range(48):
+        if k % 2:       # m -> a m(x,y) + b m(y,x)
+            p = builtin(rng.choice(one_gen))
+            a, b = fractions_apart(rng)
+            mapping = {"m": app_expr((a, ("m", "x", "y")), (b, ("m", "y", "x")))}
+        else:           # c -> αc, b -> βb
+            p = builtin(rng.choice(polarized))
+            (c, cn), (bn, bb) = ((g.name, g.name) for g in p.generators)
+            mapping = {c: app_expr((Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)),
+                                    (cn, "x", "y"))),
+                       bn: app_expr((Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 4)),
+                                     (bb, "x", "y")))}
+        if k % 4 < 2:   # onto the image itself, so that the answer is True
+            sm = slotmap_from_exprs(p, p, mapping)
+            p2 = presentation_from_subspace("image", sm.apply_subspace(p.R))
+        else:
+            pool = one_gen if k % 2 else polarized
+            p2 = builtin(rng.choice(pool))
+        verdicts.append(assert_iso_equals_the_oracle(p, p2, mapping))
+    assert True in verdicts and False in verdicts
+
+
+def test_iso_pairs_of_another_dimension_or_another_space():
+    ident = {"m": app_expr((1, ("m", "x", "y")))}
+    for n1, n2 in (("Ass", "G2"), ("G2", "Ass"), ("G2", "G3"), ("G5", "G6")):
+        p, p2 = builtin(n1), builtin(n2)
+        assert assert_iso_equals_the_oracle(p, p2, ident) is False, (n1, n2)
+    # G2 and G3 have the same dimension: the images decide
+    assert builtin("G2").R.dim == builtin("G3").R.dim == 3
+
+
+def test_iso_builds_no_image_space(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("image space echeloned or compared")
+
+    monkeypatch.setattr(SlotMap, "apply_subspace", refuse)
+    monkeypatch.setattr(Subspace, "__eq__", refuse)
+    assert check_substitution_iso(builtin("Ass"), builtin("LLq_depolarized"),
+                                  {"m": star_map()}) is True
+    assert check_substitution_iso(builtin("Ass"), builtin("Poiss"),
+                                  {"m": star_map()}) is False
 
 
 # -- implications and identities ------------------------------------------------------

@@ -507,6 +507,52 @@ def test_invariance_at_an_unlucky_point(t3_shape, monkeypatch):
     assert half.is_invariant(act) is False and both.is_invariant(act) is True
 
 
+def exact_contains_all(space, vectors):
+    """space.contains_all(vectors) by the exact reduction alone."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(free3.Subspace, "residues", property(lambda self: None))
+        return space.contains_all(vectors)
+
+
+def test_contains_all_at_an_unlucky_point(t3_shape):
+    zero, one, q, v = Scalar.zero(), Scalar.one(), Scalar.q(), Scalar.v()
+    v0 = Scalar.from_fraction(RESIDUE_V0)
+
+    def vec(entries):
+        return tuple(entries.get(i, zero) for i in range(t3_shape.basis_size))
+
+    # with a = v/V0 (residue 1), a e0 + e3 leaves the remainder
+    # (1 - a^2) e3 = ((V0^2 - q)/V0^2) e3 modulo span(e0 + a e3): its
+    # residue is 0 and the certificate proves nothing, but it is nonzero
+    a = v / v0
+    space = Subspace(t3_shape, [vec({0: one, 3: a})])
+    inside, outside = vec({0: q, 3: q * a}), vec({0: a, 3: one})
+    rem = space.reduce(outside)
+    assert rem == vec({3: one - a * a}) and _residues([rem]) == [[0] * 12]
+    assert rem[3] * v0 * v0 == Scalar.from_fraction(RESIDUE_V0 ** 2) - q
+    for vectors, held in (([inside], True), ([outside], False),
+                          ([inside, outside], False), ([], True)):
+        assert space.contains_all(vectors) is held
+        assert exact_contains_all(space, vectors) is held
+    # the same vectors reach it through its other two callers
+    assert space.contains_subspace(Subspace(t3_shape, [outside])) is False
+    assert space.is_invariant(lambda r: outside) is False
+    assert space.is_invariant(lambda r: tuple(q * c for c in r)) is True
+
+
+def test_contains_all_stops_at_the_first_vector_proved_outside(t3_shape):
+    # e5 is outside span(e0) mod P: the vector after it is never drawn
+    space = Subspace(t3_shape, [basis_vector(t3_shape, 0)])
+    drawn = []
+
+    def vectors():
+        for i in (0, 5, 7):
+            drawn.append(i)
+            yield basis_vector(t3_shape, i)
+
+    assert space.contains_all(vectors()) is False and drawn == [0, 5]
+
+
 def test_intersect_rejects_another_shape():
     with pytest.raises(Free3Error, match="subspace shapes differ"):
         builtin("Ass").R.intersect(builtin("Lie").R)

@@ -382,6 +382,24 @@ def test_a_second_composition_reuses_the_layout_tables(monkeypatch):
     assert all(f_size and g_size for f_size, g_size in sizes.values())
 
 
+def test_the_split_tables_stay_bounded_at_large_d():
+    # 200 sparse (2, 2) pairs at d = 50 meet about 2,400 distinct codes per
+    # table, more than the bound: the tables stop at it, and compositions
+    # past it still match the references
+    mlab._layout.cache_clear()
+    rng = random.Random(17)
+    pairs = [(sparse_map(rng, 50, 2, 2, 12), sparse_map(rng, 50, 2, 2, 12))
+             for _ in range(200)]
+    for f, g in pairs:
+        circ(f, g)
+    tables = [t for i, j in itertools.product((1, 2), repeat=2)
+              for t in mlab._layout(50, 2, 2, 2, 2, i, j)[-2:]]
+    assert all(len(t) == mlab._SPLIT_TABLE_MAX for t in tables)
+    for f, g in pairs[-3:] + [(g, f) for f, g in pairs[:3]]:
+        assert_compositions_match(f, g)
+    assert all(len(t) == mlab._SPLIT_TABLE_MAX for t in tables)
+
+
 # -- the Fraction path ----------------------------------------------------------------
 
 # ints and fractions whose products and sums can be integral (1/2 * 2,
