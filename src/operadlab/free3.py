@@ -71,6 +71,7 @@ class EShape:
         self._slot_of = {sl: i for i, sl in enumerate(slots)}
         self._by_name = {n: gi for gi, (n, _) in enumerate(gens)}
         self._actions = {}
+        self._split = None
 
     def __eq__(self, other):
         return isinstance(other, EShape) and self.gens == other.gens
@@ -104,7 +105,9 @@ class EShape:
 
     def action(self, element) -> "ActionMatrix":
         """The signed slot permutation of a group element, or of LAMBDA,
-        built once per instance (equal shapes do not share matrices)."""
+        built once per instance.  Equal shapes built apart do not share
+        matrices; a presentation's specialisations share its shape instance
+        (`Presentation.specialize`), and so its matrices."""
         m = self._actions.get(element)
         if m is None:
             m = self._actions[element] = ActionMatrix(self, element)
@@ -605,7 +608,10 @@ def gamma_plus_split(shape: EShape):
     (e_0 + e_1 and e_0 - e_1 on the slot pair of a no-symmetry generator,
     the single slot of a comm (+1) or anti (-1) one); the monomials of two
     eigenvectors at a lone variable span Gamma_plus or Gamma_minus by the
-    product of their eigenvalues."""
+    product of their eigenvalues.  Computed once per shape instance, which
+    keeps the pair as it keeps its action matrices."""
+    if shape._split is not None:
+        return shape._split
     eigen = []      # (eigenvalue, ((slot, coefficient), ...))
     for gi, (_, sym) in enumerate(shape.gens):
         s0 = shape._slot_of[(gi, 0)]
@@ -620,4 +626,5 @@ def gamma_plus_split(shape: EShape):
         for (f, cf), (g, cg) in itertools.product(fs, gs):
             v[shape.index(f, g, l)] = cf * cg
         (plus_vecs if ef * eg == 1 else minus_vecs).append(v)
-    return Subspace(shape, plus_vecs), Subspace(shape, minus_vecs)
+    shape._split = (Subspace(shape, plus_vecs), Subspace(shape, minus_vecs))
+    return shape._split

@@ -25,6 +25,15 @@ as ``²`` included, is a lexical error.
 Relations compile to exact vectors in the canonical basis of the
 arity-3 free-operad component; the stored relation space R is always
 closed under the inner symmetric-group action.
+
+A specialisation q -> q0 keeps its parent's shape and, where a
+certificate allows, its closed space: F, the rows of R evaluated at q0,
+is the closure S of the specialised relations when the rank mod P of
+their Sigma3-orbit is dim R and each of them lies in F (F is
+Sigma3-closed, so S ⊆ F, and dim S >= dim R = dim F).  That rank test is
+the test that dim R does not drop at q0, where the specialisation and
+the flat limit (the generic echelon form at q0) coincide.  Otherwise S is
+closed exactly (`Presentation.specialize`).
 """
 
 from __future__ import annotations
@@ -33,9 +42,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalar import Frozen, Scalar, as_scalar, SC0, SC1
+from .scalar import Frozen, Scalar, SpecializationError, as_scalar, SC0, SC1
 from . import free3
-from .free3 import EShape, Free3Error, VARS
+from .free3 import EShape, Free3Error, Subspace, VARS
 
 RESERVED = {"x", "y", "z", "q", "u", "v", "operad", "gen", "rel", "params",
             "comm", "anti", "none"}
@@ -212,12 +221,21 @@ class Presentation:
     """Generators plus a compiled, symmetric-group-closed relation space."""
 
     def __init__(self, name, generators, relations, params=(), R=None):
-        """R, when given, is the relation space as it is (already closed);
-        otherwise it is compiled from the relations and closed."""
+        """R, when given, is the relation space as it is (already closed),
+        and its shape, which must be on these generators, is the
+        presentation's; otherwise R is compiled from the relations on a new
+        shape and closed."""
         self.name = str(name)
         self.generators = tuple(GeneratorDecl(*g) for g in generators)
         self.relations = tuple(relations)
-        self.shape = EShape(self.generators)
+        if R is None:
+            self.shape = EShape(self.generators)
+        elif R.shape.gens != self.generators:
+            raise PresentationError(
+                f"the relation space is on the generators {list(R.shape.gens)}, "
+                f"not {[tuple(g) for g in self.generators]}")
+        else:
+            self.shape = R.shape
         used_q = any(_scalar_uses_q(c) for r in self.relations for c, _ in r.terms)
         self.params = ("q",) if ("q" in params or used_q) else ()
         if R is None:
@@ -226,9 +244,32 @@ class Presentation:
         self.R = R
 
     def specialize(self, q0) -> "Presentation":
+        """The presentation at q = q0 (v = sqrt q0): the relations
+        specialised, and as R the Sigma3-closure S of their vectors, on
+        this presentation's shape (its action matrices and Gamma split are
+        reused).
+
+        Certified route (`_specialized_space`): F, the rows of R evaluated
+        at q0, is S when (1) the rank mod P of the Sigma3-orbit of the
+        specialised vectors is dim R and (2) each of them reduces to 0
+        modulo F, exactly.  The image of a row of R under g in Sigma3 is
+        the combination of the rows whose coefficients are its own entries
+        at the pivots, and evaluation at q0 keeps that identity, so F is
+        Sigma3-closed and (2) gives S ⊆ F.  (1) gives dim S >= dim R =
+        dim F, since a minor nonzero mod P is nonzero.  Hence S = F, and
+        F's rows, still reduced with pivot 1, are S's canonical form.  (1)
+        is the test that dim R does not drop at q0, where the
+        specialisation coincides with the flat limit F.  A pole of F at
+        q0, a pole of a residue or a short rank (a genuine drop, as the
+        associator pencil has at q0 = 1, or an unlucky point) prove
+        nothing, and S is closed exactly from the specialised vectors."""
         q0 = Fraction(q0)
         rels = [r.specialize(q0) for r in self.relations]
-        return Presentation(f"{self.name}[q={q0}]", self.generators, rels)
+        vecs = [relation_vector(self.shape, r) for r in rels]
+        R = _specialized_space(self.shape, self.R, vecs, q0)
+        if R is None:
+            R = free3.sigma3_closure(self.shape, vecs)
+        return Presentation(f"{self.name}[q={q0}]", self.generators, rels, R=R)
 
     def render(self) -> str:
         lines = [f"operad {self.name} {{"]
@@ -243,6 +284,31 @@ class Presentation:
 
     def __repr__(self):
         return f"Presentation({self.name}, dim R = {self.R.dim})"
+
+
+def _specialized_space(shape, R, vecs, q0):
+    """F, the rows of the closed space R evaluated at q0, when the
+    certificate of `Presentation.specialize` proves it the Sigma3-closure
+    of the specialised vectors vecs; None when it proves nothing.  The
+    orbit is built on the residues, by the shape's TAU12 and CYC123
+    matrices (signed permutations commute with the residue map)."""
+    res = free3._residues(vecs)
+    if res is None:
+        return None
+    tau, cyc = shape.action(free3.TAU12), shape.action(free3.CYC123)
+    orbit = []
+    for a in res:
+        for b in (a, tau.apply(a)):
+            c = cyc.apply(b)
+            orbit += [b, c, cyc.apply(c)]
+    if free3._residue_rank(orbit, (), ()) != R.dim:
+        return None
+    try:
+        F = Subspace(shape, [[c.specialize(q0) if isinstance(c, Scalar) else c
+                              for c in row] for row in R.rows])
+    except SpecializationError:
+        return None
+    return F if F.contains_all(vecs) else None
 
 
 def _scalar_uses_q(s: Scalar) -> bool:

@@ -335,12 +335,13 @@ class RatFunc(Frozen):
     def __bool__(self):
         return bool(self.num)
 
-    def evaluate(self, q0: Fraction) -> Fraction:
+    def evaluate(self, q0) -> Fraction:
+        """The value at q = q0, computed in integers (`_evaluate`) and made
+        a Fraction once.  A pole raises SpecializationError."""
         q0 = Fraction(q0)
-        d = _peval(self.den, q0)
-        if d == 0:
-            raise SpecializationError(f"pole at q = {q0}")
-        return _peval(self.num, q0) / d
+        if not self.num:
+            return Fraction(0)
+        return Fraction(*_evaluate(self, q0.numerator, q0.denominator, q0))
 
     def render(self) -> str:
         lead = self.den[-1]
@@ -416,6 +417,36 @@ def _peval(a, x0: Fraction):
     for c in reversed(a):
         acc = acc * x0 + c
     return acc
+
+
+def _evaluate(r, a, b, q0):
+    """Integers (n, d), d != 0, with n/d = r(a/b) for a nonzero RatFunc r
+    and q0 = a/b: b^deg(num) num(a/b) and b^deg(den) den(a/b) by
+    `_hhorner`, and the power of b that their degrees differ by.  A pole
+    raises SpecializationError."""
+    num, den = r.num, r.den
+    d = _hhorner(den, a, b)
+    if not d:
+        raise SpecializationError(f"pole at q = {q0}")
+    n, k = _hhorner(num, a, b), len(den) - len(num)
+    return (n * b ** k, d) if k >= 0 else (n, d * b ** -k)
+
+
+def _hhorner(a, n, d):
+    """d^deg(a) a(n/d) for a nonzero integer polynomial a: the homogeneous
+    Horner scheme, all in integers."""
+    acc, pw = a[-1], d
+    for c in a[-2::-1]:
+        acc *= n
+        if c:
+            acc += c * pw
+        pw *= d
+    return acc
+
+
+def _rational(n, d) -> RatFunc:
+    """The constant n/d, for integers n and d != 0."""
+    return _content_free((n,), (d,)) if n else _R0
 
 
 def _as_ratfunc(x):
@@ -602,17 +633,23 @@ class Scalar(Frozen):
         """Substitute q ↦ q0 (and v ↦ the non-negative rational sqrt of q0).
 
         Raises SpecializationError on a pole, or when the element involves v
-        and q0 is not the square of a rational.
+        and q0 is not the square of a rational.  Each nonzero component is
+        evaluated in integers (`_evaluate`), and the two rational components
+        of the result are reduced by one gcd each and built directly.
         """
-        q0 = Fraction(q0)
-        vals = [comp.evaluate(q0) for comp in self.c]
-        if vals[2] == 0 and vals[3] == 0:
-            return Scalar(RatFunc.const(vals[0]), RatFunc.const(vals[1]))
-        r = _rational_sqrt(q0)
-        if r is None:
-            raise SpecializationError(f"sqrt({q0}) is irrational; cannot specialize v")
-        return Scalar(RatFunc.const(vals[0] + r * vals[2]),
-                      RatFunc.const(vals[1] + r * vals[3]))
+        if type(q0) is not Fraction:
+            q0 = Fraction(q0)
+        a, b = q0.numerator, q0.denominator
+        (n0, d0), (n1, d1), (n2, d2), (n3, d3) = (
+            _evaluate(r, a, b, q0) if r.num else (0, 1) for r in self.c)
+        if n2 or n3:
+            r = _rational_sqrt(a, b)
+            if r is None:
+                raise SpecializationError(f"sqrt({q0}) is irrational; cannot specialize v")
+            rn, rd = r
+            n0, d0 = n0 * rd * d2 + rn * n2 * d0, d0 * rd * d2
+            n1, d1 = n1 * rd * d3 + rn * n3 * d1, d1 * rd * d3
+        return _scalar(_rational(n0, d0), _rational(n1, d1), _R0, _R0)
 
     def residue(self):
         """The image in Z/P (P = 2^61 - 1) under q ↦ V0^2, v ↦ V0 and u ↦ a
@@ -708,14 +745,15 @@ def _presidue(a) -> int:
     return acc
 
 
-def _rational_sqrt(a: Fraction):
-    if a < 0:
+def _rational_sqrt(n, d):
+    """(rn, rd) with rn/rd = sqrt(n/d), for n/d in lowest terms with d > 0,
+    or None when n/d is not the square of a rational."""
+    if n < 0:
         return None
-    n, d = a.numerator, a.denominator
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn != n or rd * rd != d:
         return None
-    return Fraction(rn, rd)
+    return rn, rd
 
 
 SC0 = Scalar()

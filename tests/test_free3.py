@@ -638,3 +638,14 @@ def test_action_built_once_per_shape_instance(t3_shape):
     assert twin.action(GAMMA3) is not t3_shape.action(GAMMA3)
     v = basis_vector(t3_shape, 3)
     assert twin.action(GAMMA3).apply(v) == t3_shape.action(GAMMA3).apply(v)
+
+
+def test_gamma_split_built_once_per_shape_instance(t3_shape):
+    # kept on the shape as its action matrices are: check_dihedral on a
+    # presentation and on its specialisations (which share its shape)
+    # builds the split once
+    split = gamma_plus_split(t3_shape)
+    assert gamma_plus_split(t3_shape) is split
+    twin = EShape(t3_shape.gens)
+    assert gamma_plus_split(twin) is not split
+    assert gamma_plus_split(twin) == split

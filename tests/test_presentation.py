@@ -8,6 +8,7 @@ from operadlab import (builtin, parse_presentation, parse_relation,
                        polarize_presentation, depolarize_presentation,
                        sigma3_closure, right_action, SIGMA3, App,
                        RelationExpr, Var, check_implies, CheckerError)
+from operadlab import free3, gamma_plus_split, Subspace
 from operadlab.presentation import parse_expression
 from conftest import associator, E, M, X, Y, Z
 
@@ -324,8 +325,146 @@ def test_llq_specializations():
 
 def test_specialize_pole_in_presentation():
     from operadlab import SpecializationError
-    with pytest.raises(SpecializationError):
+    with pytest.raises(SpecializationError, match=r"^pole at q = -3$"):
         builtin("LLq_depolarized").specialize(-3)
+
+
+# -- specialisation: the certified route against the exact re-closure ------------
+
+SPECIAL_POINTS = (0, 1, -1, -3, 4, Fraction(9, 4), Fraction(1, 4), 2, Fraction(1, 3))
+
+# relations like the benchmark's full-tower templates: u, v and (q-1)/(q+3)
+TOWER_TEXTS = [
+    "operad t_g2 { params: q; gen m: none; rel (v+u)*m(m(x,y),z) - (u*v)*m(x,m(y,z))"
+    " - (v+u)*m(m(y,x),z) + (u*v)*m(y,m(x,z)) = 0; }",
+    "operad t_g4 { params: q; gen m: none; rel (v+u)*m(m(x,y),z)"
+    " - ((q-1)/(q+3))*m(x,m(y,z)) - (v+u)*m(m(z,y),x) + ((q-1)/(q+3))*m(z,m(y,x)) = 0; }",
+    "operad t_g5 { params: q; gen m: none; rel v*m(m(x,y),z) - (q+1)*m(x,m(y,z))"
+    " + v*m(m(y,z),x) - (q+1)*m(y,m(z,x)) + v*m(m(z,x),y) - (q+1)*m(z,m(x,y)) = 0; }",
+    "operad t_gen { params: q; gen m: none; rel (2*v)*m(m(x,y),z) + (v+u)*m(y,m(z,x))"
+    " + (u/2)*m(m(y,z),x) + (v+u)*m(x,m(z,y)) = 0; }",
+    "operad t_q { params: q; gen m: none; rel ((q-1)/(q+3))*m(m(x,y),z) + u*m(x,m(y,z))"
+    " - q*m(m(y,x),z) = 0; }",
+]
+
+# the associator pencil: dim R is 3 at a generic q and 2 at q = 1
+PENCIL = ("operad pencil { params: q; gen m: none; rel m(m(x,y),z) - m(x,m(y,z))"
+          " - m(m(y,x),z) + m(y,m(x,z)) + q*m(m(x,z),y) - q*m(x,m(z,y))"
+          " - q*m(m(y,z),x) + q*m(y,m(z,x)) = 0; }")
+
+# R's echelon form divides by q - 1, which the written coefficients do not
+POLE_IN_R = ("operad pole_in_R { params: q; gen m: none;"
+             " rel m(x,m(y,z)) + (q-1)*m(m(x,y),z) = 0; }")
+
+
+def _reclosed(p, q0):
+    """The exact route: the specialised relations compiled and closed on a
+    new shape."""
+    q0 = Fraction(q0)
+    return Presentation(f"{p.name}[q={q0}]", p.generators,
+                        [r.specialize(q0) for r in p.relations])
+
+
+def _outcome(make):
+    try:
+        s = make()
+    except Exception as e:      # the error type and message must agree too
+        return type(e), str(e)
+    return (s.name, s.params, s.generators, [r.terms for r in s.relations],
+            s.R.rows, s.R.pivots)
+
+
+def _q_presentations():
+    return ([builtin(n) for n in BUILTIN_NAMES if builtin(n).params]
+            + [parse_presentation(t) for t in TOWER_TEXTS + [PENCIL, POLE_IN_R]])
+
+
+def test_there_are_builtins_with_q():
+    assert {p.name for p in _q_presentations()} >= {"LLq", "LLq_depolarized"}
+
+
+@pytest.mark.parametrize("q0", SPECIAL_POINTS, ids=str)
+def test_specialize_equals_the_exact_reclosure(q0):
+    for p in _q_presentations():
+        assert _outcome(lambda: p.specialize(q0)) == _outcome(lambda: _reclosed(p, q0)), p.name
+
+
+def _closures(monkeypatch):
+    """Count the exact closures from here on."""
+    calls = []
+    real = free3.sigma3_closure
+
+    def spy(shape, vecs):
+        calls.append(shape)
+        return real(shape, vecs)
+
+    monkeypatch.setattr(free3, "sigma3_closure", spy)
+    return calls
+
+
+def test_the_pencil_drops_rank_at_1_and_takes_the_exact_route(monkeypatch):
+    p = parse_presentation(PENCIL)
+    assert p.R.dim == 3
+    # F, R's rows at q = 1, still has dim 3: it is not the specialisation
+    F = Subspace(p.shape, [[c.specialize(1) if isinstance(c, Scalar) else c
+                            for c in row] for row in p.R.rows])
+    assert F.dim == 3
+    want = _outcome(lambda: _reclosed(p, 1))
+    calls = _closures(monkeypatch)
+    s = p.specialize(1)
+    assert s.R.dim == 2 and not s.R.contains_subspace(F)
+    assert calls == [p.shape]
+    assert _outcome(lambda: s) == want
+    assert p.specialize(2).R.dim == 3 and len(calls) == 1
+
+
+@pytest.mark.parametrize("unlucky", ["rank", "residues"])
+def test_an_unlucky_point_gives_the_identical_result(monkeypatch, unlucky):
+    ps = [builtin("LLq"), builtin("LLq_depolarized")] + [parse_presentation(t)
+                                                         for t in TOWER_TEXTS]
+    want = [_outcome(lambda: _reclosed(p, Fraction(9, 4))) for p in ps]
+    if unlucky == "rank":
+        real = free3._residue_rank
+        monkeypatch.setattr(free3, "_residue_rank", lambda *a: max(real(*a) - 1, 0))
+    else:
+        monkeypatch.setattr(free3, "_residues", lambda vectors: None)
+    calls = _closures(monkeypatch)
+    got = [_outcome(lambda: p.specialize(Fraction(9, 4))) for p in ps]
+    assert got == want
+    assert len(calls) == sum(1 for p in ps if p.R.dim)
+
+
+def test_a_pole_of_R_that_the_relations_lack_takes_the_exact_route(monkeypatch):
+    from operadlab import SpecializationError
+    p = parse_presentation(POLE_IN_R)
+    with pytest.raises(SpecializationError):
+        [c.specialize(1) for row in p.R.rows for c in row if isinstance(c, Scalar)]
+    want = _outcome(lambda: _reclosed(p, 1))
+    calls = _closures(monkeypatch)
+    assert _outcome(lambda: p.specialize(1)) == want
+    assert calls == [p.shape]
+
+
+def test_specialize_keeps_the_shape_and_needs_no_closure(monkeypatch):
+    p, tower = builtin("LLq"), parse_presentation(TOWER_TEXTS[1])
+    assert p.specialize(4).shape is p.shape
+    assert gamma_plus_split(p.specialize(4).shape) is gamma_plus_split(p.shape)
+
+    def refuse(shape, vecs):
+        raise AssertionError("the certified route closes nothing")
+
+    monkeypatch.setattr(free3, "sigma3_closure", refuse)
+    assert p.specialize(2).R.dim == 6
+    assert tower.specialize(Fraction(9, 4)).R.dim == tower.R.dim == 3
+
+
+def test_a_given_relation_space_must_be_on_the_generators():
+    R = builtin("Ass").R
+    with pytest.raises(PresentationError, match="generators"):
+        Presentation("wrong", [("c", "comm"), ("b", "anti")], [], R=R)
+    with pytest.raises(PresentationError, match="generators"):
+        Presentation("renamed", [("n", "none")], [], R=R)
+    assert Presentation("same", [("m", "none")], [], R=R).shape is R.shape
 
 
 def test_polarize_presentation_roundtrip():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +257,114 @@ def test_specialize_irrational_root():
 def test_specialize_negative_root():
     with pytest.raises(SpecializationError):
         V.specialize(-4)
+
+
+# -- evaluation in integers, against a Fraction Horner and sympy ---------------
+
+big_ints = st.integers(-(2 ** 100), 2 ** 100)
+big_polys = st.lists(big_ints, min_size=1, max_size=9)          # degree <= 8
+
+# 0, negative and non-integral points
+points = st.one_of(st.just(Fraction(0)),
+                   st.builds(lambda n, d: Fraction(-n, d), st.integers(1, 10 ** 6),
+                             st.integers(1, 40)),
+                   st.builds(lambda n, d: n + Fraction(1, d),
+                             st.integers(-10 ** 6, 10 ** 6), st.integers(2, 40)))
+
+
+@st.composite
+def functions_and_points(draw, polys=big_polys):
+    """A RatFunc and a point, with a pole there in about a third of the
+    draws: the denominator takes the factor (b q - a) of q0 = a/b, which
+    survives unless the numerator vanishes at q0 too."""
+    q0 = draw(points)
+    num = draw(polys)
+    den = draw(polys.filter(any))
+    if draw(st.integers(0, 2)) == 0:
+        den = [0] + den
+        den = [x * q0.denominator - y * q0.numerator for x, y in zip(den, den[1:] + [0])]
+    return RatFunc(num, den), q0
+
+
+def horner(coeffs, q0):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * q0 + c
+    return acc
+
+
+def reference_value(r, q0):
+    """r(q0) by a Fraction Horner scheme; None at a pole."""
+    d = horner(r.den, q0)
+    return horner(r.num, q0) / d if d else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(functions_and_points())
+def test_evaluate_equals_the_fraction_horner(rq):
+    r, q0 = rq
+    want = reference_value(r, q0)
+    if want is None:
+        with pytest.raises(SpecializationError, match=rf"^pole at q = {q0}$"):
+            r.evaluate(q0)
+    else:
+        got = r.evaluate(q0)
+        assert type(got) is Fraction and got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions_and_points())
+def test_evaluate_agrees_with_sympy(rq):
+    sympy = pytest.importorskip("sympy")
+    r, q0 = rq
+    t = sympy.Rational(q0.numerator, q0.denominator)
+    num = sum(sympy.Integer(c) * t ** k for k, c in enumerate(r.num))
+    den = sum(sympy.Integer(c) * t ** k for k, c in enumerate(r.den))
+    if den == 0:
+        with pytest.raises(SpecializationError):
+            r.evaluate(q0)
+    else:
+        value = num / den
+        assert r.evaluate(q0) == Fraction(int(value.p), int(value.q))
+
+
+small_polys = st.lists(st.integers(-(2 ** 100), 2 ** 100), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(functions_and_points(small_polys), min_size=4, max_size=4),
+       st.sampled_from((0, 1, 2)), points)
+def test_scalar_specialize_equals_the_reference(parts, zeros, q0):
+    # the four components at one point, some of them zero (and so skipped),
+    # the point a rational square in about half of the draws
+    if q0 and q0.numerator % 2:
+        q0 = q0 * q0
+    comps = [r for r, _ in parts]
+    for k in range(zeros):
+        comps[3 - 2 * k] = RatFunc([0])
+    s = Scalar(*comps)
+    vals = [reference_value(r, q0) if r else Fraction(0) for r in comps]
+    if None in vals:
+        with pytest.raises(SpecializationError, match=rf"^pole at q = {q0}$"):
+            s.specialize(q0)
+        return
+    if vals[2] or vals[3]:
+        if q0 < 0 or any(isqrt(x) ** 2 != x for x in (q0.numerator, q0.denominator)):
+            with pytest.raises(SpecializationError, match="irrational"):
+                s.specialize(q0)
+            return
+        root = Fraction(isqrt(q0.numerator), isqrt(q0.denominator))
+        vals = [vals[0] + root * vals[2], vals[1] + root * vals[3]]
+    got, want = s.specialize(q0), S(vals[0]) + S(vals[1]) * U
+    assert got == want and got.c == want.c and hash(got) == hash(want)
+    if not vals[1]:
+        assert hash(got) == hash(S(vals[0])) == hash(vals[0])
+
+
+def test_an_irrational_root_still_raises():
+    with pytest.raises(SpecializationError, match=r"^sqrt\(2/9\) is irrational"):
+        (V * Q / (Q + S(1))).specialize(Fraction(2, 9))
+    assert ((V - V) + Q).specialize(Fraction(2, 9)) == S(Fraction(2, 9))
 
 
 # -- rendering ----------------------------------------------------------------
