@@ -25,7 +25,7 @@ from .free3 import (EShape, Subspace, ActionMatrix, SlotMap,
                     span_closure, sigma3_closure, gamma_plus_split,
                     polarize_map, depolarize_map)
 from .presentation import (Presentation, GeneratorDecl, RelationExpr, Var, App,
-                           var, parse_presentation, parse_relation,
+                           parse_presentation, parse_relation,
                            relation_vector, builtin, BUILTIN_NAMES, ParseError,
                            PresentationError, expr_from_vector,
                            presentation_from_subspace, polarize_presentation,
@@ -33,7 +33,7 @@ from .presentation import (Presentation, GeneratorDecl, RelationExpr, Var, App,
 from .checkers import (check_cyclic, check_dihedral, check_coassoc, check_counit,
                        coassoc_family, hopf_analyze, HopfResult, DiagonalCandidate,
                        check_substitution_iso, check_implies, verify_identity,
-                       verdict_report, CheckerError, InternalInconsistencyError)
+                       CheckerError, InternalInconsistencyError)
 from .rep import (CharacterVector, character_of, decompose, decompose_subspace,
                   render_decomposition, verify_table, CHARACTER_TABLE)
 from .mlab import (MultiMap, comp_ij, circ, circ_plain, bracket,

@@ -482,18 +482,3 @@ def check_implies(p_stronger: Presentation, target: RelationExpr) -> bool:
 def verify_identity(p: Presentation, lhs: RelationExpr, rhs: RelationExpr) -> bool:
     """Exact equality of two expressions as free-operad vectors."""
     return (relation_vector(p.shape, lhs) == relation_vector(p.shape, rhs))
-
-
-# ---------------------------------------------------------------------------
-# report assembly
-# ---------------------------------------------------------------------------
-
-def verdict_report(p: Presentation) -> dict:
-    """The JSON-ready verdict object for one presentation."""
-    hopf = hopf_analyze(p)
-    return {
-        "presentation": p.name,
-        "cyclic": check_cyclic(p),
-        "dihedral": check_dihedral(p),
-        "hopf": {"verdict": hopf.verdict, "witness": hopf.witness_str()},
-    }

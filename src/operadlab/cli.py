@@ -1,6 +1,8 @@
 """Command-line front end: verdicts, the results table, decompositions,
 polarization, isomorphism checks and the randomized suites.  --q
 specializes q (and v = sqrt q) in the presentations and in iso's --map.
+iso tries --map star in both directions: either one that carries one
+relation space onto the other is an isomorphism.
 
 Exit codes: 0 success, 2 bad input (a presentation, map or --q value
 that does not parse or does not fit) or a failed check, 3 internal
@@ -23,8 +25,8 @@ from .presentation import (Presentation, ParseError, PresentationError,
                            depolarize_presentation, BUILTIN_NAMES,
                            parse_expression)
 from .checkers import (check_cyclic, check_dihedral, hopf_analyze,
-                       check_substitution_iso, verdict_report,
-                       InternalInconsistencyError, CheckerError)
+                       check_substitution_iso, InternalInconsistencyError,
+                       CheckerError)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -111,24 +113,23 @@ def cmd_table(args) -> int:
              "-" * (8 + width + 35)]
     for name, algebras, koszul in TABLE_ROWS:
         p = builtin(name)
-        r = verdict_report(p)
-        h = r["hopf"]
+        cyclic, dihedral, h = check_cyclic(p), check_dihedral(p), hopf_analyze(p)
         rows.append({
             "operad": name,
             "algebras": algebras,
             "koszul": {"value": koszul, "source": "cited, not computed"},
-            "cyclic": r["cyclic"],
-            "dihedral": r["dihedral"],
-            "hopf": h,
+            "cyclic": cyclic,
+            "dihedral": dihedral,
+            "hopf": {"verdict": h.verdict, "witness": h.witness_str()},
         })
         hopf_col = {"unique": "yes", "all": "yes", "none": "no"}.get(
-            h["verdict"], h["verdict"])
-        if h["witness"] is not None:
-            hopf_col += f" (B = {h['witness']})"
+            h.verdict, h.verdict)
+        if h.witness is not None:
+            hopf_col += f" (B = {h.witness_str()})"
         lines.append(f"{name:<8} {algebras:<{width}} "
                      f"{koszul:<8} "
-                     f"{'yes' if r['cyclic'] else 'no':<7} "
-                     f"{'yes' if r['dihedral'] else 'no':<9} {hopf_col}")
+                     f"{'yes' if cyclic else 'no':<7} "
+                     f"{'yes' if dihedral else 'no':<9} {hopf_col}")
     lines.append("* Koszul column cited from the literature, not computed.")
     payload = {"command": "table", "rows": rows,
                "koszul_note": "cited, not computed"}
@@ -231,14 +232,16 @@ def cmd_iso(args) -> int:
     if (args.map in ("star", "opposite") or [g.symmetry for g in p.generators]
             != [g.symmetry for g in p2.generators]):
         p, p2 = depolarize_presentation(p), depolarize_presentation(p2)
-    # the star formula defines the second product from the first, so the
-    # generator substitution runs from the second presentation's side
-    src, dst = (p2, p) if args.map == "star" else (p, p2)
-    mapping = (_named_map(args.map, src, dst) if args.map in NAMED_MAPS
-               else _parse_map(args.map))
-    if args.q is not None:
-        mapping = {g: e.specialize(args.q) for g, e in mapping.items()}
-    result = check_substitution_iso(src, dst, mapping)
+    # the star formula defines one product from the other: it is tried from
+    # the second presentation's side, then from the first's
+    for src, dst in ((p2, p), (p, p2)) if args.map == "star" else ((p, p2),):
+        mapping = (_named_map(args.map, src, dst) if args.map in NAMED_MAPS
+                   else _parse_map(args.map))
+        if args.q is not None:
+            mapping = {g: e.specialize(args.q) for g, e in mapping.items()}
+        result = check_substitution_iso(src, dst, mapping)
+        if result:
+            break
     payload = {"command": "iso", "source": p.name, "target": p2.name,
                "map": args.map, "isomorphic": result}
     _emit(args, payload, [f"{p.name} -> {p2.name} via {args.map!r}: "
@@ -381,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("p2")
     iso.add_argument("--map", required=True,
                      help="named map (star|opposite|identity|signflip) or "
-                          "'gen=expr; ...'")
+                          "'gen=expr; ...'; star is tried from p2's side, then "
+                          "from p1's, and either one proves an isomorphism")
     common(iso)
     iso.set_defaults(fn=cmd_iso)
 

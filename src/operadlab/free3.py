@@ -275,19 +275,12 @@ class Subspace:
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return self.contains_all(other.rows)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.shape == other.shape
                 and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.shape, self.rows))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        _compat(self, other)
-        return Subspace(self.shape, list(self.rows) + list(other.rows))
 
     @functools.cached_property
     def residues(self):
@@ -315,7 +308,8 @@ class Subspace:
         0 and no exact remainder is computed.  A pole in either space or a
         shorter rank proves nothing, and the exact elimination runs
         unchanged."""
-        _compat(self, other)
+        if self.shape != other.shape:
+            raise Free3Error("subspace shapes differ")
         k = self.dim
         mine, theirs = self.residues, other.residues
         if mine is not None and theirs is not None:
@@ -341,8 +335,8 @@ class Subspace:
 
     def contains_all(self, vectors) -> bool:
         """Whether this space holds every vector of the iterable; the one
-        membership test behind `is_invariant`, `contains_subspace` and
-        `checkers.check_substitution_iso`.
+        membership test behind `is_invariant`, `check_substitution_iso`
+        and the specialisation certificate.
 
         Certificate first: each vector, as it is drawn, is checked by the
         residue of its exact remainder, which comes from the residue view
@@ -355,6 +349,7 @@ class Subspace:
         rows = self.residues
         drawn = []
         for v in vectors:
+            _check_length(v, self.ambient)
             if rows is not None:
                 a = _residues([v])
                 if a is not None and _residue_rank(a, rows, self.pivots):
@@ -364,11 +359,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def _compat(a: Subspace, b: Subspace):
-    if a.shape != b.shape:
-        raise Free3Error("subspace shapes differ")
 
 
 def _rref(vectors, width, actions=()):
@@ -395,9 +385,16 @@ def _rref(vectors, width, actions=()):
     return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
+def _check_length(vec, width):
+    """The check every membership test and elimination passes through."""
+    if len(vec) != width:
+        raise Free3Error(f"vector length {len(vec)} != ambient {width}")
+
+
 def _eliminate(vec, rows, pivots, width):
     """Clear the list vec (in place) at every pivot column of the echelon
     rows, and return it; each entry it changes is `exact`."""
+    _check_length(vec, width)
     for row, p in zip(rows, pivots):
         c = vec[p]
         if c:
@@ -414,8 +411,6 @@ def _rref_insert(rows, pivots, vec, width):
     None when the vector was already in the span.  A pivot entry that is
     already 1 (most of them on rational relations) needs no inverse and
     no scaling; a rational one is inverted as a Fraction."""
-    if len(vec) != width:
-        raise Free3Error(f"vector length {len(vec)} != ambient {width}")
     vec = _eliminate(list(vec), rows, pivots, width)
     piv = next((k for k in range(width) if vec[k]), None)
     if piv is None:

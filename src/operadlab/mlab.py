@@ -382,26 +382,19 @@ def _master_pieces(mu, delta) -> dict:
 
 
 def _check_pair(mu, delta) -> None:
-    """mu must be a (2 -> 1) map and delta a (1 -> 2) map on the same space
-    (either may be None, to check only the other)."""
+    """mu must be a (2 -> 1) map and delta a (1 -> 2) map on the same space."""
     for x, name, shape in ((mu, "mu", (2, 1)), (delta, "delta", (1, 2))):
-        if x is not None:
-            _check_maps(x)
-            if (x.m, x.n) != shape:
-                raise MultiMapError(f"{name} must be a ({shape[0]} -> {shape[1]}) map")
-    if mu is not None and delta is not None and mu.d != delta.d:
+        _check_maps(x)
+        if (x.m, x.n) != shape:
+            raise MultiMapError(f"{name} must be a ({shape[0]} -> {shape[1]}) map")
+    if mu.d != delta.d:
         raise MultiMapError("base dimensions differ")
 
 
 # -- the independent axiom oracle (direct tensor contractions) --------------
 
-def assoc_defect(mu: MultiMap) -> MultiMap:
-    """mu(mu(a,b),c) - mu(a,mu(b,c)) as a (3 -> 1) tensor."""
-    _check_pair(mu, None)
-    return _assoc_defect(mu.d, mu.coeffs.items())
-
-
 def _assoc_defect(d: int, mus) -> MultiMap:
+    """mu(mu(a,b),c) - mu(a,mu(b,c)) as a (3 -> 1) tensor."""
     cc = {}
     for (o1, (s, cidx)), c1 in mus:
         for (o2, (aidx, bidx)), c2 in mus:
@@ -416,13 +409,8 @@ def _assoc_defect(d: int, mus) -> MultiMap:
     return _built(d, 3, 1, _encoded(cc, d))
 
 
-def coassoc_defect(delta: MultiMap) -> MultiMap:
-    """(delta x id)delta - (id x delta)delta as a (1 -> 3) tensor."""
-    _check_pair(None, delta)
-    return _coassoc_defect(delta.d, delta.coeffs.items())
-
-
 def _coassoc_defect(d: int, deltas) -> MultiMap:
+    """(delta x id)delta - (id x delta)delta as a (1 -> 3) tensor."""
     cc = {}
     for ((s, w3), (a,)), c1 in deltas:
         for ((w1, w2), (t,)), c2 in deltas:
@@ -437,13 +425,8 @@ def _coassoc_defect(d: int, deltas) -> MultiMap:
     return _built(d, 1, 3, _encoded(cc, d))
 
 
-def compatibility_defect(mu: MultiMap, delta: MultiMap) -> MultiMap:
-    """delta(mu(u,v)) - u_(1) (x) mu(u_(2), v) - mu(u, v_(1)) (x) v_(2)."""
-    _check_pair(mu, delta)
-    return _compatibility_defect(mu.d, mu.coeffs.items(), delta.coeffs.items())
-
-
 def _compatibility_defect(d: int, mus, deltas) -> MultiMap:
+    """delta(mu(u,v)) - u_(1) (x) mu(u_(2), v) - mu(u, v_(1)) (x) v_(2)."""
     cc = {}
     for ((w1, w2), (s,)), c1 in deltas:
         for ((t,), (uu, vv)), c2 in mus:
@@ -465,7 +448,7 @@ def _compatibility_defect(d: int, mus, deltas) -> MultiMap:
 
 def infinitesimal_bialgebra_axioms(mu: MultiMap, delta: MultiMap):
     """The three axiom tensors (associativity, coassociativity,
-    compatibility), computed by direct contraction; each view is decoded once."""
+    compatibility) by direct contraction, each view decoded once."""
     _check_pair(mu, delta)
     mus, deltas = mu.coeffs.items(), delta.coeffs.items()
     return (_assoc_defect(mu.d, mus), _coassoc_defect(mu.d, deltas),

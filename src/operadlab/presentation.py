@@ -29,7 +29,7 @@ closed under the inner symmetric-group action.
 A specialisation q -> q0 keeps its parent's shape and, where a
 certificate allows, its closed space: F, the rows of R evaluated at q0,
 is the closure S of the specialised relations when the rank mod P of
-their Sigma3-orbit is dim R and each of them lies in F (F is
+their Sigma3-orbit is dim R (evaluation puts each of them in F, which is
 Sigma3-closed, so S ⊆ F, and dim S >= dim R = dim F).  That rank test is
 the test that dim R does not drop at q0, where the specialisation and
 the flat limit (the generic echelon form at q0) coincide.  Otherwise S is
@@ -83,12 +83,6 @@ class App(NamedTuple):
         return f"{self.gen}({self.a.render()},{self.b.render()})"
 
 
-def var(name: str) -> Var:
-    if name not in ("x", "y", "z"):
-        raise PresentationError(f"not a variable: {name!r}")
-    return Var(name)
-
-
 class RelationExpr(Frozen):
     """A scalar-weighted sum of quadratic monomials, read as `= 0`."""
 
@@ -118,16 +112,6 @@ class RelationExpr(Frozen):
         return self.scale(s)
 
     __rmul__ = __mul__
-
-    def substitute(self, mapping) -> "RelationExpr":
-        """Rename variables, e.g. {'x': 'z', 'y': 'x', 'z': 'y'}."""
-
-        def sub(node):
-            if isinstance(node, Var):
-                return Var(mapping.get(node.name, node.name))
-            return App(node.gen, sub(node.a), sub(node.b), node.pos)
-
-        return RelationExpr([(c, sub(t)) for c, t in self.terms])
 
     def specialize(self, q0) -> "RelationExpr":
         """Every coefficient under Scalar.specialize(q0)."""
@@ -250,19 +234,19 @@ class Presentation:
         reused).
 
         Certified route (`_specialized_space`): F, the rows of R evaluated
-        at q0, is S when (1) the rank mod P of the Sigma3-orbit of the
-        specialised vectors is dim R and (2) each of them reduces to 0
-        modulo F, exactly.  The image of a row of R under g in Sigma3 is
-        the combination of the rows whose coefficients are its own entries
-        at the pivots, and evaluation at q0 keeps that identity, so F is
-        Sigma3-closed and (2) gives S ⊆ F.  (1) gives dim S >= dim R =
-        dim F, since a minor nonzero mod P is nonzero.  Hence S = F, and
-        F's rows, still reduced with pivot 1, are S's canonical form.  (1)
-        is the test that dim R does not drop at q0, where the
-        specialisation coincides with the flat limit F.  A pole of F at
-        q0, a pole of a residue or a short rank (a genuine drop, as the
-        associator pencil has at q0 = 1, or an unlucky point) prove
-        nothing, and S is closed exactly from the specialised vectors."""
+        at q0, is S when the rank mod P of the Sigma3-orbit of the
+        specialised vectors is dim R.  R's rows have pivot 1, so each r in
+        R, a relation vector or a Sigma3-image of a row, is sum r[p] row_p
+        over the pivots p, and evaluation at q0 keeps that where F has no
+        pole: F holds the specialised vectors and is Sigma3-closed, S ⊆ F.
+        The rank gives dim S >= dim R = dim F, since a minor nonzero mod P
+        is nonzero.  Hence S = F, and F's rows, still reduced with pivot
+        1, are S's canonical form.  The rank test is the test that dim R
+        does not drop at q0, where the specialisation coincides with the
+        flat limit F.  A pole of F at q0, a pole of a residue or a short
+        rank (a genuine drop, as the associator pencil has at q0 = 1, or an
+        unlucky point) prove nothing, and S is closed exactly from the
+        specialised vectors."""
         q0 = Fraction(q0)
         rels = [r.specialize(q0) for r in self.relations]
         vecs = [relation_vector(self.shape, r) for r in rels]
@@ -291,7 +275,8 @@ def _specialized_space(shape, R, vecs, q0):
     certificate of `Presentation.specialize` proves it the Sigma3-closure
     of the specialised vectors vecs; None when it proves nothing.  The
     orbit is built on the residues, by the shape's TAU12 and CYC123
-    matrices (signed permutations commute with the residue map)."""
+    matrices (signed permutations commute with the residue map).  That F
+    holds vecs is proved for R's relations, and checked for any others."""
     res = free3._residues(vecs)
     if res is None:
         return None

@@ -335,14 +335,6 @@ class RatFunc(Frozen):
     def __bool__(self):
         return bool(self.num)
 
-    def evaluate(self, q0) -> Fraction:
-        """The value at q = q0, computed in integers (`_evaluate`) and made
-        a Fraction once.  A pole raises SpecializationError."""
-        q0 = Fraction(q0)
-        if not self.num:
-            return Fraction(0)
-        return Fraction(*_evaluate(self, q0.numerator, q0.denominator, q0))
-
     def render(self) -> str:
         lead = self.den[-1]
         num = prender([Fraction(c, lead) for c in self.num])

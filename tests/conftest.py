@@ -1,8 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from operadlab import (EShape, RelationExpr, App, Var, var, builtin,
-                       Scalar)
+from operadlab import EShape, RelationExpr, App, Var, builtin, Scalar
 from operadlab.free3 import EDGE, _normalize
 
 
@@ -27,13 +26,13 @@ def B(a, b):
     return App("b", a, b)
 
 
-X, Y, Z = var("x"), var("y"), var("z")
+X, Y, Z = Var("x"), Var("y"), Var("z")
 
 
 def associator(x, y, z):
     """A(x,y,z) = (x.y).z - x.(y.z) for the generator m; arguments are
     variable names or Var nodes."""
-    x, y, z = (var(a) if isinstance(a, str) else a for a in (x, y, z))
+    x, y, z = (Var(a) if isinstance(a, str) else a for a in (x, y, z))
     return E(M(M(x, y), z)) - E(M(x, M(y, z)))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from operadlab.checkers import slotmap_from_exprs
+from operadlab.checkers import HopfResult, slotmap_from_exprs
 from operadlab.cli import main, _named_map, EXIT_OK, EXIT_PARSE, EXIT_INCONSISTENT
 from operadlab.free3 import Subspace
 from operadlab.presentation import BUILTIN_NAMES, builtin, depolarize_presentation
@@ -220,12 +220,7 @@ def test_table_text_marks_cited_column(capsys):
 
 def test_table_shows_undecided_as_undecided(capsys, monkeypatch):
     import operadlab.cli as cli
-    real = cli.verdict_report
-
-    def undecided(p):
-        return dict(real(p), hopf={"verdict": "undecided", "witness": None})
-
-    monkeypatch.setattr(cli, "verdict_report", undecided)
+    monkeypatch.setattr(cli, "hopf_analyze", lambda p: HopfResult("undecided"))
     code, out, _ = run(capsys, "table")
     rows = out.splitlines()[2:-1]
     assert code == EXIT_OK and len(rows) == len(EXPECTED_TABLE)
@@ -281,6 +276,17 @@ def test_iso_star(capsys, schema):
     code, doc = run_json(capsys, schema, "iso", "LLq", "Ass", "--map", "star",
                          "--json")
     assert code == EXIT_OK and doc["isomorphic"] is True
+
+
+@pytest.mark.parametrize("p1, p2, q, verdict", [
+    ("LLq", "Ass", None, "isomorphism"), ("Ass", "LLq", None, "isomorphism"),
+    ("LLq", "Ass", "4", "isomorphism"), ("Ass", "LLq", "4", "isomorphism"),
+    ("Ass", "G2", None, "NOT an isomorphism"), ("G2", "Ass", None, "NOT an isomorphism"),
+])
+def test_iso_star_gives_one_verdict_in_either_order(capsys, p1, p2, q, verdict):
+    # star is tried from p2's side and then from p1's
+    code, out, err = run(capsys, "iso", p1, p2, "--map", "star", *(("--q", q) if q else ()))
+    assert (code, err) == (EXIT_OK, "") and out.endswith(f" via 'star': {verdict}\n")
 
 
 def test_iso_opposite(capsys):
@@ -339,8 +345,9 @@ def test_decompose_relations_not_invariant(capsys, schema):
 
 
 def test_iso_degenerate_map_errors(capsys):
-    code, _, err = run(capsys, "iso", "LLq", "Ass", "--map", "star", "--q", "0")
-    assert code == EXIT_PARSE and "not invertible" in err
+    for p1, p2 in (("LLq", "Ass"), ("Ass", "LLq")):
+        code, _, err = run(capsys, "iso", p1, p2, "--map", "star", "--q", "0")
+        assert (code, err) == (EXIT_PARSE, "error: generator map is not invertible\n")
 
 
 STAR_TEXT = "m=((1+v)/2)*m(x,y) + ((1-v)/2)*m(y,x)"
@@ -370,8 +377,8 @@ V = Scalar.v()
 
 
 # slot images of each named map, from the source to the target presentation
-# as iso compares them (star runs from the second presentation's side, and
-# star and opposite compare depolarized presentations)
+# as iso first compares them (star runs from the second presentation's side
+# first, and star and opposite compare depolarized presentations)
 @pytest.mark.parametrize("name, src, dst, q, images", [
     ("star", "Ass", "LLq", None, {0: [(HALF + HALF * V, 0), (HALF - HALF * V, 1)],
                                   1: [(HALF + HALF * V, 1), (HALF - HALF * V, 0)]}),

@@ -66,6 +66,98 @@ def test_the_guard_finds_a_leftover():
     assert dead_private_names({"m": tree}) == ["m._PUNCT", "m._walk"]
 
 
+BENCH = SRC.parent.parent / "bench"
+
+# public names that nothing in the package or the benchmark reaches, each
+# kept for a reason; anything else that only the tests reach is dead code
+KEPT = {
+    # reference oracles the tests check the decision procedures against
+    "checkers.check_coassoc": "the coassociativity equations, checked directly",
+    "checkers.check_counit": "the counit equations, checked directly",
+    "checkers.coassoc_family": "names the coassociative family of a diagonal",
+    "checkers.DiagonalCandidate.numeric": "a diagonal with rational entries",
+    "quantize.TPoly.dx": "the x-derivative behind the Moyal formula's oracle",
+    "rep.verify_table": "the character table's orthogonality relations",
+    # the paper's vocabulary, in which the acceptance suite states its criteria
+    "checkers.check_implies": "criterion 3: one relation space implies a relation",
+    "checkers.verify_identity": "criterion 3: two expressions are one vector",
+    "presentation.parse_relation": "criteria 3 and 6 write relations as text",
+    "presentation.RelationExpr.of": "a single monomial as a relation",
+    "quantize.classical_limit": "criterion 7: the star product at t = 0",
+    "mlab.bracket": "criterion 8: the commutator of the composition",
+    "mlab.master_residual": "criterion 8d: the graded pieces of the master equation",
+    # constructors
+    "free3.basis_vector": "the i-th basis vector of a shape",
+    "mlab.MultiMap.identity": "the identity map on V",
+    "quantize.TPoly.truncated": "an element cut at t^n, as the tests build partial data",
+    "scalar.Scalar.as_fraction": "a rational Scalar as a Fraction",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, definition) for each public module-level function
+    and class and each public method of a module-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not stmt.name.startswith("_"):
+                yield stmt.name, stmt
+            if isinstance(stmt, ast.ClassDef):
+                for m in stmt.body:
+                    if (isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not m.name.startswith("_")):
+                        yield f"{stmt.name}.{m.name}", m
+
+
+def unreached_public_names(modules, bench):
+    """module name -> parsed source of the package, and the parsed sources
+    of the benchmark; returns 'module.name' for each public definition that
+    neither the package, outside the definition itself and the re-exports
+    of __init__, nor the benchmark mentions.  The tracer names its targets
+    in strings, so each dotted part of a benchmark string is a mention."""
+    where = {}
+    for mod, tree in modules.items():
+        if mod != "__init__":
+            for ident, node in _mentions(tree):
+                where.setdefault(ident, []).append(id(node))
+    reached = {ident for tree in bench for ident, _ in _mentions(tree)}
+    reached |= {part for tree in bench for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                for part in n.value.split(".")}
+    unreached = []
+    for mod, tree in sorted(modules.items()):
+        for qual, stmt in _public_definitions(tree):
+            name = qual.rpartition(".")[2]
+            inside = {id(n) for n in ast.walk(stmt)}
+            if name not in reached and all(i in inside for i in where.get(name, ())):
+                unreached.append(f"{mod}.{qual}")
+    return unreached
+
+
+def test_every_public_name_is_reached_or_kept():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(BENCH.glob("*.py"))]
+    assert sorted(unreached_public_names(modules, bench)) == sorted(KEPT)
+
+
+def test_the_public_guard_finds_a_leftover():
+    tree = ast.parse("class Box:\n"
+                     "    def __init__(self):\n"
+                     "        self.fill()\n"
+                     "    def fill(self):\n"
+                     "        return 1\n"
+                     "    def spare(self):\n"
+                     "        return self.spare()\n"
+                     "    def traced(self):\n"
+                     "        pass\n"
+                     "def tested_only(b):\n"
+                     "    return Box()\n")
+    reexport = ast.parse("from .m import Box, tested_only\n")
+    bench = ast.parse("TARGETS = [('m.Box.traced', None, 'traced')]\n")
+    assert unreached_public_names({"m": tree, "__init__": reexport}, [bench]) == [
+        "m.Box.spare", "m.tested_only"]
+
+
 def _members(cls):
     """(name, definition) for each private method, class attribute, slot
     and self attribute a class defines."""

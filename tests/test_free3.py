@@ -249,7 +249,7 @@ def test_gamma_split_dims(t3_shape):
     gp2, gm2 = gamma_plus_split(mixed)
     assert (gp2.dim, gm2.dim) == (15, 12)
     assert gp2.intersect(gm2).dim == 0
-    assert gp2.sum(gm2).dim == 27
+    assert Subspace(mixed, gp2.rows + gm2.rows).dim == 27
 
 
 def test_gamma_split_is_lambda_eigensplit(t3_shape):
@@ -284,9 +284,9 @@ def test_subspace_ops(t3_shape):
     v1 = basis_vector(t3_shape, 1)
     s01 = Subspace(t3_shape, [v0, v1])
     s0 = Subspace(t3_shape, [v0])
-    assert s01.contains(v0) and s01.contains_subspace(s0)
+    assert s01.contains(v0) and s01.contains_all(s0.rows)
     assert s01.intersect(s0) == s0
-    assert s0.sum(Subspace(t3_shape, [v1])) == s01
+    assert Subspace(t3_shape, s0.rows + Subspace(t3_shape, [v1]).rows) == s01
     assert Subspace(t3_shape, [v0, v0]).dim == 1
 
 
@@ -324,8 +324,8 @@ def test_a_subspace_does_not_see_the_entry_types(t3_shape, case):
 
 def check_intersection(a, b):
     inter = a.intersect(b)
-    assert a.contains_subspace(inter) and b.contains_subspace(inter)
-    assert inter.dim == a.dim + b.dim - a.sum(b).dim
+    assert a.contains_all(inter.rows) and b.contains_all(inter.rows)
+    assert inter.dim == a.dim + b.dim - Subspace(a.shape, a.rows + b.rows).dim
     assert b.intersect(a) == inter
     return inter
 
@@ -534,10 +534,26 @@ def test_contains_all_at_an_unlucky_point(t3_shape):
                           ([inside, outside], False), ([], True)):
         assert space.contains_all(vectors) is held
         assert exact_contains_all(space, vectors) is held
-    # the same vectors reach it through its other two callers
-    assert space.contains_subspace(Subspace(t3_shape, [outside])) is False
+    # the same vectors reach it as a subspace's rows and through is_invariant
+    assert space.contains_all(Subspace(t3_shape, [outside]).rows) is False
     assert space.is_invariant(lambda r: outside) is False
     assert space.is_invariant(lambda r: tuple(q * c for c in r)) is True
+
+
+@pytest.mark.parametrize("space, other", [("Ass", "CyclicNotDihedral"),
+                                          ("CyclicNotDihedral", "Ass")])
+def test_a_vector_of_the_wrong_length_is_refused(space, other):
+    # a certificate-capable space (rational rows) and a relation of another
+    # shape, longer or shorter: every membership test and elimination raises
+    R, w = builtin(space).R, relation_vector(builtin(other).shape,
+                                             builtin(other).relations[0])
+    message = rf"^vector length {len(w)} != ambient {R.ambient}$"
+    for entry in (R.reduce, R.contains, lambda v: R.contains_all([v]),
+                  lambda v: R.is_invariant(lambda r: v),
+                  lambda v: free3._rref_insert([], [], v, R.ambient),
+                  lambda v: Subspace(R.shape, [v])):
+        with pytest.raises(Free3Error, match=message):
+            entry(w)
 
 
 def test_contains_all_stops_at_the_first_vector_proved_outside(t3_shape):

@@ -9,7 +9,7 @@ from operadlab import (builtin, parse_presentation, parse_relation,
                        sigma3_closure, right_action, SIGMA3, App,
                        RelationExpr, Var, check_implies, CheckerError)
 from operadlab import free3, gamma_plus_split, Subspace
-from operadlab.presentation import parse_expression
+from operadlab.presentation import _specialized_space, parse_expression
 from conftest import associator, E, M, X, Y, Z
 
 # hand-checked relation-space dimensions for every builtin
@@ -67,7 +67,7 @@ def test_parse_distributive_law_example():
     p = parse_presentation(text)
     assert p.R.dim == 3
     # it is one of the three axiom closures inside polarized Poisson
-    assert builtin("Poiss_polarized").R.contains_subspace(p.R)
+    assert builtin("Poiss_polarized").R.contains_all(p.R.rows)
 
 
 def test_parse_scalar_literals():
@@ -412,7 +412,7 @@ def test_the_pencil_drops_rank_at_1_and_takes_the_exact_route(monkeypatch):
     want = _outcome(lambda: _reclosed(p, 1))
     calls = _closures(monkeypatch)
     s = p.specialize(1)
-    assert s.R.dim == 2 and not s.R.contains_subspace(F)
+    assert s.R.dim == 2 and not s.R.contains_all(F.rows)
     assert calls == [p.shape]
     assert _outcome(lambda: s) == want
     assert p.specialize(2).R.dim == 3 and len(calls) == 1
@@ -456,6 +456,17 @@ def test_specialize_keeps_the_shape_and_needs_no_closure(monkeypatch):
     monkeypatch.setattr(free3, "sigma3_closure", refuse)
     assert p.specialize(2).R.dim == 6
     assert tower.specialize(Fraction(9, 4)).R.dim == tower.R.dim == 3
+
+
+def test_the_certificate_refuses_vectors_that_are_not_the_relations():
+    # G3's relations have the rank of G2's space mod P, but lie outside it:
+    # only the membership check of `_specialized_space` tells them apart
+    G2, G3 = builtin("G2"), builtin("G3")
+    vecs = [relation_vector(G3.shape, r) for r in G3.relations]
+    assert G3.shape == G2.shape and not G2.R.contains_all(vecs)
+    assert _specialized_space(G2.shape, G2.R, vecs, 2) is None
+    own = [relation_vector(G2.shape, r) for r in G2.relations]
+    assert _specialized_space(G2.shape, G2.R, own, 2) == G2.R
 
 
 def test_a_given_relation_space_must_be_on_the_generators():
