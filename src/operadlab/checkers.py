@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .scalar import Frozen, Scalar, as_scalar, exact, padd, pmul, _peval
+from .scalar import Frozen, Scalar, as_scalar, exact, padd, pmul
 from .free3 import (EShape, Subspace, GAMMA3, SlotMap, gamma_plus_split,
                     left_lambda, sigma3_closure, _eliminate, _rref)
 from .presentation import (Presentation, RelationExpr, relation_vector,
@@ -127,7 +127,10 @@ class BPoly(Frozen):
     __rmul__ = __mul__
 
     def __call__(self, value: Scalar) -> Scalar:
-        return as_scalar(_peval(self.coeffs, value))
+        acc = 0
+        for c in reversed(self.coeffs):     # Horner
+            acc = acc * value + c
+        return as_scalar(acc)
 
     def __eq__(self, other):
         other = _as_bpoly(other)

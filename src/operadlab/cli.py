@@ -1,8 +1,10 @@
 """Command-line front end: verdicts, the results table, decompositions,
 polarization, isomorphism checks and the randomized suites.  --q
-specializes q (and v = sqrt q) in the presentations and in iso's --map.
+specializes q (and v = sqrt q) in the presentations and in iso's --map,
+which `presentation.parse_map` reads by the relation grammar's map rule.
 iso tries --map star in both directions: either one that carries one
-relation space onto the other is an isomorphism.
+relation space onto the other is an isomorphism; when neither does and
+a try fails, the error names each distinct fault once, in sorted order.
 
 Exit codes: 0 success, 2 bad input (a presentation, map or --q value
 that does not parse or does not fit) or a failed check, 3 internal
@@ -20,10 +22,9 @@ from fractions import Fraction
 
 from . import free3, rep, mlab, quantize
 from .scalar import ScalarError
-from .presentation import (Presentation, ParseError, PresentationError,
-                           builtin, parse_presentation, polarize_presentation,
-                           depolarize_presentation, BUILTIN_NAMES,
-                           parse_expression)
+from .presentation import (Presentation, PresentationError, builtin,
+                           parse_map, parse_presentation, polarize_presentation,
+                           depolarize_presentation, BUILTIN_NAMES)
 from .checkers import (check_cyclic, check_dihedral, hopf_analyze,
                        check_substitution_iso, InternalInconsistencyError,
                        CheckerError)
@@ -31,6 +32,9 @@ from .checkers import (check_cyclic, check_dihedral, hopf_analyze,
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INCONSISTENT = 3
+# the faults of the input, reported with EXIT_PARSE
+_INPUT_ERRORS = (PresentationError, ScalarError, free3.Free3Error, CheckerError,
+                 quantize.QuantizeError, mlab.MultiMapError)
 
 # (operad, algebras, Koszulness quoted from the literature, never computed)
 TABLE_ROWS = (
@@ -190,38 +194,7 @@ def _named_map(name: str, p: Presentation, p2: Presentation):
                          for g, g2 in zip(p.generators, p2.generators))
     else:
         raise CheckerError(f"unknown named map {name!r}")
-    return _parse_map(text)
-
-
-def _parse_map(text: str):
-    mapping = {}
-    start = 0
-    for piece in text.split(";"):
-        at, start = start, start + len(piece) + 1
-        if not piece.strip():
-            continue
-        if "=" not in piece:
-            line, col = _position(text, at + len(piece) - len(piece.lstrip()))
-            raise ParseError(f"expected gen=expression, got {piece.strip()!r}",
-                             line, col)
-        gname, expr_text = piece.split("=", 1)
-        gname = gname.strip()
-        if gname in mapping:
-            raise CheckerError(f"generator {gname!r} is mapped twice")
-        try:
-            mapping[gname] = parse_expression(expr_text)
-        except ParseError as e:
-            # the expression's own position, counted from where it starts
-            line, col = _position(text, at + piece.index("=") + 1)
-            raise ParseError(e.msg, line + e.line - 1,
-                             col + e.col - 1 if e.line == 1 else e.col) from None
-    return mapping
-
-
-def _position(text: str, offset: int):
-    """(line, column) of a character offset, both counted from 1."""
-    line = text.count("\n", 0, offset) + 1
-    return line, offset - text.rfind("\n", 0, offset)
+    return parse_map(text)
 
 
 def cmd_iso(args) -> int:
@@ -233,15 +206,22 @@ def cmd_iso(args) -> int:
             != [g.symmetry for g in p2.generators]):
         p, p2 = depolarize_presentation(p), depolarize_presentation(p2)
     # the star formula defines one product from the other: it is tried from
-    # the second presentation's side, then from the first's
+    # the second presentation's side, then from the first's; when neither
+    # is an isomorphism, the faults of both are named, in a fixed order
+    result, faults = False, set()
     for src, dst in ((p2, p), (p, p2)) if args.map == "star" else ((p, p2),):
-        mapping = (_named_map(args.map, src, dst) if args.map in NAMED_MAPS
-                   else _parse_map(args.map))
-        if args.q is not None:
-            mapping = {g: e.specialize(args.q) for g, e in mapping.items()}
-        result = check_substitution_iso(src, dst, mapping)
+        try:
+            mapping = (_named_map(args.map, src, dst) if args.map in NAMED_MAPS
+                       else parse_map(args.map))
+            if args.q is not None:
+                mapping = {g: e.specialize(args.q) for g, e in mapping.items()}
+            result = check_substitution_iso(src, dst, mapping)
+        except _INPUT_ERRORS as e:
+            faults.add(str(e))
         if result:
             break
+    if faults and not result:
+        raise CheckerError("; ".join(sorted(faults)))
     payload = {"command": "iso", "source": p.name, "target": p2.name,
                "map": args.map, "isomorphic": result}
     _emit(args, payload, [f"{p.name} -> {p2.name} via {args.map!r}: "
@@ -384,8 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("p2")
     iso.add_argument("--map", required=True,
                      help="named map (star|opposite|identity|signflip) or "
-                          "'gen=expr; ...'; star is tried from p2's side, then "
-                          "from p1's, and either one proves an isomorphism")
+                          "'gen=sum; ...' by the grammar's map rule, "
+                          "map ::= [gen '=' sum] {';' [gen '=' sum]}; star is "
+                          "tried from p2's side, then from p1's, and either "
+                          "one proves an isomorphism")
     common(iso)
     iso.set_defaults(fn=cmd_iso)
 
@@ -414,8 +396,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (PresentationError, ScalarError, free3.Free3Error, CheckerError,
-            quantize.QuantizeError, mlab.MultiMapError) as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -10,6 +10,7 @@ Surface grammar (UTF-8 text)::
     term  ::= (scalar "*")? app
     app   ::= IDENT "(" arg "," arg ")"
     arg   ::= "x" | "y" | "z" | app
+    map   ::= (IDENT "=" sum)? (";" (IDENT "=" sum)?)*    (iso --map)
 
 Scalar literals are integers, fractions ``a/b``, the symbols ``q``,
 ``u`` (sqrt 2) and ``v`` (sqrt q), or a parenthesized arithmetic
@@ -365,6 +366,7 @@ class _Tok(NamedTuple):
     text: str
     line: int
     col: int
+    start: int  # offset in the text
 
 
 # one alternative per token kind; whitespace and comments are unnamed.
@@ -388,10 +390,10 @@ def _tokenize(text):
             raise ParseError(f"lexical error: unexpected character {tok[0]!r}",
                              line, col)
         elif kind:
-            toks.append(_Tok(kind, tok, line, col))
+            toks.append(_Tok(kind, tok, line, col, m.start()))
     last_line = toks[-1].line if toks else 1
     last_col = toks[-1].col + len(toks[-1].text) - 1 if toks else 1
-    toks.append(_Tok("EOF", "", last_line, last_col))
+    toks.append(_Tok("EOF", "", last_line, last_col, len(text)))
     return toks
 
 
@@ -401,6 +403,7 @@ _ATOMS = {"q": Scalar.q, "u": Scalar.u, "v": Scalar.v}
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.k = 0
 
@@ -477,6 +480,32 @@ class _Parser:
             self.expect("}")
         self.end()
         return name, params, gens, rels
+
+    def map(self):
+        """{generator name: image}; an empty statement is skipped."""
+        mapping = {}
+        while True:
+            t = self.peek()
+            if t.text != ";" and t.kind != "EOF":
+                if t.kind != "IDENT" or self.peek(1).text != "=":
+                    raise ParseError(f"expected gen=expression, got "
+                                     f"{self.statement()!r}", t.line, t.col)
+                if t.text in mapping:
+                    raise PresentationError(f"generator {t.text!r} is mapped twice")
+                self.k += 2
+                mapping[t.text] = self.sum_expr()
+            if self.peek().text != ";":
+                self.end()
+                return mapping
+            self.next()
+
+    def statement(self):
+        """The source text from the next token to the last before ';'."""
+        end = self.k
+        while self.toks[end].text != ";" and self.toks[end].kind != "EOF":
+            end += 1
+        last = self.toks[end - 1]
+        return self.text[self.peek().start:last.start + len(last.text)]
 
     def sum_expr(self):
         terms = []
@@ -612,6 +641,12 @@ def parse_expression(text: str) -> RelationExpr:
         p.equals_zero()
     p.end()
     return expr
+
+
+def parse_map(text: str) -> dict:
+    """{generator name: image} from `gen=sum; ...` text, as iso's --map
+    reads it; the images' monomials are not checked."""
+    return _Parser(text).map()
 
 
 def parse_relation(text: str, presentation: Presentation) -> RelationExpr:

@@ -225,16 +225,6 @@ class RatFunc(Frozen):
         _set(self, "num", r.num)
         _set(self, "den", r.den)
 
-    # -- constructors
-
-    @classmethod
-    def const(cls, a) -> "RatFunc":
-        return _as_ratfunc(Fraction(a))
-
-    @classmethod
-    def q(cls) -> "RatFunc":
-        return _RQ
-
     # -- predicates
 
     def is_zero(self) -> bool:
@@ -404,13 +394,6 @@ def _cancel(a, b):
     return a, b
 
 
-def _peval(a, x0: Fraction):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x0 + c
-    return acc
-
-
 def _evaluate(r, a, b, q0):
     """Integers (n, d), d != 0, with n/d = r(a/b) for a nonzero RatFunc r
     and q0 = a/b: b^deg(num) num(a/b) and b^deg(den) den(a/b) by
@@ -479,14 +462,6 @@ class Scalar(Frozen):
     @classmethod
     def from_fraction(cls, a) -> "Scalar":
         return as_scalar(Fraction(a))
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return SC0
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return SC1
 
     @classmethod
     def q(cls) -> "Scalar":

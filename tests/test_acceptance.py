@@ -30,6 +30,7 @@ from operadlab import (builtin, parse_relation, relation_vector, Scalar,
                        CharacterVector)
 from operadlab import mlab, quantize
 from operadlab.free3 import apply_perm_to_basis, lambda_basis
+from operadlab.scalar import SC0, SC1
 from conftest import associator, dot_monomial, E, M, C, B, X, Y, Z
 
 S = Scalar.from_fraction
@@ -188,7 +189,7 @@ def test_c4_hopf_suite():
 
     h = hopf_analyze(builtin("LLq"))
     ok_llq = (h.verdict == "unique"
-              and h.witness == (Scalar.one() - Scalar.q()) * Fraction(1, 4))
+              and h.witness == (SC1 - Scalar.q()) * Fraction(1, 4))
     ok_extwo = hopf_analyze(builtin("ExTwo")).verdict == "all"
     ok_none = all(hopf_analyze(builtin(n)).verdict == "none"
                   for n in ("Lie", "LLinf", "Vinberg", "PreLie", "G4", "G5", "G6"))
@@ -226,7 +227,7 @@ def test_c5_representation_suite():
     while len(spaces) < 50:
         vecs = []
         for _ in range(rng.randint(1, 2)):
-            vv = [Scalar.zero()] * shape.basis_size
+            vv = [SC0] * shape.basis_size
             for _ in range(rng.randint(1, 3)):
                 vv[rng.randrange(shape.basis_size)] = S(rng.randint(-3, 3))
             vecs.append(tuple(vv))
@@ -249,11 +250,11 @@ def test_c5_representation_suite():
 def test_c6_isomorphism_suite():
     half = Fraction(1, 2)
     v = Scalar.v()
-    star = {"m": RelationExpr([((Scalar.one() + v) * half, App("m", Var("x"), Var("y"))),
-                               ((Scalar.one() - v) * half, App("m", Var("y"), Var("x")))])}
+    star = {"m": RelationExpr([((SC1 + v) * half, App("m", Var("x"), Var("y"))),
+                               ((SC1 - v) * half, App("m", Var("y"), Var("x")))])}
     ok_star = check_substitution_iso(builtin("Ass"), builtin("LLq_depolarized"), star)
 
-    flip = {"m": RelationExpr([(Scalar.one(), App("m", Var("y"), Var("x")))])}
+    flip = {"m": RelationExpr([(SC1, App("m", Var("y"), Var("x")))])}
     ok_flip = check_substitution_iso(builtin("PreLie"), builtin("Vinberg"), flip)
 
     LLq = builtin("LLq")

@@ -22,7 +22,7 @@ from operadlab.checkers import (BPoly, _solve_constraints, _T3, _COMM_TABLE,
                                 slotmap_from_exprs, InternalInconsistencyError)
 from operadlab.cli import NAMED_MAPS, _named_map
 from operadlab.free3 import _rref
-from operadlab.scalar import as_scalar
+from operadlab.scalar import SC0, SC1, as_scalar
 from conftest import associator, E, M, C, B, X, Y, Z
 from test_scalar import small_fracs
 
@@ -74,7 +74,7 @@ def test_dihedral_methods_agree_on_random_closed_subspaces(t3_shape):
     for _ in range(100):
         vecs = []
         for _ in range(rng.randint(1, 2)):
-            v = [Scalar.zero()] * t3_shape.basis_size
+            v = [SC0] * t3_shape.basis_size
             for _ in range(rng.randint(1, 4)):
                 v[rng.randrange(12)] = S(rng.randint(-3, 3))
             vecs.append(tuple(v))
@@ -242,11 +242,11 @@ def test_hopf_lie_and_friends_none():
 
 
 def test_hopf_witnesses():
-    assert hopf_analyze(builtin("Ass")).witness == Scalar.zero()
+    assert hopf_analyze(builtin("Ass")).witness == SC0
     assert hopf_analyze(builtin("Poiss")).witness == S(Fraction(1, 4))
     h = hopf_analyze(builtin("LLq"))
     assert h.verdict == "unique"
-    expect = (Scalar.one() - Scalar.q()) * Fraction(1, 4)
+    expect = (SC1 - Scalar.q()) * Fraction(1, 4)
     assert h.witness == expect
     assert h.witness_str() == "-1/4*q + 1/4"
 
@@ -332,7 +332,7 @@ def _hopf_table(p):
 
 
 def _echelon(constraints):
-    triples = {(Scalar.zero(),) * (2 - c.degree) + c.coeffs[::-1]
+    triples = {(SC0,) * (2 - c.degree) + c.coeffs[::-1]
                for c, _ in constraints}
     return _rref(sorted(triples, key=lambda t: sum(as_scalar(x).bit_size() for x in t)), 3)
 
@@ -463,7 +463,7 @@ def test_echelon_patterns(polys, verdict, witness):
 def test_bpoly_evaluates_at_a_tower_scalar():
     u, v = Scalar.u(), Scalar.v()
     x = u + v
-    assert BPoly([])(x) == Scalar.zero()
+    assert BPoly([])(x) == SC0
     assert BPoly([v])(x) == v
     # 3 - u*B + v*B^2 at B = u + v, expanded with u^2 = 2, v^2 = q
     value = BPoly([S(3), -u, v])(x)
@@ -517,8 +517,8 @@ def test_hopf_polarized_pair_accepted():
 def star_map(target_gen="m"):
     half = Fraction(1, 2)
     v = Scalar.v()
-    return RelationExpr([((Scalar.one() + v) * half, App(target_gen, Var("x"), Var("y"))),
-                         ((Scalar.one() - v) * half, App(target_gen, Var("y"), Var("x")))])
+    return RelationExpr([((SC1 + v) * half, App(target_gen, Var("x"), Var("y"))),
+                         ((SC1 - v) * half, App(target_gen, Var("y"), Var("x")))])
 
 
 def test_llq_iso_ass_symbolically():
@@ -527,29 +527,29 @@ def test_llq_iso_ass_symbolically():
 
 
 def test_prelie_iso_vinberg():
-    flip = RelationExpr([(Scalar.one(), App("m", Var("y"), Var("x")))])
+    flip = RelationExpr([(SC1, App("m", Var("y"), Var("x")))])
     assert check_substitution_iso(builtin("PreLie"), builtin("Vinberg"), {"m": flip})
     # and in polarized form via the sign flip on the bracket
     from operadlab import polarize_presentation
     pol3 = polarize_presentation(builtin("PreLie"))
     pol2 = polarize_presentation(builtin("Vinberg"))
     sgnflip = {
-        "m_s": RelationExpr([(Scalar.one(), App("m_s", Var("x"), Var("y")))]),
-        "m_a": RelationExpr([(-Scalar.one(), App("m_a", Var("x"), Var("y")))]),
+        "m_s": RelationExpr([(SC1, App("m_s", Var("x"), Var("y")))]),
+        "m_a": RelationExpr([(-SC1, App("m_a", Var("x"), Var("y")))]),
     }
     assert check_substitution_iso(pol3, pol2, sgnflip)
 
 
 def test_identity_map_iso():
-    ident = RelationExpr([(Scalar.one(), App("m", Var("x"), Var("y")))])
+    ident = RelationExpr([(SC1, App("m", Var("x"), Var("y")))])
     assert check_substitution_iso(builtin("Ass"), builtin("Ass"), {"m": ident})
     # non-example: Ass and Vinberg are not isomorphic via the identity
     assert not check_substitution_iso(builtin("Ass"), builtin("Vinberg"), {"m": ident})
 
 
 def test_noninvertible_map_rejected():
-    sing = RelationExpr([(Scalar.one(), App("m", Var("x"), Var("y"))),
-                         (Scalar.one(), App("m", Var("y"), Var("x")))])
+    sing = RelationExpr([(SC1, App("m", Var("x"), Var("y"))),
+                         (SC1, App("m", Var("y"), Var("x")))])
     with pytest.raises(CheckerError):
         check_substitution_iso(builtin("Ass"), builtin("Ass"), {"m": sing})
 
@@ -557,8 +557,8 @@ def test_noninvertible_map_rejected():
 def test_nonequivariant_map_rejected():
     # a comm generator cannot map onto an asymmetric combination
     LLq = builtin("LLq")
-    bad = {"c": RelationExpr([(Scalar.one(), App("c", Var("x"), Var("y")))]),
-           "b": RelationExpr([(Scalar.one(), App("c", Var("x"), Var("y")))])}
+    bad = {"c": RelationExpr([(SC1, App("c", Var("x"), Var("y")))]),
+           "b": RelationExpr([(SC1, App("c", Var("x"), Var("y")))])}
     with pytest.raises(CheckerError):
         check_substitution_iso(LLq, LLq, bad)
 
@@ -621,9 +621,13 @@ def cli_iso_inputs(n1, n2, name, q0):
 
 
 def cli_iso_verdict(verdicts):
-    """iso's answer from the verdicts of its tries: the first error or True
-    ends it."""
-    return next((v for v in verdicts if v is not False), False)
+    """iso's answer from the verdicts of its tries: True if one is True;
+    otherwise each distinct error once, sorted, on one line; otherwise
+    False."""
+    if True in verdicts:
+        return True
+    faults = sorted({v.removeprefix("error: ") for v in verdicts if v is not False})
+    return "error: " + "; ".join(faults) if faults else False
 
 
 # the builtins that --q is tried on: LLq in both forms and the two
@@ -654,11 +658,12 @@ def test_named_maps_match_the_echelon_oracle():
     assert ("LL0", "Poiss", "star", None, True) in seen
     assert ("Poiss", "LL0", "star", None, True) in seen
     assert ("Ass", "Poiss", "star", None, False) in seen
-    # one verdict, or an error, in either order (the error names the first
-    # try's fault, which depends on the order)
-    star = {(n1, n2, q0): v if isinstance(v, bool) else "error"
-            for n1, n2, name, q0, v in seen if name == "star"}
+    # one verdict, or one error text, in either order
+    star = {(n1, n2, q0): v for n1, n2, name, q0, v in seen if name == "star"}
     assert all(v == star[n2, n1, q0] for (n1, n2, q0), v in star.items())
+    assert star["Ass", "Com", None] == (
+        "error: generator map is not equivariant for the transposition action; "
+        "generator map is not invertible")
     assert {v for *_, v in seen} >= {True, False, "error: generator map is not invertible"}
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -8,9 +9,12 @@ import jsonschema
 import pytest
 
 from operadlab.checkers import HopfResult, slotmap_from_exprs
-from operadlab.cli import main, _named_map, EXIT_OK, EXIT_PARSE, EXIT_INCONSISTENT
+from operadlab import cli
+from operadlab.cli import (main, _named_map, NAMED_MAPS, EXIT_OK, EXIT_PARSE,
+                           EXIT_INCONSISTENT)
 from operadlab.free3 import Subspace
-from operadlab.presentation import BUILTIN_NAMES, builtin, depolarize_presentation
+from operadlab.presentation import (BUILTIN_NAMES, builtin, depolarize_presentation,
+                                    parse_expression, parse_map)
 from operadlab.scalar import Scalar
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -321,17 +325,51 @@ def test_iso_identity_map(capsys, p2, verdict):
 
 
 def test_iso_map_pieces(capsys):
-    # a trailing ';' leaves an empty piece, which is skipped
-    code, out, _ = run(capsys, "iso", "Ass", "Ass", "--map", "m=m(y,x);")
-    assert code == EXIT_OK and out == "Ass -> Ass via 'm=m(y,x);': isomorphism\n"
-    # positions are columns of the --map text
+    # '#' comments out the rest of the line, a ';' in it included; empty
+    # statements, a trailing ';' among them, are skipped
+    for text in ("m=m(y,x);", ";;m=m(y,x);;", "m=m(y,x) # was: k=m(x,y); retired\n",
+                 "# the opposite product\nm = m(y,  # swapped\n x);\n;\n"):
+        code, out, err = run(capsys, "iso", "Ass", "Ass", "--map", text)
+        assert (code, out, err) == (EXIT_OK, f"Ass -> Ass via {text!r}: isomorphism\n", "")
+    # positions are lines and columns of the --map text; an open application
+    # is unbalanced at the ';' that ends it, as in a presentation
     for text, msg in [("m(x,y)", "expected gen=expression, got 'm(x,y)' at 1:1"),
                       ("m=m(x,y); k", "expected gen=expression, got 'k' at 1:11"),
-                      ("m=m(x,y) + m(y,x;", "unbalanced parentheses at 1:16"),
-                      ("m=m(x,y\n+ m(y,x)", "expected ')', found '+' at 2:1")]:
+                      ("m=m(x,y) + m(y,x;", "unbalanced parentheses at 1:17"),
+                      ("m=m(x,y\n+ m(y,x)", "expected ')', found '+' at 2:1"),
+                      ("m x=m(y,x)", "expected gen=expression, got 'm x=m(y,x)' at 1:1"),
+                      ("m=m(y,x) m=m(x,y)", "unexpected 'm' at 1:10"),
+                      ("m=m(y,x); m=m(x,y)", "generator 'm' is mapped twice")]:
         code, out, err = run(capsys, "iso", "Ass", "Ass", "--map", text)
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"error: {msg}\n"
+
+
+def test_named_map_texts_parse_as_pieces(monkeypatch):
+    # every text a named map builds means what it meant when each
+    # ';'-separated piece was parsed on its own
+    texts = []
+
+    def recording(text):
+        texts.append(text)
+        return parse_map(text)
+
+    monkeypatch.setattr(cli, "parse_map", recording)
+    # a named map reads only the generators, so one form of each list is enough
+    forms = {p.generators: p for n in BUILTIN_NAMES
+             for p in (builtin(n), depolarize_presentation(builtin(n)))}
+    for (p, p2), name in itertools.product(
+            itertools.product(forms.values(), repeat=2), NAMED_MAPS):
+        _named_map(name, p, p2)
+
+    def terms(e):
+        return [(c, t.render()) for c, t in e.terms]
+
+    assert {t.count(";") for t in texts} >= {0, 1}
+    for text in set(texts):
+        pieces = [piece.split("=", 1) for piece in text.split(";")]
+        assert {g: terms(e) for g, e in parse_map(text).items()} == {
+            g.strip(): terms(parse_expression(e)) for g, e in pieces}
 
 
 def test_decompose_relations_not_invariant(capsys, schema):
@@ -348,6 +386,16 @@ def test_iso_degenerate_map_errors(capsys):
     for p1, p2 in (("LLq", "Ass"), ("Ass", "LLq")):
         code, _, err = run(capsys, "iso", p1, p2, "--map", "star", "--q", "0")
         assert (code, err) == (EXIT_PARSE, "error: generator map is not invertible\n")
+
+
+@pytest.mark.parametrize("p1, p2", [("Ass", "Com"), ("Com", "Ass")])
+def test_iso_star_names_the_faults_of_both_tries(capsys, p1, p2):
+    # from Com's side the star map is not invertible, from Ass's side it is
+    # not equivariant; the answer does not depend on the order
+    code, out, err = run(capsys, "iso", p1, p2, "--map", "star")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == ("error: generator map is not equivariant for the "
+                   "transposition action; generator map is not invertible\n")
 
 
 STAR_TEXT = "m=((1+v)/2)*m(x,y) + ((1-v)/2)*m(y,x)"

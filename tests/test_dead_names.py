@@ -76,7 +76,9 @@ KEPT = {
     "checkers.check_counit": "the counit equations, checked directly",
     "checkers.coassoc_family": "names the coassociative family of a diagonal",
     "checkers.DiagonalCandidate.numeric": "a diagonal with rational entries",
+    "checkers.DiagonalCandidate.at": "the family at a given B, to re-check a witness",
     "quantize.TPoly.dx": "the x-derivative behind the Moyal formula's oracle",
+    "quantize.TPoly.dp": "the p-derivative behind the Moyal formula's oracle",
     "rep.verify_table": "the character table's orthogonality relations",
     # the paper's vocabulary, in which the acceptance suite states its criteria
     "checkers.check_implies": "criterion 3: one relation space implies a relation",
@@ -112,23 +114,36 @@ def unreached_public_names(modules, bench):
     """module name -> parsed source of the package, and the parsed sources
     of the benchmark; returns 'module.name' for each public definition that
     neither the package, outside the definition itself and the re-exports
-    of __init__, nor the benchmark mentions.  The tracer names its targets
-    in strings, so each dotted part of a benchmark string is a mention."""
-    where = {}
-    for mod, tree in modules.items():
-        if mod != "__init__":
-            for ident, node in _mentions(tree):
-                where.setdefault(ident, []).append(id(node))
-    reached = {ident for tree in bench for ident, _ in _mentions(tree)}
-    reached |= {part for tree in bench for n in ast.walk(tree)
-                if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                for part in n.value.split(".")}
+    of __init__, nor the benchmark mentions.  Any mention of a function's
+    or class's name reaches it; a method is reached only through an
+    attribute, and not through `D.name` with D another package class, so a
+    local of the same name or another class's method does not hide it.
+    The tracer names its targets in strings, so each dotted part of a
+    benchmark string is a mention."""
+    classes = {stmt.name for tree in modules.values() for stmt in tree.body
+               if isinstance(stmt, ast.ClassDef)}
+    sources = [tree for mod, tree in modules.items() if mod != "__init__"] + bench
+    mentions = {}
+    for tree in sources:
+        for ident, node in _mentions(tree):
+            mentions.setdefault(ident, []).append(node)
+    strings = {part for tree in bench for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)
+               for part in n.value.split(".")}
+
+    def reaches(node, owner, inside):
+        if id(node) in inside:
+            return False
+        return not owner or (isinstance(node, ast.Attribute) and not (
+            isinstance(node.value, ast.Name) and node.value.id in classes - {owner}))
+
     unreached = []
     for mod, tree in sorted(modules.items()):
         for qual, stmt in _public_definitions(tree):
-            name = qual.rpartition(".")[2]
+            owner, _, name = qual.rpartition(".")
             inside = {id(n) for n in ast.walk(stmt)}
-            if name not in reached and all(i in inside for i in where.get(name, ())):
+            if name not in strings and not any(
+                    reaches(node, owner, inside) for node in mentions.get(name, ())):
                 unreached.append(f"{mod}.{qual}")
     return unreached
 
@@ -150,12 +165,71 @@ def test_the_public_guard_finds_a_leftover():
                      "        return self.spare()\n"
                      "    def traced(self):\n"
                      "        pass\n"
+                     "    def shadowed(self):\n"
+                     "        pass\n"
+                     "    def lid(self):\n"
+                     "        pass\n"
+                     "    def made(self):\n"
+                     "        pass\n"
+                     "class Crate:\n"
+                     "    def lid(self):\n"
+                     "        return Box.made()\n"
                      "def tested_only(b):\n"
-                     "    return Box()\n")
+                     "    shadowed = Crate.lid(b)\n"
+                     "    return Box(), shadowed\n")
     reexport = ast.parse("from .m import Box, tested_only\n")
     bench = ast.parse("TARGETS = [('m.Box.traced', None, 'traced')]\n")
+    # a local named like a method, and another class's method called
+    # through its class, reach neither Box.shadowed nor Box.lid
     assert unreached_public_names({"m": tree, "__init__": reexport}, [bench]) == [
-        "m.Box.spare", "m.tested_only"]
+        "m.Box.spare", "m.Box.shadowed", "m.Box.lid", "m.tested_only"]
+
+
+# the private names one package module takes from another, each with its
+# reason; ROADMAP item 26 (one elimination core) is the plan for all five
+CROSSING = {
+    "checkers -> free3._eliminate": "reduces the Hopf images against R's echelon rows",
+    "checkers -> free3._rref": "echelons the Hopf constraints in B",
+    "presentation -> free3._normalize": "a monomial's canonical basis index and sign",
+    "presentation -> free3._residues": "the specialisation certificate's residues",
+    "presentation -> free3._residue_rank": "the specialisation certificate's rank",
+}
+
+
+def private_crossings(modules):
+    """module name -> parsed source; returns 'importer -> m._x' for each
+    `from .m import _x` and each `m._x` in a module other than m."""
+    found = set()
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in modules:
+                names = [(node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            else:
+                names = []
+            found |= {f"{mod} -> {m}.{name}" for m, name in names
+                      if m in modules and m != mod and name.startswith("_")
+                      and not name.endswith("__")}
+    return found
+
+
+def test_private_names_cross_modules_only_as_listed():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(SRC.glob("*.py"))}
+    assert private_crossings(modules) == set(CROSSING)
+
+
+def test_the_crossing_guard_finds_a_new_one():
+    user = ast.parse("from . import free3\n"
+                     "from .free3 import EShape, _rref\n"
+                     "from .scalar import _peval\n"
+                     "def f(s):\n"
+                     "    return free3._normalize(s), free3.__name__, s._own\n")
+    own = ast.parse("def _own():\n    return _own\n")
+    assert private_crossings({"checkers": user, "free3": own, "scalar": own}) == {
+        "checkers -> free3._rref", "checkers -> scalar._peval",
+        "checkers -> free3._normalize"}
 
 
 def _members(cls):

@@ -15,7 +15,7 @@ from operadlab import builtin, free3, relation_vector
 from operadlab.free3 import (apply_perm_to_basis, lambda_basis, Free3Error,
                              EDGE, _normalize, _residue_rank, _residues,
                              _rref)
-from operadlab.scalar import RESIDUE_V0, exact
+from operadlab.scalar import SC0, SC1, RESIDUE_V0, exact
 from conftest import dot_monomial
 
 DATA = Path(__file__).parent / "data"
@@ -114,7 +114,7 @@ def test_anti_generator_sign():
     idx = shape.index(shape.slot("c"), shape.slot("b"), 2)
     v = basis_vector(shape, idx)
     w = right_action(shape, v, TAU12)
-    assert w[idx] == -Scalar.one()
+    assert w[idx] == -SC1
     assert sum(1 for c in w if c) == 1
 
 
@@ -178,8 +178,8 @@ def test_polarize_roundtrip(t3_shape):
         v = basis_vector(t3_shape, i)
         assert dm.apply(pm.apply(v)) == v
         assert pm.apply(dm.apply(pm.apply(v))) == pm.apply(v)
-    zero = tuple([Scalar.zero()] * t3_shape.basis_size)
-    assert pm.apply(zero) == tuple([Scalar.zero()] * pm.dst.basis_size)
+    zero = tuple([SC0] * t3_shape.basis_size)
+    assert pm.apply(zero) == tuple([SC0] * pm.dst.basis_size)
 
 
 def test_polarize_roundtrip_passes_unpaired_slots_through():
@@ -192,7 +192,7 @@ def test_polarize_roundtrip_passes_unpaired_slots_through():
     for sm in (pm, dm):
         assert sm.check_equivariant() and sm.is_invertible()
         for name in ("c", "b"):
-            assert sm.images[sm.src.slot(name)] == ((Scalar.one(), sm.dst.slot(name)),)
+            assert sm.images[sm.src.slot(name)] == ((SC1, sm.dst.slot(name)),)
 
 
 def test_polarization_targets_come_from_the_pairing():
@@ -292,17 +292,17 @@ def test_subspace_ops(t3_shape):
 
 # entries: small rationals, or a + b*q + c*u + d*v with small rational a..d
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-TOWER_GENS = (Scalar.one(), Scalar.q(), Scalar.u(), Scalar.v())
+TOWER_GENS = (SC1, Scalar.q(), Scalar.u(), Scalar.v())
 entries = st.one_of(
     small.map(Scalar.from_fraction),
     st.tuples(*[small] * 4).map(
-        lambda cs: sum((g * c for g, c in zip(TOWER_GENS, cs)), Scalar.zero())))
+        lambda cs: sum((g * c for g, c in zip(TOWER_GENS, cs)), SC0)))
 
 
 def sparse_vector(support, size=12, values=entries):
     return st.dictionaries(st.integers(0, size - 1), values,
                            min_size=1, max_size=support).map(
-        lambda d: tuple(d.get(i, Scalar.zero()) for i in range(size)))
+        lambda d: tuple(d.get(i, SC0) for i in range(size)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -343,7 +343,7 @@ def test_intersect_properties(t3_shape, pool, picks, extra):
 
 def test_intersect_edge_cases(t3_shape):
     q, u, v = Scalar.q(), Scalar.u(), Scalar.v()
-    zero, one = Scalar.zero(), Scalar.one()
+    zero, one = SC0, SC1
 
     def vec(entries):
         return tuple(entries.get(i, zero) for i in range(t3_shape.basis_size))
@@ -418,7 +418,7 @@ def test_residue_rank_is_exact_where_no_point_is_unlucky(t3_shape, vs, form):
 
 
 def test_intersect_at_an_unlucky_point(t3_shape):
-    zero, one, q = Scalar.zero(), Scalar.one(), Scalar.q()
+    zero, one, q = SC0, SC1, Scalar.q()
     v0sq = Scalar.from_fraction(RESIDUE_V0 ** 2)
     at_point = q - v0sq                                   # residue 0
 
@@ -481,7 +481,7 @@ def test_is_invariant_stops_at_the_first_image_proved_outside(t3_shape):
 
 
 def test_invariance_at_an_unlucky_point(t3_shape, monkeypatch):
-    zero, one, q, v = Scalar.zero(), Scalar.one(), Scalar.q(), Scalar.v()
+    zero, one, q, v = SC0, SC1, Scalar.q(), Scalar.v()
     v0 = Scalar.from_fraction(RESIDUE_V0)
 
     def vec(entries):
@@ -515,7 +515,7 @@ def exact_contains_all(space, vectors):
 
 
 def test_contains_all_at_an_unlucky_point(t3_shape):
-    zero, one, q, v = Scalar.zero(), Scalar.one(), Scalar.q(), Scalar.v()
+    zero, one, q, v = SC0, SC1, Scalar.q(), Scalar.v()
     v0 = Scalar.from_fraction(RESIDUE_V0)
 
     def vec(entries):
@@ -576,7 +576,7 @@ def test_intersect_rejects_another_shape():
 
 def test_subspace_dimension_mismatch(t3_shape):
     with pytest.raises(Free3Error):
-        Subspace(t3_shape, [(Scalar.one(),)])
+        Subspace(t3_shape, [(SC1,)])
 
 
 @pytest.mark.parametrize("length", [11, 13])
@@ -584,8 +584,8 @@ def test_subspace_dimension_mismatch(t3_shape):
                                    sigma3_closure], ids=["span", "sigma3"])
 def test_closure_rejects_a_vector_of_the_wrong_length(t3_shape, length, close):
     # a 13-entry vector whose only nonzero entry lies past the ambient
-    vec = [Scalar.zero()] * length
-    vec[-1] = Scalar.one()
+    vec = [SC0] * length
+    vec[-1] = SC1
     assert t3_shape.basis_size == 12
     with pytest.raises(Free3Error, match=f"vector length {length} != ambient 12"):
         close(t3_shape, [tuple(vec)])

@@ -21,10 +21,10 @@ ROUND_TRIPS = {
 
 def values():
     rng = random.Random(23)
-    q = RatFunc.q()
+    q = RatFunc([0, 1])
     return {
         "RatFunc": RatFunc([1, -2], [3, 0, 1]),
-        "Scalar": Scalar(q / (q + 1), RatFunc.const(3), 0, RatFunc([0, 0, 2])),
+        "Scalar": Scalar(q / (q + 1), RatFunc([3]), 0, RatFunc([0, 0, 2])),
         "BPoly": BPoly([Scalar.q(), 0, Scalar.u()]),
         "TPoly": TPoly({(0, 1, 2): 3, (1, 0, 0): Scalar.u()}, order=3),
         "constructed MultiMap": MultiMap(2, 2, 1, {((0,), (1, 1)): 2,

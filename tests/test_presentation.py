@@ -9,7 +9,8 @@ from operadlab import (builtin, parse_presentation, parse_relation,
                        sigma3_closure, right_action, SIGMA3, App,
                        RelationExpr, Var, check_implies, CheckerError)
 from operadlab import free3, gamma_plus_split, Subspace
-from operadlab.presentation import _specialized_space, parse_expression
+from operadlab.presentation import _specialized_space, parse_expression, parse_map
+from operadlab.scalar import SC1
 from conftest import associator, E, M, X, Y, Z
 
 # hand-checked relation-space dimensions for every builtin
@@ -90,9 +91,9 @@ def _power(text):
 
 def test_scalar_power_by_squaring():
     assert _power("2^100000") == Scalar.from_fraction(2 ** 100000)
-    assert _power("(1/3)^0") == Scalar.one()
+    assert _power("(1/3)^0") == SC1
     for atom in ("q", "u", "v", "(u+v)", "((q-1)/(u*v+3))"):
-        base, want = _power(atom), Scalar.one()
+        base, want = _power(atom), SC1
         for k in range(10):
             assert _power(f"{atom}^{k}") == want, (atom, k)
             want = want * base
@@ -211,6 +212,50 @@ def test_parse_relation_tails():
             parse_relation(text, ass)
         assert (ei.value.msg, ei.value.line, ei.value.col) == (msg, 1, col)
 
+
+
+def images(mapping):
+    """A map's images without their source positions."""
+    return {g: [(c, t.render()) for c, t in e.terms] for g, e in mapping.items()}
+
+
+def test_parse_map_statements():
+    want = {"m": [(Scalar.from_fraction(2), "m(y,x)")]}
+    # a ';' inside a comment is commented out, as in a presentation
+    assert images(parse_map("m=2*m(y,x) # was: k=m(x,y); retired\n")) == want
+    # statements span lines and carry comments between their tokens
+    text = "# the star map, spelt out\nm = 2*m(y,  # first\n  x)\n;\n"
+    assert images(parse_map(text)) == want
+    # empty statements are skipped
+    for text in ("m=2*m(y,x);", ";;m=2*m(y,x);;", " ; m=2*m(y,x) ; "):
+        assert images(parse_map(text)) == want
+    assert parse_map("") == parse_map(";;") == {}
+    assert images(parse_map("c=c(x,y);b=-b(y,x)")) == {
+        "c": [(Scalar.from_fraction(1), "c(x,y)")],
+        "b": [(Scalar.from_fraction(-1), "b(y,x)")]}
+
+
+@pytest.mark.parametrize("text,msg,line,col", [
+    # a key that is not one identifier, at the statement's first token
+    ("m x=m(x,y)", "expected gen=expression, got 'm x=m(x,y)'", 1, 1),
+    ("m=m(x,y);\n 2*m=m(y,x)", "expected gen=expression, got '2*m=m(y,x)'", 2, 2),
+    ("m(x,y) # m=m(y,x)", "expected gen=expression, got 'm(x,y)'", 1, 1),
+    # two statements need a ';' between them
+    ("m=m(x,y) k=m(y,x)", "unexpected 'k'", 1, 10),
+    ("m=m(x,y)\nk=m(y,x)", "unexpected 'k'", 2, 1),
+    # an image is a sum, not a relation
+    ("m=m(x,y) = 0", "unexpected '='", 1, 10),
+    ("m=m(x,y) + m(y,x;", "unbalanced parentheses", 1, 17),
+])
+def test_parse_map_fault_positions(text, msg, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse_map(text)
+    assert (ei.value.msg, ei.value.line, ei.value.col) == (msg, line, col)
+
+
+def test_parse_map_refuses_a_second_image():
+    with pytest.raises(PresentationError, match="^generator 'm' is mapped twice$"):
+        parse_map("m=m(x,y); m=m(y,x)")
 
 
 # one fault per monomial: the message and the position of the application

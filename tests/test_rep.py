@@ -10,6 +10,7 @@ from operadlab import (EShape, Scalar, builtin, gamma_plus_split, span_closure,
                        CHARACTER_TABLE)
 from operadlab.rep import (CLASS_REPS, CLASS_SIZES, CharacterVector, RepError,
                            restricted_trace)
+from operadlab.scalar import SC0
 
 # a second representative per class, for well-definedness checks
 CLASS_REPS_ALT = (
@@ -111,7 +112,7 @@ def random_invariant_subspaces(shape, rng, count):
     while len(out) < count:
         vecs = []
         for _ in range(rng.randint(1, 2)):
-            v = [Scalar.zero()] * shape.basis_size
+            v = [SC0] * shape.basis_size
             for _ in range(rng.randint(1, 3)):
                 v[rng.randrange(shape.basis_size)] = \
                     Scalar.from_fraction(rng.randint(-3, 3))
