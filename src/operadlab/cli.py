@@ -8,7 +8,12 @@ a try fails, the error names each distinct fault once, in sorted order.
 
 Exit codes: 0 success, 2 bad input (a presentation, map or --q value
 that does not parse or does not fit) or a failed check, 3 internal
-inconsistency between two decision methods.
+inconsistency between two decision methods, 4 a coefficient with more
+decimal digits than Python prints.
+
+Each command imports the package modules it runs when it starts, and
+`main` imports the error classes only once a command has failed, so a
+process loads no module that its command does not use.
 """
 
 from __future__ import annotations
@@ -20,21 +25,29 @@ import random
 import sys
 from fractions import Fraction
 
-from . import free3, rep, mlab, quantize
-from .scalar import ScalarError
-from .presentation import (Presentation, PresentationError, builtin,
-                           parse_map, parse_presentation, polarize_presentation,
-                           depolarize_presentation, BUILTIN_NAMES)
-from .checkers import (check_cyclic, check_dihedral, hopf_analyze,
-                       check_substitution_iso, InternalInconsistencyError,
-                       CheckerError)
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INCONSISTENT = 3
-# the faults of the input, reported with EXIT_PARSE
-_INPUT_ERRORS = (PresentationError, ScalarError, free3.Free3Error, CheckerError,
-                 quantize.QuantizeError, mlab.MultiMapError)
+EXIT_PRINT_LIMIT = 4
+
+
+def _input_errors():
+    """The faults of the input, reported with EXIT_PARSE."""
+    from .checkers import CheckerError
+    from .free3 import Free3Error
+    from .mlab import MultiMapError
+    from .presentation import PresentationError
+    from .quantize import QuantizeError
+    from .scalar import ScalarError
+    return (PresentationError, ScalarError, Free3Error, CheckerError,
+            QuantizeError, MultiMapError)
+
+
+def _inconsistency():
+    """The disagreement of two decision methods, reported with
+    EXIT_INCONSISTENT."""
+    from .checkers import InternalInconsistencyError
+    return InternalInconsistencyError
 
 # (operad, algebras, Koszulness quoted from the literature, never computed)
 TABLE_ROWS = (
@@ -50,7 +63,9 @@ TABLE_ROWS = (
 )
 
 
-def _load_presentation(spec: str, q=None) -> Presentation:
+def _load_presentation(spec: str, q=None):
+    from .presentation import (BUILTIN_NAMES, PresentationError, builtin,
+                               parse_presentation)
     if spec in BUILTIN_NAMES or (spec.isidentifier() and not os.path.exists(spec)):
         p = builtin(spec)
     elif os.path.exists(spec):
@@ -71,6 +86,7 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        from .presentation import PresentationError
         raise PresentationError(f"--q expects a rational number, got {text!r}") from None
 
 
@@ -87,6 +103,7 @@ def _emit(args, payload: dict, text_lines) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    from .checkers import check_cyclic, check_dihedral, hopf_analyze
     p = _load_presentation(args.presentation, args.q)
     wanted = ([f for f in ("cyclic", "dihedral", "hopf") if getattr(args, f)]
               or ["cyclic", "dihedral", "hopf"])
@@ -110,6 +127,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .checkers import check_cyclic, check_dihedral, hopf_analyze
+    from .presentation import builtin
     rows = []
     width = max(len(t) for _, t, _ in TABLE_ROWS)
     lines = [f"{'operad':<8} {'algebras':<{width}} "
@@ -142,6 +161,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import free3, rep
+    from .checkers import check_cyclic
     p = _load_presentation(args.presentation, args.q)
     gp, gm = free3.gamma_plus_split(p.shape)
     dp = rep.decompose_subspace(gp)
@@ -170,6 +191,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_polarize(args) -> int:
+    from .presentation import polarize_presentation
     p = _load_presentation(args.presentation, args.q)
     pol = polarize_presentation(p)
     payload = {"command": "polarize", "presentation": p.name,
@@ -181,8 +203,10 @@ def cmd_polarize(args) -> int:
 NAMED_MAPS = ("star", "opposite", "identity", "signflip")
 
 
-def _named_map(name: str, p: Presentation, p2: Presentation):
-    """The named map from p's generators to p2's, written as --map text."""
+def _named_map(name: str, p, p2):
+    """The named map from presentation p's generators to p2's, written as
+    --map text."""
+    from .presentation import parse_map
     if name == "star":
         g, t = p.generators[0].name, p2.generators[0].name
         text = f"{g}=((1+v)/2)*{t}(x,y) + ((1-v)/2)*{t}(y,x)"
@@ -193,11 +217,14 @@ def _named_map(name: str, p: Presentation, p2: Presentation):
         text = "; ".join(f"{g.name}={flip.get(g.symmetry, '')}{g2.name}(x,y)"
                          for g, g2 in zip(p.generators, p2.generators))
     else:
+        from .checkers import CheckerError
         raise CheckerError(f"unknown named map {name!r}")
     return parse_map(text)
 
 
 def cmd_iso(args) -> int:
+    from .checkers import CheckerError, check_substitution_iso
+    from .presentation import depolarize_presentation, parse_map
     p = _load_presentation(args.p1, args.q)
     p2 = _load_presentation(args.p2, args.q)
     # star and opposite are defined on one no-symmetry generator; any other
@@ -216,7 +243,7 @@ def cmd_iso(args) -> int:
             if args.q is not None:
                 mapping = {g: e.specialize(args.q) for g, e in mapping.items()}
             result = check_substitution_iso(src, dst, mapping)
-        except _INPUT_ERRORS as e:
+        except _input_errors() as e:
             faults.add(str(e))
         if result:
             break
@@ -230,6 +257,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    from . import quantize
     s = quantize.moyal_star(args.order)
     commutative = s.commutative_mod_t(min(args.degree, 3))
     associative = s.is_associative(min(args.degree, 3))
@@ -271,8 +299,9 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_mlab(args) -> int:
+    from . import mlab
     if args.trials < 0:
-        raise CheckerError(f"trial count {args.trials} is negative")
+        raise mlab.MultiMapError(f"trial count {args.trials} is negative")
     rng = random.Random(args.seed)
     d = 2
     pre_lie = vinberg = master = g6_signed = 0
@@ -393,12 +422,15 @@ def main(argv=None) -> int:
         if getattr(args, "q", None) is not None:
             args.q = _rational(args.q)
         return args.fn(args)
-    except InternalInconsistencyError as e:
+    # an except clause's classes are looked up only when an exception
+    # reaches it, so a run that succeeds imports none of them
+    except _inconsistency() as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except _INPUT_ERRORS as e:
+    except _input_errors() as e:
+        from .scalar import PrintLimitError
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_PRINT_LIMIT if isinstance(e, PrintLimitError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -61,6 +61,10 @@ class SpecializationError(ScalarError):
     """q ↦ q0 substitution hit a pole or an irrational square root."""
 
 
+class PrintLimitError(ScalarError):
+    """A coefficient has more decimal digits than `str` writes."""
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials, represented as coefficient tuples
 # ---------------------------------------------------------------------------
@@ -160,7 +164,7 @@ def _exquo(a, b):
 def prender(a) -> str:
     """An integer polynomial in q, highest power first.  A coefficient with
     more decimal digits than `str` writes (`sys.get_int_max_str_digits`)
-    raises ScalarError."""
+    raises PrintLimitError."""
     if not a:
         return "0"
     parts = []
@@ -179,7 +183,7 @@ def prender(a) -> str:
             else:
                 parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
     except ValueError:
-        raise ScalarError("coefficient too large to print (over "
+        raise PrintLimitError("coefficient too large to print (over "
                           f"{sys.get_int_max_str_digits()} decimal digits)") from None
     return " ".join(parts)
 

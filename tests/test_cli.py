@@ -8,10 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from operadlab import checkers, presentation
 from operadlab.checkers import HopfResult, slotmap_from_exprs
-from operadlab import cli
 from operadlab.cli import (main, _named_map, NAMED_MAPS, EXIT_OK, EXIT_PARSE,
-                           EXIT_INCONSISTENT)
+                           EXIT_INCONSISTENT, EXIT_PRINT_LIMIT)
 from operadlab.free3 import Subspace
 from operadlab.presentation import (BUILTIN_NAMES, builtin, depolarize_presentation,
                                     parse_expression, parse_map)
@@ -143,12 +143,14 @@ def test_dihedral_routes_that_disagree_exit_inconsistent(capsys, monkeypatch):
 def test_a_coefficient_too_long_to_print_is_a_one_line_error(capsys):
     text = "operad A { gen m: none; rel (2^100000)*m(m(x,y),z) - m(x,m(y,z)) = 0; }"
     code, out, err = run(capsys, "check", text)
-    assert code == EXIT_PARSE and out == ""
+    # its own exit code: a script can tell it from a parse error
+    assert code == EXIT_PRINT_LIMIT == 4 and out == ""
     limit = sys.get_int_max_str_digits()
     assert err == f"error: coefficient too large to print (over {limit} decimal digits)\n"
     # the verdicts that print no coefficient still answer
     code, out, _ = run(capsys, "check", text, "--cyclic", "--dihedral")
     assert code == EXIT_OK and "cyclic:   no" in out and "dihedral: no" in out
+    assert run(capsys, "check", "operad A {")[0] == EXIT_PARSE
 
 
 def test_check_keeps_decided_verdicts_when_hopf_is_unsupported(capsys, schema):
@@ -223,8 +225,7 @@ def test_table_text_marks_cited_column(capsys):
 
 
 def test_table_shows_undecided_as_undecided(capsys, monkeypatch):
-    import operadlab.cli as cli
-    monkeypatch.setattr(cli, "hopf_analyze", lambda p: HopfResult("undecided"))
+    monkeypatch.setattr(checkers, "hopf_analyze", lambda p: HopfResult("undecided"))
     code, out, _ = run(capsys, "table")
     rows = out.splitlines()[2:-1]
     assert code == EXIT_OK and len(rows) == len(EXPECTED_TABLE)
@@ -354,7 +355,7 @@ def test_named_map_texts_parse_as_pieces(monkeypatch):
         texts.append(text)
         return parse_map(text)
 
-    monkeypatch.setattr(cli, "parse_map", recording)
+    monkeypatch.setattr(presentation, "parse_map", recording)
     # a named map reads only the generators, so one form of each list is enough
     forms = {p.generators: p for n in BUILTIN_NAMES
              for p in (builtin(n), depolarize_presentation(builtin(n)))}
